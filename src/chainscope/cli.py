@@ -2,8 +2,7 @@
 
 Every command is pure given (instance bytes, flags, seed): payloads contain
 no clock or host information, so replaying a manifest reproduces the report
-byte for byte.  Exit codes: 0 ok, 2 invalid input, 3 numeric failure,
-4 partial Monte Carlo failure (payload flagged).
+byte for byte.  Exit codes: 0 ok, 2 invalid input, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .io import (InstanceError, covariance_from_instance, dump_json, load_instan
                  sha256_file, space_from_instance, write_csv, write_json)
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure, functional_M,
                        sigma_profile, uniform_measure, young_power)
-from .metric_core import (MetricValidationError, covering_number, entropy_integral,
+from .metric_core import (MetricValidationError, covering_table, entropy_integral,
                           modulus_entropy_diagnostic)
 from .partition import (audit_cell, build_partition, chained_functional,
                         common_sample_oracle, lower_bound_report)
@@ -50,7 +49,6 @@ ENVELOPE_SCHEMA = {
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-EXIT_PARTIAL = 4
 
 
 def data_instance_path(name: str) -> str:
@@ -97,16 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance JSON file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=20000)
-        p.add_argument("--mode", choices=[GAUSSIAN_LOG, YOUNG_INVERSE],
-                       default=GAUSSIAN_LOG)
-        p.add_argument("--young", type=float, default=2.0,
-                       help="exponent q of the built-in Young family")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads (CHAINSCOPE_THREADS as fallback)")
 
     p = sub.add_parser("analyze", help="diameter, covering table, entropy integral")
     common(p)
+    p.add_argument("--mode", choices=[GAUSSIAN_LOG, YOUNG_INVERSE], default=GAUSSIAN_LOG)
+    p.add_argument("--young", type=float, default=2.0,
+                   help="exponent q of the built-in Young family")
 
     p = sub.add_parser("bounds", help="E sup, argmax measure, sandwich per delta")
     common(p)
@@ -122,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality", help="three extremal searches plus E sup")
     common(p)
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("ellipsoid", help="truncated ellipsoid case study")
     common(p, instance_required=False)
@@ -155,14 +151,11 @@ def _covering_rows(space):
     radii = [float(d) for d in space.distinct_distances()]
     if radii:
         radii = [radii[0] / 2.0] + radii
-    rows = []
-    for rad in radii:
-        rep = covering_number(space, rad)
-        rows.append({"radius": rad, "greedy_cover_size": rep.greedy_cover_size,
-                     "packing_size": rep.packing_size,
-                     "lower_bound": rep.certified_bounds[0],
-                     "upper_bound": rep.certified_bounds[1]})
-    return rows
+    return [{"radius": rep.radius, "greedy_cover_size": rep.greedy_cover_size,
+             "packing_size": rep.packing_size,
+             "lower_bound": rep.certified_bounds[0],
+             "upper_bound": rep.certified_bounds[1]}
+            for rep in covering_table(space, radii)]
 
 
 def cmd_analyze(args, inst, outputs):
@@ -376,16 +369,9 @@ def run_command(args) -> int:
         instance_hash = sha256_file(args.instance)
     instance_name = inst["name"] if inst is not None else "none"
 
-    exit_code = EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            payload = COMMANDS[args.command](args, inst, outputs)
-        except _PartialFailure as exc:
-            payload = exc.payload
-            payload["partial"] = True
-            payload["partial_error"] = str(exc)
-            exit_code = EXIT_PARTIAL
+        payload = COMMANDS[args.command](args, inst, outputs)
 
     envelope = {
         "schema_version": SCHEMA_VERSION,
@@ -409,15 +395,7 @@ def run_command(args) -> int:
         "outputs": sorted(outputs.files),
     }
     write_json(os.path.join(args.out, f"{args.command}_manifest.json"), manifest)
-    return exit_code
-
-
-class _PartialFailure(RuntimeError):
-    """A Monte Carlo stage failed after earlier stages produced data."""
-
-    def __init__(self, message: str, payload: dict):
-        super().__init__(message)
-        self.payload = payload
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

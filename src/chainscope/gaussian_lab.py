@@ -20,7 +20,7 @@ from scipy.special import ndtri
 
 from . import measures
 from .measures import ProbabilityMeasure, functional_M
-from .metric_core import FiniteMetricSpace, build_from_covariance, greedy_cover_size, greedy_packing
+from .metric_core import FiniteMetricSpace, build_from_covariance, cover_sizes, packings
 
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
@@ -232,9 +232,9 @@ def sudakov_bound(space: FiniteMetricSpace):
     """
     if space.n < 2:
         raise ValueError("sudakov_bound needs at least 2 points")
+    seps = space.distinct_distances()
     best = (0.0, (0.0, 1))
-    for a in space.distinct_distances():
-        m = len(greedy_packing(space, float(a), strict=False))
+    for a, m in zip(seps, packings(space, seps, strict=False).sum(axis=1).tolist()):
         val = float(a) * math.sqrt(math.log2(m)) if m > 1 else 0.0
         if val > best[0]:
             best = (val, (float(a), m))
@@ -314,9 +314,8 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
         return cache[c]
 
     rows = []
-    for i, d in enumerate(delta_grid):
+    for i, (d, nhat) in enumerate(zip(delta_grid, cover_sizes(space, delta_grid).tolist())):
         mod = estimate_modulus(model, d, n_samples, seed + 2 + i, threads)
-        nhat = greedy_cover_size(space, d)
         log_n = math.sqrt(math.log2(nhat)) if nhat > 1 else 0.0
         upper = best_m_self(min(2.0 * d, space.diam)) + d * log_n
         lower = max(best_m_self(c) - c * log_n for c in c_grid)

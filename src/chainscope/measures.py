@@ -271,7 +271,7 @@ def functional_M(space: FiniteMetricSpace, mu: ProbabilityMeasure, nu: Probabili
 
     +inf propagates only through points that nu actually charges.
     """
-    if mu.space is not nu.space and mu.space.n != nu.space.n:
+    if mu.space is not nu.space and not np.array_equal(mu.space.dist, nu.space.dist):
         raise MeasureError("mu and nu must live on the same space")
     d = delta if delta is not None else mu.space.diam
     if d <= 0:

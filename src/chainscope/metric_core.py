@@ -159,33 +159,53 @@ def greedy_permutation(space: FiniteMetricSpace):
     return order, radii
 
 
-def greedy_cover_size(space: FiniteMetricSpace, radius: float) -> int:
+def cover_sizes(space: FiniteMetricSpace, radii) -> np.ndarray:
+    """Greedy cover size at each radius, from one greedy permutation.
+
+    The cover at radius r is the shortest prefix of the permutation whose
+    covering radius is <= r, so its size is ``1 + #(insertion radii > r)``,
+    read for every radius at once with ``searchsorted`` on the sorted
+    insertion radii.  Returns an int array shaped like ``radii``.
+    """
+    radii = np.asarray(radii, dtype=float)
     if space.n <= 1:
-        return space.n
-    _, radii = greedy_permutation(space)
-    return 1 + int(np.sum(radii[1:] > radius))
+        return np.full(radii.shape, space.n, dtype=int)
+    _, inserted = greedy_permutation(space)
+    inserted = np.sort(inserted[1:])
+    return 1 + inserted.size - np.searchsorted(inserted, radii, side="right")
 
 
-def greedy_cover_centers(space: FiniteMetricSpace, radius: float) -> list[int]:
-    order, radii = greedy_permutation(space)
-    k = greedy_cover_size(space, radius)
-    return [int(i) for i in order[:k]]
+def greedy_cover_size(space: FiniteMetricSpace, radius: float) -> int:
+    return int(cover_sizes(space, [radius])[0])
+
+
+def packings(space: FiniteMetricSpace, separations, strict: bool = True) -> np.ndarray:
+    """Greedy maximal packings at several separations, scanned in index order.
+
+    Row r of the returned (separations x n) boolean matrix marks the points
+    kept at ``separations[r]``: ``strict`` keeps points at pairwise distance
+    ``> separation``, otherwise ``>= separation`` (the Sudakov convention).
+    One scan over the points serves every row: point i is kept in each row
+    where no kept point blocks it, and then blocks, in those rows, each later
+    point j that fails the comparison on ``dist[j, i]``.  Those are the
+    comparisons an independent scan per separation makes, on the same
+    entries, so every row equals that scan's packing.
+    """
+    seps = np.asarray(separations, dtype=float).reshape(-1, 1)
+    keep = np.zeros((seps.shape[0], space.n), dtype=bool)
+    blocked = np.zeros_like(keep)
+    for i in range(space.n):
+        rows = np.flatnonzero(~blocked[:, i])
+        keep[rows, i] = True
+        later = space.dist[i + 1:, i]
+        apart = later > seps[rows] if strict else later >= seps[rows]
+        blocked[rows, i + 1:] |= ~apart
+    return keep
 
 
 def greedy_packing(space: FiniteMetricSpace, separation: float, strict: bool = True) -> list[int]:
-    """Greedy maximal packing scanned in index order.
-
-    ``strict`` keeps points at pairwise distance ``> separation``; otherwise
-    ``>= separation`` (the Sudakov convention).
-    """
-    D = space.dist
-    keep: list[int] = []
-    for i in range(space.n):
-        ds = D[i, keep] if keep else np.empty(0)
-        ok = np.all(ds > separation) if strict else np.all(ds >= separation)
-        if ok:
-            keep.append(i)
-    return keep
+    """Greedy maximal packing at one separation; see :func:`packings`."""
+    return np.flatnonzero(packings(space, [separation], strict)[0]).tolist()
 
 
 def exact_covering_number(space: FiniteMetricSpace, radius: float) -> int:
@@ -224,24 +244,29 @@ class CoveringReport:
     certified_bounds: tuple
 
 
-def covering_number(space: FiniteMetricSpace, radius: float) -> CoveringReport:
-    """Greedy cover (upper bound) and packing (lower bound) at one radius.
+def covering_table(space: FiniteMetricSpace, radii) -> list[CoveringReport]:
+    """Greedy cover (upper bound) and packing (lower bound) at each radius.
 
     ``certified_bounds = (packing at separation 2*radius, greedy cover size)``
     brackets the exact covering number: points pairwise further than
-    ``2*radius`` apart cannot share one closed ball.
+    ``2*radius`` apart cannot share one closed ball.  One :func:`cover_sizes`
+    call and one :func:`packings` call over ``[radii, 2*radii]`` serve the
+    whole table.
     """
-    if radius <= 0:
+    radii = [float(r) for r in radii]
+    if any(r <= 0 for r in radii):
         raise ValueError("radius must be positive")
-    upper = greedy_cover_size(space, radius)
-    packing = len(greedy_packing(space, radius, strict=True))
-    lower = len(greedy_packing(space, 2.0 * radius, strict=True))
-    return CoveringReport(
-        radius=float(radius),
-        greedy_cover_size=upper,
-        packing_size=packing,
-        certified_bounds=(lower, upper),
-    )
+    uppers = cover_sizes(space, radii).tolist()
+    packed = packings(space, radii + [2.0 * r for r in radii], strict=True).sum(axis=1).tolist()
+    k = len(radii)
+    return [CoveringReport(radius=r, greedy_cover_size=upper, packing_size=packing,
+                           certified_bounds=(lower, upper))
+            for r, upper, packing, lower in zip(radii, uppers, packed[:k], packed[k:])]
+
+
+def covering_number(space: FiniteMetricSpace, radius: float) -> CoveringReport:
+    """:func:`covering_table` at one radius."""
+    return covering_table(space, [radius])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +279,12 @@ def _segment_table(space: FiniteMetricSpace):
     Returns (starts, sizes): the cover size equals sizes[i] on
     [starts[i], starts[i+1]) with starts[0] = 0.
     """
-    ds = space.distinct_distances()
-    starts = [0.0]
-    sizes = []
     if space.n <= 1:
-        return np.array(starts), np.array([space.n], dtype=int)
+        return np.array([0.0]), np.array([space.n], dtype=int)
+    ds = space.distinct_distances()
     if ds.size == 0:
-        return np.array(starts), np.array([greedy_cover_size(space, 0.0)], dtype=int)
-    sizes.append(greedy_cover_size(space, ds[0] / 2.0))
-    for i, d in enumerate(ds):
-        starts.append(float(d))
-        sizes.append(greedy_cover_size(space, float(d)))
-    return np.array(starts), np.array(sizes, dtype=int)
+        return np.array([0.0]), cover_sizes(space, [0.0])
+    return np.concatenate([[0.0], ds]), cover_sizes(space, np.concatenate([[ds[0] / 2.0], ds]))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The 3-point space {0, 1, 3} on the line is small enough for exhaustive
 simplex grid search with hand-derived closed forms: for weights
 (w0, w1, w2) the one-point integrals are piecewise sums over the distance
-gaps seen from each point.
+gaps seen from each point.  The sequential greedy scans at the end, one
+separation or radius at a time, are the references for the batched cover
+and packing kernels of ``metric_core``.
 """
 
 import numpy as np
@@ -83,3 +85,38 @@ def balanced_oracle_013(resolution=1e-3):
     spread = prof.max(axis=1) - prof.min(axis=1)
     best = int(np.argmin(spread))
     return float(spread[best]), W[best]
+
+
+def greedy_packing_reference(space, separation, strict=True):
+    """Sequential index-order greedy packing at one separation.
+
+    ``strict`` keeps points at pairwise distance ``> separation``; otherwise
+    ``>= separation``.
+    """
+    D = space.dist
+    keep = []
+    for i in range(space.n):
+        ds = D[i, keep] if keep else np.empty(0)
+        ok = np.all(ds > separation) if strict else np.all(ds >= separation)
+        if ok:
+            keep.append(i)
+    return keep
+
+
+def cover_size_reference(space, radius):
+    """Greedy cover size at one radius from a farthest-point traversal of its own.
+
+    The traversal starts at point 0 and adds the farthest point from the
+    chosen centers (lowest index on ties); the cover size is one plus the
+    number of insertion distances above ``radius``.
+    """
+    if space.n <= 1:
+        return space.n
+    D = space.dist
+    mind = D[0].copy()
+    inserted = []
+    for _ in range(1, space.n):
+        j = int(np.argmax(mind))
+        inserted.append(mind[j])
+        np.minimum(mind, D[j], out=mind)
+    return 1 + sum(1 for r in inserted if r > radius)

@@ -50,6 +50,16 @@ class TestInputErrors:
         code, _ = run(tmp_path, "analyze", "--instance", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--mode", "young-inverse"),
+        ("modulus", "--young", "3"),
+        ("duality", "--tol", "1e-8"),
+    ])
+    def test_flag_of_another_command_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv, "--instance", data_instance_path("two_point.json"))
+        assert exc.value.code == 2
+
     def test_bad_delta_grid_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "modulus", "--instance",
                       data_instance_path("two_point.json"),

@@ -110,6 +110,16 @@ class TestSigmaClosedForms:
         mu = uniform_measure(sp)
         assert functional_M(sp, mu, mu) == pytest.approx(d, abs=1e-12)
 
+    def test_measures_on_different_spaces_rejected(self):
+        sp = build_from_distance_matrix([[0, 1], [1, 0]])
+        other = build_from_distance_matrix([[0, 2], [2, 0]])
+        twin = build_from_distance_matrix([[0, 1], [1, 0]])
+        with pytest.raises(MeasureError, match="same space"):
+            functional_M(sp, uniform_measure(sp), uniform_measure(other))
+        # an equal distance matrix is the same space
+        assert functional_M(sp, uniform_measure(sp), uniform_measure(twin)) == \
+            pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_equidistant_matches_entropy_value(self, m):
         a = 1.3

@@ -2,15 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
+from scipy.spatial.distance import cdist
 
 from chainscope import (MetricValidationError, build_from_covariance,
                         build_from_distance_matrix, build_from_points,
                         covering_number, entropy_integral,
                         modulus_entropy_diagnostic)
-from chainscope.metric_core import (exact_covering_number, greedy_cover_size,
-                                    greedy_packing, greedy_permutation)
+from chainscope.metric_core import (cover_sizes, covering_table, exact_covering_number,
+                                    greedy_cover_size, greedy_packing, greedy_permutation,
+                                    packings)
 
 from conftest import random_space
+from oracles import cover_size_reference, greedy_packing_reference
+
+
+@st.composite
+def integer_metrics(draw):
+    """Shortest-path closure of small integer edge weights: many tied distances."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    w = np.array(draw(st.lists(st.integers(min_value=0, max_value=4),
+                               min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    w[w == 0] = 5.0  # a zero weight would mean "no edge" to csgraph
+    np.fill_diagonal(w, 0.0)
+    return build_from_distance_matrix(shortest_path(w, directed=False))
+
+
+@st.composite
+def l1_metrics(draw):
+    """l1 distances of small point clouds on a coarse grid."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    coords = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                           min_size=n * dim, max_size=n * dim))
+    pts = 0.5 * np.array(coords, dtype=float).reshape(n, dim)
+    return build_from_distance_matrix(cdist(pts, pts, "cityblock"))
 
 
 class TestValidation:
@@ -132,7 +161,7 @@ class TestEntropyIntegral:
             exact = float(entropy_integral(sp, sp.diam))
             grid = np.linspace(0.0, sp.diam, 20001)
             h = grid[1] - grid[0]
-            sizes = np.array([greedy_cover_size(sp, g) for g in grid], dtype=float)
+            sizes = cover_sizes(sp, grid).astype(float)
             f = np.sqrt(np.log2(np.maximum(sizes, 1.0)))
             left = h * f[:-1].sum()
             right = h * f[1:].sum()
@@ -148,3 +177,30 @@ class TestEntropyIntegral:
         assert sp.diam == 0.0
         assert float(entropy_integral(sp, 1.0)) == 0.0
         assert modulus_entropy_diagnostic(sp) == []
+
+
+class TestBatchedKernels:
+    @given(st.one_of(integer_metrics(), l1_metrics()))
+    @settings(max_examples=150, deadline=None)
+    def test_match_sequential_scans(self, sp):
+        ds = sp.distinct_distances()
+        radii = np.concatenate([[0.0], ds, ds / 2.0, 2.0 * ds])
+        for strict in (True, False):
+            rows = packings(sp, radii, strict=strict)
+            assert rows.shape == (radii.size, sp.n)
+            for r, row in zip(radii, rows):
+                assert np.flatnonzero(row).tolist() == greedy_packing_reference(sp, r, strict)
+        assert cover_sizes(sp, radii).tolist() == [cover_size_reference(sp, r) for r in radii]
+
+    def test_covering_table_matches_sequential_scans(self):
+        sp = random_space(np.random.default_rng(11), 11)
+        radii = [0.1 * sp.diam, 0.25 * sp.diam, 0.5 * sp.diam]
+        for rep, r in zip(covering_table(sp, radii), radii):
+            assert rep.packing_size == len(greedy_packing_reference(sp, r))
+            assert rep.certified_bounds == (len(greedy_packing_reference(sp, 2.0 * r)),
+                                            cover_size_reference(sp, r))
+
+    def test_covering_table_rejects_nonpositive_radius(self):
+        sp = build_from_points([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="positive"):
+            covering_table(sp, [0.5, 0.0])
