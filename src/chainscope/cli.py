@@ -82,6 +82,18 @@ def _parse_grid(text: str):
     return vals
 
 
+def _at_least(kind, low, strict: bool = False):
+    """argparse ``type=`` for ``kind(text) >= low`` (``> low`` if strict); else exit 2."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} must be {'>' if strict else '>='} {low}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainscope",
@@ -94,15 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", required=instance_required,
                        help="instance JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20000)
+        p.add_argument("--samples", type=_at_least(int, 2), default=20000)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_at_least(int, 1), default=None,
                        help="worker threads (CHAINSCOPE_THREADS as fallback)")
 
     p = sub.add_parser("analyze", help="diameter, covering table, entropy integral")
     common(p)
     p.add_argument("--mode", choices=[GAUSSIAN_LOG, YOUNG_INVERSE], default=GAUSSIAN_LOG)
-    p.add_argument("--young", type=float, default=2.0,
+    p.add_argument("--young", type=_at_least(float, 1), default=2.0,
                    help="exponent q of the built-in Young family")
 
     p = sub.add_parser("bounds", help="E sup, argmax measure, sandwich per delta")
@@ -112,19 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="greedy partition tree and audits")
     common(p)
-    p.add_argument("--r", type=float, default=4.0, help="scale ratio between levels")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--r", type=_at_least(float, 1, strict=True), default=4.0,
+                   help="scale ratio between levels")
+    p.add_argument("--eps", type=_at_least(float, 0, strict=True), default=None,
                    help="audit slack (default 0.01 * diameter)")
 
     p = sub.add_parser("duality", help="three extremal searches plus E sup")
     common(p)
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_at_least(int, 0), default=8)
 
     p = sub.add_parser("ellipsoid", help="truncated ellipsoid case study")
     common(p, instance_required=False)
     p.add_argument("--axes", required=True,
                    help="comma-separated nonincreasing positive semi-axes")
-    p.add_argument("--net", type=float, default=None,
+    p.add_argument("--net", type=_at_least(float, 0, strict=True), default=None,
                    help="net resolution h (default 0.05 * largest axis)")
 
     p = sub.add_parser("modulus", help="continuity modulus S(delta) table")

@@ -140,10 +140,14 @@ def _integrand(mode: str, young: YoungFunction | None):
 class SigmaEvaluator:
     """Exact sigma profiles and their gradients for one (space, delta, mode).
 
-    Precomputes, per point t, the sorted distance structure so repeated
-    evaluation at different weight vectors (the optimizers' inner loop) is
-    O(n^2) overall.  ``delta`` is truncated at the diameter: the functionals
-    treat delta >= diam and delta = infinity as identical.
+    Dense row layout: row t of the n x n arrays ``order`` (stable argsort of
+    ``dist[t]``), ``pos`` (its inverse) and ``gaps`` (the length of
+    [r_j, r_{j+1}) clipped to delta, r_j the j-th sorted distance) describes
+    the balls around t.  A gap is 0 inside a block of tied distances, so a
+    cumulative weight counts as a ball mass only at the end of its block.
+    Memory is O(n^2) per evaluator and per call.  ``delta`` is truncated at
+    the diameter: the functionals treat delta >= diam and delta = infinity
+    as identical.
     """
 
     def __init__(self, space: FiniteMetricSpace, delta: float | None = None,
@@ -154,55 +158,28 @@ class SigmaEvaluator:
         d = space.diam if delta is None else min(delta, space.diam)
         self.delta = max(float(d), 0.0)
         n = space.n
-        self._order = []      # per t: argsort of the distance row
-        self._ends = []       # per t: last index of each equal-distance block
-        self._gaps = []       # per t: length of [r_j, r_{j+1}) clipped to delta
-        self._rank = []       # per t: distinct-radius index of each point
-        for t in range(n):
-            row = space.dist[t]
-            order = np.argsort(row, kind="stable")
-            sd = row[order]
-            ends = np.flatnonzero(np.r_[sd[1:] > sd[:-1], True])
-            radii = sd[ends]
-            nxt = np.r_[radii[1:], np.inf]
-            gaps = np.clip(np.minimum(nxt, self.delta) - radii, 0.0, None)
-            rank = np.empty(n, dtype=int)
-            start = 0
-            for j, e in enumerate(ends):
-                rank[order[start:e + 1]] = j
-                start = e + 1
-            self._order.append(order)
-            self._ends.append(ends)
-            self._gaps.append(gaps)
-            self._rank.append(rank)
-
-    def _masses(self, w: np.ndarray, t: int) -> np.ndarray:
-        cum = np.cumsum(w[self._order[t]])
-        return cum[self._ends[t]]
-
-    def sigma_one(self, w: np.ndarray, t: int) -> float:
-        p = self._masses(w, t)
-        gaps = self._gaps[t]
-        live = gaps > 0
-        if np.any(live & (p <= 0.0)):
-            return math.inf
-        vals = np.zeros_like(p)
-        vals[live] = self.f(p[live])
-        return float(np.dot(gaps, vals))
+        self.order = np.argsort(space.dist, axis=1, kind="stable")
+        self.pos = np.empty_like(self.order)
+        np.put_along_axis(self.pos, self.order, np.arange(n)[None, :], axis=1)
+        sd = np.take_along_axis(space.dist, self.order, axis=1)
+        nxt = np.minimum(np.c_[sd[:, 1:], np.full(n, np.inf)], self.delta)
+        self.gaps = np.clip(nxt - sd, 0.0, None)
 
     def profile(self, w: np.ndarray) -> np.ndarray:
-        return np.array([self.sigma_one(w, t) for t in range(self.space.n)])
+        """sigma(mu, t) for every t; +inf where a live interval has no mass."""
+        p = np.cumsum(w[self.order], axis=1)
+        live = self.gaps > 0
+        massive = live & (p > 0)
+        vals = np.zeros_like(p)
+        vals[massive] = self.f(p[massive])
+        # matmul reduces each row with the BLAS dot of a 1-D np.dot; einsum
+        # would add in another order and move the searched objectives' last bits
+        out = np.matmul(self.gaps[:, None, :], vals[:, :, None])[:, 0, 0]
+        out[np.any(live & ~massive, axis=1)] = np.inf
+        return out
 
     def m_self(self, w: np.ndarray) -> float:
-        total = 0.0
-        for t in range(self.space.n):
-            if w[t] <= 0:
-                continue
-            s = self.sigma_one(w, t)
-            if math.isinf(s):
-                return math.inf
-            total += w[t] * s
-        return total
+        return _nu_average(self.profile(w), w)
 
     # -- analytic gradients (weights assumed strictly positive) ------------
 
@@ -221,20 +198,29 @@ class SigmaEvaluator:
         """J[t, u] = d sigma(mu, t) / d w_u, ignoring the simplex constraint.
 
         The full-mass block (p = 1) is held constant: along simplex
-        directions its mass cannot move.
+        directions its mass cannot move.  A zero-mass block (sigma = +inf)
+        contributes nothing.
         """
-        n = self.space.n
-        J = np.zeros((n, n))
-        for t in range(n):
-            p = self._masses(w, t)
-            gaps = self._gaps[t]
-            term = np.where((gaps > 0) & (p < 1.0 - 1e-15), gaps * self._fprime(p), 0.0)
-            suffix = np.cumsum(term[::-1])[::-1]
-            J[t] = suffix[self._rank[t]]
-        return J
+        p = np.cumsum(w[self.order], axis=1)
+        moving = (self.gaps > 0) & (p > 0) & (p < 1.0 - 1e-15)
+        term = np.zeros_like(p)
+        term[moving] = self.gaps[moving] * self._fprime(p[moving])
+        suffix = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
+        return np.take_along_axis(suffix, self.pos, axis=1)
 
     def m_self_grad(self, w: np.ndarray) -> np.ndarray:
         return self.profile(w) + self.jacobian(w).T @ w
+
+
+def _nu_average(prof: np.ndarray, nu_w: np.ndarray) -> float:
+    """Sum of nu_w[t] * prof[t] over the charged t, added in index order.
+
+    +inf propagates only through points that nu actually charges.
+    """
+    charged = nu_w > 0
+    if not np.any(charged):
+        return 0.0
+    return float(np.cumsum(nu_w[charged] * prof[charged])[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +239,7 @@ def sigma(space: FiniteMetricSpace, mu: ProbabilityMeasure, t: int, delta: float
     if delta == 0 or space.n == 0:
         return 0.0
     ev = SigmaEvaluator(space, delta, mode, young)
-    return ev.sigma_one(mu.weights, t)
+    return float(ev.profile(mu.weights)[t])
 
 
 def sigma_profile(space: FiniteMetricSpace, mu: ProbabilityMeasure, delta: float,
@@ -277,16 +263,7 @@ def functional_M(space: FiniteMetricSpace, mu: ProbabilityMeasure, nu: Probabili
     if d <= 0:
         return 0.0
     ev = SigmaEvaluator(mu.space, d, mode, young)
-    total = 0.0
-    for t in range(mu.space.n):
-        wt = nu.weights[t]
-        if wt <= 0:
-            continue
-        s = ev.sigma_one(mu.weights, t)
-        if math.isinf(s):
-            return math.inf
-        total += wt * s
-    return total
+    return _nu_average(ev.profile(mu.weights), nu.weights)
 
 
 def subadditivity_check(x: float, y: float) -> bool:

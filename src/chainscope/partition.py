@@ -14,6 +14,7 @@ unknown universal constant reported empirically instead of asserted.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,7 +93,9 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
     The maximization of F over candidate centers is exact over the finite
     set, so the +eps slack of the abstract construction is not needed to
     pick centers; ``eps_slack`` (default 0.01 * diam) survives only as the
-    audit tolerance for carving-order checks.
+    audit tolerance for carving-order checks.  Carving stops after
+    ``max_levels + 2`` levels (by default enough for the smallest distance)
+    with a warning that names the largest leaf left.
     """
     if r <= 1.0:
         raise ValueError("r must be > 1")
@@ -121,6 +124,9 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
     k = 1
     while any(len(c.members) > 1 for c in levels[-1]):
         if k > max_levels + 2:
+            largest = max(len(c.members) for c in levels[-1])
+            warnings.warn(f"partition depth cut-off at level {k - 1}: "
+                          f"largest leaf has {largest} points")
             break
         carve_r = space.diam * r ** (-k) / 2.0
         probe_r = space.diam * r ** (-k - 1) / 2.0
@@ -196,7 +202,7 @@ def verify_tree_translation(tree: PartitionTree, mu: ProbabilityMeasure, t: int,
     the chain makes rhs infinite and the check trivially true.
     """
     ev = SigmaEvaluator(tree.space, delta, mode)
-    lhs = ev.sigma_one(mu.weights, t)
+    lhs = float(ev.profile(mu.weights)[t])
     chain = tree.chain(t)
     D = tree.space.diam
     rhs = 0.0

@@ -5,7 +5,8 @@ simplex grid search with hand-derived closed forms: for weights
 (w0, w1, w2) the one-point integrals are piecewise sums over the distance
 gaps seen from each point.  The sequential greedy scans at the end, one
 separation or radius at a time, are the references for the batched cover
-and packing kernels of ``metric_core``.
+and packing kernels of ``metric_core``, and ``SigmaReference``, one distance
+row at a time, is the reference for the dense ``SigmaEvaluator``.
 """
 
 import numpy as np
@@ -120,3 +121,75 @@ def cover_size_reference(space, radius):
         inserted.append(mind[j])
         np.minimum(mind, D[j], out=mind)
     return 1 + sum(1 for r in inserted if r > radius)
+
+
+class SigmaReference:
+    """Per-point sigma evaluator, one distance row at a time.
+
+    The reference for the dense ``measures.SigmaEvaluator``: each row is
+    sorted on its own, ball masses are read at the last point of each block
+    of tied distances, sigma is a 1-D ``np.dot`` of gaps and integrand
+    values, the Jacobian is a per-row suffix sum over blocks, and the
+    nu-averages add charged points one at a time in index order.
+    """
+
+    def __init__(self, ev):
+        # borrow delta, integrand and its derivative from the evaluator
+        self.ev = ev
+        D = ev.space.dist
+        self.rows = []
+        for t in range(ev.space.n):
+            order = np.argsort(D[t], kind="stable")
+            sd = D[t][order]
+            ends = np.flatnonzero(np.r_[sd[1:] > sd[:-1], True])
+            radii = sd[ends]
+            nxt = np.r_[radii[1:], np.inf]
+            gaps = np.clip(np.minimum(nxt, ev.delta) - radii, 0.0, None)
+            rank = np.empty(ev.space.n, dtype=int)
+            start = 0
+            for j, e in enumerate(ends):
+                rank[order[start:e + 1]] = j
+                start = e + 1
+            self.rows.append((order, ends, gaps, rank))
+
+    def _masses(self, w, t):
+        order, ends, _, _ = self.rows[t]
+        return np.cumsum(w[order])[ends]
+
+    def sigma_one(self, w, t):
+        p = self._masses(w, t)
+        gaps = self.rows[t][2]
+        live = gaps > 0
+        if np.any(live & (p <= 0.0)):
+            return np.inf
+        vals = np.zeros_like(p)
+        vals[live] = self.ev.f(p[live])
+        return float(np.dot(gaps, vals))
+
+    def profile(self, w):
+        return np.array([self.sigma_one(w, t) for t in range(self.ev.space.n)])
+
+    def nu_average(self, mu_w, nu_w):
+        total = 0.0
+        for t in range(self.ev.space.n):
+            if nu_w[t] <= 0:
+                continue
+            s = self.sigma_one(mu_w, t)
+            if np.isinf(s):
+                return np.inf
+            total += nu_w[t] * s
+        return float(total)
+
+    def m_self(self, w):
+        return self.nu_average(w, w)
+
+    def jacobian(self, w):
+        n = self.ev.space.n
+        J = np.zeros((n, n))
+        for t in range(n):
+            p = self._masses(w, t)
+            _, _, gaps, rank = self.rows[t]
+            term = np.where((gaps > 0) & (p < 1.0 - 1e-15), gaps * self.ev._fprime(p), 0.0)
+            suffix = np.cumsum(term[::-1])[::-1]
+            J[t] = suffix[rank]
+        return J

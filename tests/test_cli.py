@@ -60,6 +60,26 @@ class TestInputErrors:
             run(tmp_path, *argv, "--instance", data_instance_path("two_point.json"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--samples", "1"),
+        ("modulus", "--samples", "0"),
+        ("partition", "--r", "0.5"),
+        ("partition", "--r", "1"),
+        ("partition", "--eps", "-1"),
+        ("partition", "--eps", "0"),
+        ("ellipsoid", "--axes", "1,0.5", "--net", "-1"),
+        ("ellipsoid", "--axes", "1,0.5", "--net", "0"),
+        ("duality", "--restarts", "-1"),
+        ("duality", "--threads", "0"),
+        ("analyze", "--young", "0.5"),
+        ("analyze", "--young", "nan"),
+    ])
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv, "--instance", data_instance_path("two_point.json"))
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: {argv[-1]!r} must be" in capsys.readouterr().err
+
     def test_bad_delta_grid_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "modulus", "--instance",
                       data_instance_path("two_point.json"),

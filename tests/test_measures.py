@@ -1,17 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainscope import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure,
-                        build_from_distance_matrix, build_from_points,
+                        build_from_covariance, build_from_distance_matrix, build_from_points,
                         functional_M, point_mass, sigma, sigma_profile,
                         subadditivity_check, uniform_measure, young_power)
 from chainscope.measures import MeasureError, SigmaEvaluator
 
-from conftest import random_space, random_weights
+from conftest import random_covariance, random_space, random_weights
+from oracles import SigmaReference
 
 
 def riemann_bracket(space, weights, t, delta, mode=GAUSSIAN_LOG, young=None,
@@ -256,3 +258,88 @@ def test_profile_matches_pointwise(session_rng):
     prof = sigma_profile(sp, mu, sp.diam)
     for t in range(sp.n):
         assert prof[t] == pytest.approx(sigma(sp, mu, t, sp.diam), rel=1e-12)
+
+
+def _evaluator_pair(space, mode, delta):
+    young = young_power(2.0) if mode == YOUNG_INVERSE else None
+    ev = SigmaEvaluator(space, delta, mode, young)
+    return ev, SigmaReference(ev), young
+
+
+def _integer_l1_space(rng, n):
+    """Distinct points of a 4 x 4 grid under l1: many tied distances."""
+    X = np.unique(rng.integers(0, 4, size=(n, 2)), axis=0)
+    return build_from_distance_matrix(np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2))
+
+
+_delta_fracs = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=0.95))
+
+
+@given(st.integers(min_value=2, max_value=14), st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from([GAUSSIAN_LOG, YOUNG_INVERSE]), _delta_fracs)
+@settings(max_examples=40, deadline=None)
+def test_dense_evaluator_bit_identical_on_distinct_distances(n, seed, mode, delta_frac):
+    rng = np.random.default_rng(seed)
+    space = build_from_covariance(random_covariance(rng, n))
+    off = space.dist[np.triu_indices(n, k=1)]
+    assert np.unique(off).size == off.size
+    delta = delta_frac * space.diam
+    ev, ref, young = _evaluator_pair(space, mode, delta)
+    mu = ProbabilityMeasure(space, random_weights(rng, n))
+    nu = ProbabilityMeasure(space, random_weights(rng, n))
+    assert np.array_equal(ev.profile(mu.weights), ref.profile(mu.weights))
+    assert np.array_equal(ev.jacobian(mu.weights), ref.jacobian(mu.weights))
+    assert ev.m_self(mu.weights) == ref.m_self(mu.weights)
+    assert functional_M(space, mu, nu, delta, mode, young) == \
+        ref.nu_average(mu.weights, nu.weights)
+
+
+@given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from([GAUSSIAN_LOG, YOUNG_INVERSE]), _delta_fracs)
+@settings(max_examples=40, deadline=None)
+def test_dense_evaluator_matches_reference_on_tied_distances(n, seed, mode, delta_frac):
+    rng = np.random.default_rng(seed)
+    space = _integer_l1_space(rng, n)
+    assume(space.n >= 2)
+    ev, ref, _ = _evaluator_pair(space, mode, delta_frac * space.diam)
+    w = random_weights(rng, space.n)
+    # zero gaps inside tied blocks change the dot product's partial sums
+    np.testing.assert_allclose(ev.profile(w), ref.profile(w), rtol=1e-15, atol=0)
+    assert np.array_equal(ev.jacobian(w), ref.jacobian(w))
+
+
+@given(st.integers(min_value=3, max_value=12), st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from([GAUSSIAN_LOG, YOUNG_INVERSE]), _delta_fracs)
+@settings(max_examples=30, deadline=None)
+def test_infinity_only_where_nu_charges_a_zero_mass_ball(n, seed, mode, delta_frac):
+    rng = np.random.default_rng(seed)
+    space = build_from_covariance(random_covariance(rng, n))
+    delta = delta_frac * space.diam
+    ev, ref, young = _evaluator_pair(space, mode, delta)
+    w = random_weights(rng, n)
+    empty = int(rng.integers(n))
+    w[empty] = 0.0
+    mu = ProbabilityMeasure(space, w / w.sum())
+    # the ball around the uncharged point is empty below its nearest distance
+    assert ev.profile(mu.weights)[empty] == math.inf
+    assert math.isfinite(functional_M(space, mu, mu, delta, mode, young))
+    nu = random_weights(rng, n)
+    nu[empty] = max(nu[empty], 0.1)
+    nu = ProbabilityMeasure(space, nu / nu.sum())
+    assert functional_M(space, mu, nu, delta, mode, young) == math.inf
+    assert ref.nu_average(mu.weights, nu.weights) == math.inf
+
+
+@pytest.mark.parametrize("mode", [GAUSSIAN_LOG, YOUNG_INVERSE])
+def test_zero_mass_ball_raises_no_floating_point_warning(mode):
+    sp = build_from_points([[0.0], [1.0], [3.0], [3.5]])
+    young = young_power(2.0) if mode == YOUNG_INVERSE else None
+    mu = ProbabilityMeasure(sp, [0.5, 0.5, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = SigmaEvaluator(sp, None, mode, young)
+        prof = ev.profile(mu.weights)
+        assert np.isinf(prof[2:]).all() and np.isfinite(prof[:2]).all()
+        assert np.isfinite(ev.jacobian(mu.weights)).all()
+        assert functional_M(sp, mu, mu, mode=mode, young=young) < math.inf
+        assert functional_M(sp, mu, uniform_measure(sp), mode=mode, young=young) == math.inf

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from chainscope import (ProbabilityMeasure, build_from_distance_matrix,
+from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_from_points,
                         build_model, build_partition, chained_functional,
                         common_sample_oracle, functional_M, lower_bound_report,
                         audit_cell, uniform_measure, verify_tree_translation)
@@ -45,6 +46,19 @@ class TestConstruction:
         oracle = common_sample_oracle(model, 100, 0)
         with pytest.raises(ValueError):
             build_partition(model.space, oracle, r=1.0)
+
+    def test_depth_cut_off_warns(self):
+        # a close pair survives two levels of carving at r = 4
+        pts = np.r_[np.arange(15.0), 14.001][:, None]
+        space = build_from_points(pts)
+        size_oracle = lambda subset: (float(len(subset)), 0.0)  # noqa: E731
+        with pytest.warns(UserWarning, match="cut-off at level 2: largest leaf has 2 points"):
+            tree = build_partition(space, size_oracle, r=4.0, max_levels=0)
+        assert tree.depth == 2
+        assert max(len(c.members) for c in tree.levels[-1]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_partition(space, size_oracle, r=4.0).depth > 2
 
     def test_levels_partition_space(self, session_rng):
         _, tree = random_tree(session_rng, 10)
