@@ -102,17 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance_required=True):
+    def common(p, instance_required=True, samples=True):
         p.add_argument("--instance", required=instance_required,
                        help="instance JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_at_least(int, 2), default=20000)
+        if samples:
+            p.add_argument("--samples", type=_at_least(int, 2), default=20000)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=_at_least(int, 1), default=None,
                        help="worker threads (CHAINSCOPE_THREADS as fallback)")
 
     p = sub.add_parser("analyze", help="diameter, covering table, entropy integral")
-    common(p)
+    common(p, samples=False)
     p.add_argument("--mode", choices=[GAUSSIAN_LOG, YOUNG_INVERSE], default=GAUSSIAN_LOG)
     p.add_argument("--young", type=_at_least(float, 1), default=2.0,
                    help="exponent q of the built-in Young family")

@@ -179,7 +179,7 @@ class SigmaEvaluator:
         return out
 
     def m_self(self, w: np.ndarray) -> float:
-        return _nu_average(self.profile(w), w)
+        return nu_average(self.profile(w), w)
 
     # -- analytic gradients (weights assumed strictly positive) ------------
 
@@ -208,11 +208,12 @@ class SigmaEvaluator:
         suffix = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
         return np.take_along_axis(suffix, self.pos, axis=1)
 
-    def m_self_grad(self, w: np.ndarray) -> np.ndarray:
-        return self.profile(w) + self.jacobian(w).T @ w
+    def m_self_grad(self, w: np.ndarray, prof: np.ndarray) -> np.ndarray:
+        """Gradient of M(mu, mu) at w, given ``prof = profile(w)``."""
+        return prof + self.jacobian(w).T @ w
 
 
-def _nu_average(prof: np.ndarray, nu_w: np.ndarray) -> float:
+def nu_average(prof: np.ndarray, nu_w: np.ndarray) -> float:
     """Sum of nu_w[t] * prof[t] over the charged t, added in index order.
 
     +inf propagates only through points that nu actually charges.
@@ -263,7 +264,7 @@ def functional_M(space: FiniteMetricSpace, mu: ProbabilityMeasure, nu: Probabili
     if d <= 0:
         return 0.0
     ev = SigmaEvaluator(mu.space, d, mode, young)
-    return _nu_average(ev.profile(mu.weights), nu.weights)
+    return nu_average(ev.profile(mu.weights), nu.weights)
 
 
 def subadditivity_check(x: float, y: float) -> bool:

@@ -7,20 +7,22 @@ sup_mu inf_t.  Reported values therefore carry feasible-direction
 semantics: lower bounds for the sup problems, an upper bound for the inf
 problem.
 
-Iterates stay strictly positive (floor 1e-12, then renormalize) so the
-objectives remain finite; the gradients are the exact derivatives of the
+All three run one mirror-ascent loop from one restart driver.  Iterates
+stay strictly positive (floor 1e-12, then renormalize) so the objectives
+remain finite; the gradients are the exact derivatives of the
 piecewise-linear-in-eps sigma profiles.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure, SigmaEvaluator,
-                       WEIGHT_FLOOR, YoungFunction, young_power)
+                       WEIGHT_FLOOR, YoungFunction, nu_average, young_power)
 from .metric_core import FiniteMetricSpace
 
 
@@ -47,51 +49,145 @@ def _project(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _initializers(space, init_measures, restarts, seed):
-    inits = [np.full(space.n, 1.0 / space.n)]
-    for m in init_measures or []:
-        inits.append(_project(np.array(m.weights, dtype=float)))
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        inits.append(_project(rng.dirichlet(np.ones(space.n))))
-    return inits
+def _evaluator(space, delta=None, mode=GAUSSIAN_LOG):
+    if space.n == 0:
+        raise ValueError("empty space")
+    return SigmaEvaluator(space, delta, mode)
 
 
-def _mw_ascend(objective, gradient, w0, max_iter, tol, sign=1.0):
+class _SelfM:
+    """sup_mu M(mu, mu), followed exactly; a step must gain tol * (1 + |M|)."""
+
+    sign = 1.0
+
+    def __init__(self, ev, tol):
+        self.ev, self.slack = ev, tol
+
+    def start(self, prof):
+        pass
+
+    def cool(self, it, stalled):
+        return not stalled  # a stall ends the search
+
+    def value(self, prof, w):
+        return nu_average(prof, w)
+
+    exact = value
+
+    def gradient(self, prof, w):
+        return self.ev.m_self_grad(w, prof)
+
+
+class _Soft:
+    """max_t sigma (sign -1, descended) or min_t sigma (sign +1, ascended).
+
+    Steps follow the softmax or softmin of the profile at a temperature tau
+    that halves every 50 iterations and on a stall; any gain is a step.
+    """
+
+    slack = 0.0
+
+    def __init__(self, ev, sign):
+        self.ev, self.sign = ev, sign
+
+    def start(self, prof):
+        self.tau = max(0.1 * (prof.max() - prof.min()) + 1e-3, 1e-3)
+
+    def cool(self, it, stalled):
+        if stalled and self.tau <= 1e-6:
+            return False
+        if stalled or it % 50 == 0:
+            self.tau = max(self.tau * 0.5, 1e-6)
+        return True
+
+    def exact(self, prof, w):
+        return float(prof.min() if self.sign > 0 else prof.max())
+
+    def _tilt(self, prof):
+        # exp(-(prof - min) / tau) for softmin, exp((prof - max) / tau) for softmax
+        m = self.exact(prof, None)
+        return m, np.exp(-self.sign * (prof - m) / self.tau)
+
+    def value(self, prof, w):
+        m, e = self._tilt(prof)
+        return m - self.sign * self.tau * math.log(np.sum(e))
+
+    def gradient(self, prof, w):
+        sm = self._tilt(prof)[1]
+        sm /= sm.sum()
+        return self.ev.jacobian(w).T @ sm
+
+
+def _mirror_ascent(problem, w, max_iter, tol):
     """Multiplicative-weights local search with a backtracking step size.
 
-    ``sign`` +1 ascends, -1 descends.  Returns (best_w, best_obj, iters,
-    converged); convergence means the step size collapsed with no
-    improving move left.
+    Steps follow ``problem.value`` along ``problem.gradient`` (``sign`` +1
+    ascends, -1 descends) when they move it by more than ``slack * (1 +
+    |value|)``; the best iterate by ``problem.exact`` is kept up to a relative
+    ``tol``.  Each accepted point's profile is computed once.  Returns
+    (best_w, best_exact, iterations, converged); converged means a stop
+    before ``max_iter``.
     """
-    w = w0.copy()
-    obj = objective(w)
+    ev, sign = problem.ev, problem.sign
+    prof = ev.profile(w)
+    problem.start(prof)
+    best_w, best = w, problem.exact(prof, w)
     eta = 0.5
     it = 0
-    converged = False
     while it < max_iter:
         it += 1
-        g = gradient(w)
+        problem.cool(it, stalled=False)
+        g = problem.gradient(prof, w)
         g = g - np.dot(g, w)  # remove the direction normal to the simplex
         norm = np.abs(g).max()
         if norm <= 1e-14:
-            converged = True
-            break
+            return best_w, best, it, True
         g = g / norm
-        improved = False
+        val = problem.value(prof, w)
         while eta > 1e-12:
             cand = _project(w * np.exp(sign * eta * g))
-            cobj = objective(cand)
-            if sign * (cobj - obj) > tol * (1.0 + abs(obj)):
-                w, obj = cand, cobj
+            cprof = ev.profile(cand)
+            if sign * (problem.value(cprof, cand) - val) > problem.slack * (1.0 + abs(val)):
+                w, prof = cand, cprof
+                cexact = problem.exact(prof, w)
+                if sign * (cexact - best) > tol * (1.0 + abs(best)):
+                    best_w, best = w, cexact
                 eta = min(eta * 1.5, 4.0)
-                improved = True
                 break
             eta *= 0.5
-        if not improved:
-            converged = True
-            break
-    return w, obj, it, converged
+        else:  # no step gained
+            if not problem.cool(it, stalled=True):
+                return best_w, best, it, True
+            eta = 0.5
+    return best_w, best, it, False
+
+
+def _best_of_restarts(problem, name, init_measures, restarts, max_iter, tol, seed, trace):
+    """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
+    ``restarts`` Dirichlet draws.
+
+    ``trace`` (if given) collects one row per initializer with the objective
+    that restart reached; ``converged`` is the winning restart's.
+    """
+    space = problem.ev.space
+    n = space.n
+    rng = np.random.default_rng(seed)
+    inits = ([np.full(n, 1.0 / n)]
+             + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
+             + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
+    best = None
+    total_it = 0
+    for idx, w0 in enumerate(inits):
+        w, obj, it, conv = _mirror_ascent(problem, w0, max_iter, tol)
+        total_it += it
+        if trace is not None:
+            trace.append({"problem": name, "restart": idx,
+                          "objective": float(obj), "iterations": it})
+        if best is None or problem.sign * obj > problem.sign * best[1]:
+            best = (w, obj, conv)
+    return OptimizationResult(measure=ProbabilityMeasure(space, best[0]),
+                              objective=float(best[1]), iterations=total_it,
+                              restarts_used=restarts, converged=best[2])
 
 
 def maximize_M_self(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG,
@@ -102,86 +198,10 @@ def maximize_M_self(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG,
 
     Initialized from uniform, any supplied measures (typically mu_F), and
     Dirichlet restarts; the returned objective is the exact functional at
-    the returned measure.  ``trace`` (if given) collects one row per
-    initializer with the objective that restart reached.
+    the returned measure.
     """
-    if space.n == 0:
-        raise ValueError("empty space")
-    ev = SigmaEvaluator(space, delta, mode)
-    best = None
-    total_it = 0
-    any_conv = False
-    for idx, w0 in enumerate(_initializers(space, init_measures, restarts, seed)):
-        w, obj, it, conv = _mw_ascend(ev.m_self, ev.m_self_grad, w0, max_iter, tol)
-        total_it += it
-        any_conv = any_conv or conv
-        if trace is not None:
-            trace.append({"problem": "sup_self", "restart": idx,
-                          "objective": float(obj), "iterations": it})
-        if best is None or obj > best[1]:
-            best = (w, obj)
-    return OptimizationResult(measure=ProbabilityMeasure(space, best[0]),
-                              objective=float(ev.m_self(best[0])),
-                              iterations=total_it, restarts_used=restarts, converged=any_conv)
-
-
-def _soft_value(prof, tau, want_min_of_max):
-    if want_min_of_max:  # softmax upper-smooths the max
-        m = prof.max()
-        return m + tau * math.log(np.sum(np.exp((prof - m) / tau)))
-    m = prof.min()
-    return m - tau * math.log(np.sum(np.exp(-(prof - m) / tau)))
-
-
-def _soft_extreme_steps(ev, w0, max_iter, tol, want_min_of_max):
-    """Anneal a softmax/softmin smoothing of max_t / min_t sigma.
-
-    Steps follow the smoothed objective (temperature halved every 50
-    iterations); the returned point is the best iterate under the exact
-    max/min.
-    """
-    sign = -1.0 if want_min_of_max else 1.0
-    w = w0.copy()
-    prof = ev.profile(w)
-    exact = float(prof.max() if want_min_of_max else prof.min())
-    best = (w.copy(), exact)
-    tau = max(0.1 * (prof.max() - prof.min()) + 1e-3, 1e-3)
-    eta = 0.5
-    it = 0
-    while it < max_iter:
-        it += 1
-        if it % 50 == 0:
-            tau = max(tau * 0.5, 1e-6)
-        prof = ev.profile(w)
-        sm = np.exp((prof - prof.max()) / tau) if want_min_of_max \
-            else np.exp(-(prof - prof.min()) / tau)
-        sm /= sm.sum()
-        g = ev.jacobian(w).T @ sm
-        g = g - np.dot(g, w)
-        norm = np.abs(g).max()
-        if norm <= 1e-14:
-            break
-        g /= norm
-        cur_soft = _soft_value(prof, tau, want_min_of_max)
-        moved = False
-        while eta > 1e-12:
-            cand = _project(w * np.exp(sign * eta * g))
-            cprof = ev.profile(cand)
-            if sign * (_soft_value(cprof, tau, want_min_of_max) - cur_soft) > 0:
-                w = cand
-                cexact = float(cprof.max() if want_min_of_max else cprof.min())
-                if sign * (cexact - best[1]) > tol * (1 + abs(best[1])):
-                    best = (cand.copy(), cexact)
-                eta = min(eta * 1.5, 4.0)
-                moved = True
-                break
-            eta *= 0.5
-        if not moved:
-            eta = 0.5
-            if tau <= 1e-6:
-                break
-            tau = max(tau * 0.5, 1e-6)
-    return best[0], best[1], it
+    return _best_of_restarts(_SelfM(_evaluator(space, delta, mode), tol), "sup_self",
+                             init_measures, restarts, max_iter, tol, seed, trace)
 
 
 def minimize_sup_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts: int = 8,
@@ -192,22 +212,8 @@ def minimize_sup_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts:
     The reported objective is an upper bound for the true infimum
     (feasible-point semantics).
     """
-    if space.n == 0:
-        raise ValueError("empty space")
-    ev = SigmaEvaluator(space, None, mode)
-    best = None
-    total_it = 0
-    for idx, w0 in enumerate(_initializers(space, None, restarts, seed)):
-        w, obj, it = _soft_extreme_steps(ev, w0, max_iter, tol, want_min_of_max=True)
-        total_it += it
-        if trace is not None:
-            trace.append({"problem": "inf_sup", "restart": idx,
-                          "objective": float(obj), "iterations": it})
-        if best is None or obj < best[1]:
-            best = (w, obj)
-    return OptimizationResult(measure=ProbabilityMeasure(space, best[0]),
-                              objective=float(ev.profile(best[0]).max()),
-                              iterations=total_it, restarts_used=restarts, converged=True)
+    return _best_of_restarts(_Soft(_evaluator(space, None, mode), -1.0), "inf_sup", None,
+                             restarts, max_iter, tol, seed, trace)
 
 
 def maximize_inf_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts: int = 8,
@@ -217,28 +223,15 @@ def maximize_inf_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts:
 
     The balanced measure is always tried as an initializer: equalized
     integrals keep the inner infimum non-degenerate over the support.
+    Without one (coincident points) the search warns and goes on without it.
     """
-    if space.n == 0:
-        raise ValueError("empty space")
-    ev = SigmaEvaluator(space, None, mode)
+    problem = _Soft(_evaluator(space, None, mode), 1.0)
     inits = list(extra_inits or [])
     try:
         inits.append(balanced_measure(space).measure)
-    except ValueError:
-        pass  # coincident points: no balanced measure exists
-    best = None
-    total_it = 0
-    for idx, w0 in enumerate(_initializers(space, inits, restarts, seed)):
-        w, obj, it = _soft_extreme_steps(ev, w0, max_iter, tol, want_min_of_max=False)
-        total_it += it
-        if trace is not None:
-            trace.append({"problem": "sup_inf", "restart": idx,
-                          "objective": float(obj), "iterations": it})
-        if best is None or obj > best[1]:
-            best = (w, obj)
-    return OptimizationResult(measure=ProbabilityMeasure(space, best[0]),
-                              objective=float(ev.profile(best[0]).min()),
-                              iterations=total_it, restarts_used=restarts, converged=True)
+    except ValueError as exc:
+        warnings.warn(f"sup_inf search without the balanced initializer: {exc}")
+    return _best_of_restarts(problem, "sup_inf", inits, restarts, max_iter, tol, seed, trace)
 
 
 def balanced_measure(space: FiniteMetricSpace, young: YoungFunction | None = None,

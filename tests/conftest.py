@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainscope import build_from_covariance, build_from_points
+from chainscope import build_from_covariance, build_from_distance_matrix, build_from_points
 
 
 def random_covariance(rng, n, scale=1.0):
@@ -22,6 +22,12 @@ def random_space(rng, n):
     centers = 5.0 * rng.standard_normal((max(2, n // 4), dim))
     pts = centers[rng.integers(len(centers), size=n)] + 0.2 * rng.standard_normal((n, dim))
     return build_from_points(pts)
+
+
+def integer_l1_space(rng, n):
+    """Distinct points of a 4 x 4 grid under l1: many tied distances."""
+    X = np.unique(rng.integers(0, 4, size=(n, 2)), axis=0)
+    return build_from_distance_matrix(np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2))
 
 
 def random_weights(rng, n):

@@ -5,9 +5,14 @@ simplex grid search with hand-derived closed forms: for weights
 (w0, w1, w2) the one-point integrals are piecewise sums over the distance
 gaps seen from each point.  The sequential greedy scans at the end, one
 separation or radius at a time, are the references for the batched cover
-and packing kernels of ``metric_core``, and ``SigmaReference``, one distance
-row at a time, is the reference for the dense ``SigmaEvaluator``.
+and packing kernels of ``metric_core``, ``SigmaReference``, one distance
+row at a time, is the reference for the dense ``SigmaEvaluator``, and
+``search_reference``, an exact-objective ascent and a separate annealed
+soft-extremum loop, is the reference for the one mirror-ascent loop of
+``search``.
 """
+
+import math
 
 import numpy as np
 
@@ -193,3 +198,148 @@ class SigmaReference:
             suffix = np.cumsum(term[::-1])[::-1]
             J[t] = suffix[rank]
         return J
+
+
+# ---------------------------------------------------------------------------
+# the extremal searches as two separate loops, the reference for the one
+# mirror-ascent loop of ``search``
+
+
+def _project(w):
+    w = np.maximum(w, 1e-12)
+    return w / w.sum()
+
+
+def mw_ascend_reference(objective, gradient, w0, max_iter, tol, sign=1.0):
+    """Backtracking multiplicative-weights ascent on an exact objective.
+
+    Returns (w, objective, iterations, converged); convergence means the
+    step size collapsed with no improving move left.
+    """
+    w = w0.copy()
+    obj = objective(w)
+    eta = 0.5
+    it = 0
+    converged = False
+    while it < max_iter:
+        it += 1
+        g = gradient(w)
+        g = g - np.dot(g, w)
+        norm = np.abs(g).max()
+        if norm <= 1e-14:
+            converged = True
+            break
+        g = g / norm
+        improved = False
+        while eta > 1e-12:
+            cand = _project(w * np.exp(sign * eta * g))
+            cobj = objective(cand)
+            if sign * (cobj - obj) > tol * (1.0 + abs(obj)):
+                w, obj = cand, cobj
+                eta = min(eta * 1.5, 4.0)
+                improved = True
+                break
+            eta *= 0.5
+        if not improved:
+            converged = True
+            break
+    return w, obj, it, converged
+
+
+def soft_value_reference(prof, tau, want_min_of_max):
+    if want_min_of_max:
+        m = prof.max()
+        return m + tau * math.log(np.sum(np.exp((prof - m) / tau)))
+    m = prof.min()
+    return m - tau * math.log(np.sum(np.exp(-(prof - m) / tau)))
+
+
+def soft_extreme_steps_reference(ev, w0, max_iter, tol, want_min_of_max):
+    """Annealed softmax/softmin steps on max_t / min_t sigma.
+
+    The temperature halves every 50 iterations and on a stall; the profile
+    is recomputed at the start of every iteration.  Returns (best_w,
+    best_exact, iterations, converged), converged meaning a stop before
+    ``max_iter``.
+    """
+    sign = -1.0 if want_min_of_max else 1.0
+    w = w0.copy()
+    prof = ev.profile(w)
+    exact = float(prof.max() if want_min_of_max else prof.min())
+    best = (w.copy(), exact)
+    tau = max(0.1 * (prof.max() - prof.min()) + 1e-3, 1e-3)
+    eta = 0.5
+    it = 0
+    while it < max_iter:
+        it += 1
+        if it % 50 == 0:
+            tau = max(tau * 0.5, 1e-6)
+        prof = ev.profile(w)
+        sm = np.exp((prof - prof.max()) / tau) if want_min_of_max \
+            else np.exp(-(prof - prof.min()) / tau)
+        sm /= sm.sum()
+        g = ev.jacobian(w).T @ sm
+        g = g - np.dot(g, w)
+        norm = np.abs(g).max()
+        if norm <= 1e-14:
+            return best[0], best[1], it, True
+        g /= norm
+        cur_soft = soft_value_reference(prof, tau, want_min_of_max)
+        moved = False
+        while eta > 1e-12:
+            cand = _project(w * np.exp(sign * eta * g))
+            cprof = ev.profile(cand)
+            if sign * (soft_value_reference(cprof, tau, want_min_of_max) - cur_soft) > 0:
+                w = cand
+                cexact = float(cprof.max() if want_min_of_max else cprof.min())
+                if sign * (cexact - best[1]) > tol * (1 + abs(best[1])):
+                    best = (cand.copy(), cexact)
+                eta = min(eta * 1.5, 4.0)
+                moved = True
+                break
+            eta *= 0.5
+        if not moved:
+            eta = 0.5
+            if tau <= 1e-6:
+                return best[0], best[1], it, True
+            tau = max(tau * 0.5, 1e-6)
+    return best[0], best[1], it, False
+
+
+def search_reference(problem, space, restarts, max_iter, seed, init_measures=(), tol=1e-9):
+    """One of the three public searches driven by the reference loops.
+
+    ``problem`` is "sup_self", "inf_sup" or "sup_inf"; the initializers are
+    uniform, then ``init_measures`` (for "sup_inf" followed by the balanced
+    measure), then ``restarts`` Dirichlet draws.  Returns (weights,
+    objective recomputed at them, total iterations, converged of the
+    winning restart, trace rows).
+    """
+    from chainscope.measures import SigmaEvaluator
+    from chainscope.search import balanced_measure
+
+    ev = SigmaEvaluator(space)
+    inits = list(init_measures)
+    if problem == "sup_inf":
+        inits.append(balanced_measure(space).measure)
+    starts = [np.full(space.n, 1.0 / space.n)]
+    starts += [_project(np.array(m.weights, dtype=float)) for m in inits]
+    rng = np.random.default_rng(seed)
+    starts += [_project(rng.dirichlet(np.ones(space.n))) for _ in range(restarts)]
+    best, total, rows = None, 0, []
+    for idx, w0 in enumerate(starts):
+        if problem == "sup_self":
+            w, obj, it, conv = mw_ascend_reference(
+                ev.m_self, lambda w: ev.m_self_grad(w, ev.profile(w)), w0, max_iter, tol)
+        else:
+            w, obj, it, conv = soft_extreme_steps_reference(
+                ev, w0, max_iter, tol, want_min_of_max=problem == "inf_sup")
+        total += it
+        rows.append({"problem": problem, "restart": idx, "objective": float(obj),
+                     "iterations": it})
+        if best is None or (obj < best[1] if problem == "inf_sup" else obj > best[1]):
+            best = (w, obj, conv)
+    w = best[0]
+    prof = ev.profile(w)
+    exact = {"sup_self": ev.m_self(w), "inf_sup": prof.max(), "sup_inf": prof.min()}
+    return w, float(exact[problem]), total, best[2], rows

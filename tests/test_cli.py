@@ -54,6 +54,7 @@ class TestInputErrors:
         ("bounds", "--mode", "young-inverse"),
         ("modulus", "--young", "3"),
         ("duality", "--tol", "1e-8"),
+        ("analyze", "--samples", "5"),
     ])
     def test_flag_of_another_command_exits_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:

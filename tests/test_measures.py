@@ -12,7 +12,7 @@ from chainscope import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure,
                         subadditivity_check, uniform_measure, young_power)
 from chainscope.measures import MeasureError, SigmaEvaluator
 
-from conftest import random_covariance, random_space, random_weights
+from conftest import integer_l1_space, random_covariance, random_space, random_weights
 from oracles import SigmaReference
 
 
@@ -202,7 +202,7 @@ class TestGradients:
         w = random_weights(session_rng, 6)
         w = np.maximum(w, 1e-3)
         w /= w.sum()
-        g = ev.m_self_grad(w)
+        g = ev.m_self_grad(w, ev.profile(w))
         h = 1e-5
         for u in range(sp.n):
             v = (u + 1) % sp.n
@@ -266,12 +266,6 @@ def _evaluator_pair(space, mode, delta):
     return ev, SigmaReference(ev), young
 
 
-def _integer_l1_space(rng, n):
-    """Distinct points of a 4 x 4 grid under l1: many tied distances."""
-    X = np.unique(rng.integers(0, 4, size=(n, 2)), axis=0)
-    return build_from_distance_matrix(np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2))
-
-
 _delta_fracs = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=0.95))
 
 
@@ -299,7 +293,7 @@ def test_dense_evaluator_bit_identical_on_distinct_distances(n, seed, mode, delt
 @settings(max_examples=40, deadline=None)
 def test_dense_evaluator_matches_reference_on_tied_distances(n, seed, mode, delta_frac):
     rng = np.random.default_rng(seed)
-    space = _integer_l1_space(rng, n)
+    space = integer_l1_space(rng, n)
     assume(space.n >= 2)
     ev, ref, _ = _evaluator_pair(space, mode, delta_frac * space.diam)
     w = random_weights(rng, space.n)

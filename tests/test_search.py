@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from chainscope import (balanced_measure, build_from_distance_matrix,
-                        build_from_points, build_model, duality_report,
-                        maximize_M_self, maximize_inf_M, minimize_sup_M)
+from chainscope import (ProbabilityMeasure, balanced_measure, build_from_covariance,
+                        build_from_distance_matrix, build_from_points, build_model,
+                        duality_report, maximize_M_self, maximize_inf_M, minimize_sup_M)
 from chainscope.measures import SigmaEvaluator
 
-from conftest import random_space
-from oracles import (balanced_oracle_013, inf_sup_oracle_013, sup_inf_oracle_013,
-                     sup_self_oracle_013)
+from conftest import integer_l1_space, random_covariance, random_space
+from oracles import (balanced_oracle_013, inf_sup_oracle_013, search_reference,
+                     sup_inf_oracle_013, sup_self_oracle_013)
 
 TWO_POINT = build_from_distance_matrix([[0, 1], [1, 0]])
 COLLINEAR = build_from_points([[0.0], [1.0], [3.0]])
@@ -70,6 +73,92 @@ class TestMinSupAndSupInf:
             sup_self = maximize_M_self(sp, restarts=4,
                                        init_measures=[sup_inf.measure])
             assert sup_inf.objective <= sup_self.objective + 1e-6
+
+    def test_coincident_points_warn_and_skip_balanced_init(self):
+        sp = build_from_distance_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        trace = []
+        with pytest.warns(UserWarning, match="without the balanced initializer.*distinct"):
+            res = maximize_inf_M(sp, restarts=1, max_iter=20, trace=trace)
+        assert len(trace) == 2  # uniform + 1 dirichlet restart
+        assert np.isfinite(res.objective)
+
+    def test_distinct_points_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            maximize_inf_M(COLLINEAR, restarts=0, max_iter=20)
+
+
+SEARCHES = {"sup_self": maximize_M_self, "inf_sup": minimize_sup_M,
+            "sup_inf": maximize_inf_M}
+
+
+class TestConverged:
+    @pytest.mark.parametrize("problem", sorted(SEARCHES))
+    def test_one_iteration_is_not_converged(self, problem):
+        sp = build_from_covariance(random_covariance(np.random.default_rng(5), 6))
+        res = SEARCHES[problem](sp, restarts=1, max_iter=1)
+        assert res.converged is False
+        # one iteration per initializer; sup_inf adds the balanced measure
+        assert res.iterations == (3 if problem == "sup_inf" else 2)
+
+    def test_two_point_stops_early(self):
+        # uniform is optimal: no ascent direction at the first iterate
+        for search in SEARCHES.values():
+            res = search(TWO_POINT, restarts=0)
+            assert res.converged is True
+            assert res.iterations < 50
+
+
+def _run_both(problem, space, init, **kwargs):
+    """(public search result, its trace) and the reference-driven run."""
+    trace = []
+    if problem == "sup_self":
+        res = maximize_M_self(space, init_measures=init, trace=trace, **kwargs)
+    elif problem == "sup_inf":
+        res = maximize_inf_M(space, extra_inits=init, trace=trace, **kwargs)
+    else:
+        init = []
+        res = minimize_sup_M(space, trace=trace, **kwargs)
+    return res, trace, search_reference(problem, space, init_measures=init, **kwargs)
+
+
+def _assert_bit_identical(res, trace, ref):
+    w, obj, iters, conv, rows = ref
+    assert np.array_equal(res.measure.weights, ProbabilityMeasure(res.measure.space, w).weights)
+    assert res.objective == obj
+    assert res.iterations == iters
+    assert res.converged is conv
+    assert trace == rows
+
+
+# 60 iterations cross the 50-iteration cooling of the soft problems
+@given(st.sampled_from(sorted(SEARCHES)), st.booleans(), st.integers(min_value=3, max_value=16),
+       st.integers(min_value=0, max_value=2), st.sampled_from([1, 7, 60]),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_searches_bit_identical_to_reference_loops(problem, tied, n, restarts, max_iter, seed):
+    rng = np.random.default_rng(seed)
+    if tied:
+        space = integer_l1_space(rng, n)
+        assume(space.n >= 3)
+    else:
+        space = build_from_covariance(random_covariance(rng, n))
+    init = [ProbabilityMeasure(space, rng.dirichlet(np.ones(space.n)))]
+    _assert_bit_identical(*_run_both(problem, space, init, restarts=restarts,
+                                     max_iter=max_iter, seed=seed))
+
+
+@pytest.mark.parametrize("problem, tied, n", [("inf_sup", False, 4), ("sup_inf", False, 4),
+                                              ("sup_inf", True, 3)])
+def test_soft_searches_to_the_temperature_floor_match_reference_loops(problem, tied, n):
+    # long enough that some restarts stall at the floor temperature and
+    # stop while others run out of iterations; on the tied instance a late
+    # step gains less than the tolerance the best iterate is kept by
+    rng = np.random.default_rng(0)
+    space = integer_l1_space(rng, n) if tied else build_from_covariance(random_covariance(rng, n))
+    res, trace, ref = _run_both(problem, space, [], restarts=1, max_iter=1000, seed=0)
+    _assert_bit_identical(res, trace, ref)
+    assert {r["iterations"] < 1000 for r in trace} == {True, False}
 
 
 class TestBalancedMeasure:
