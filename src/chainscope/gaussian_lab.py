@@ -123,6 +123,20 @@ def _map_shards(model, n_samples, seed, threads, per_block):
     return [work(b) for b in bounds]
 
 
+def _sum_and_squares(m):
+    """One shard's sum of a per-sample statistic and of its square."""
+    return m.sum(), np.square(m).sum()
+
+
+def _mean_and_stderr(parts, n_samples):
+    """Mean and standard error from per-shard ``_sum_and_squares``, added in shard order."""
+    s = sum(p[0] for p in parts)
+    sq = sum(p[1] for p in parts)
+    mean = s / n_samples
+    var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
+    return float(mean), float(math.sqrt(var / n_samples))
+
+
 # ---------------------------------------------------------------------------
 # estimators
 
@@ -141,13 +155,9 @@ def estimate_sup(model: GaussianModel, n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     parts = _map_shards(model, n_samples, seed, threads,
-                        lambda x: (x.max(axis=1).sum(), np.square(x.max(axis=1)).sum()))
-    s = sum(p[0] for p in parts)
-    sq = sum(p[1] for p in parts)
-    mean = s / n_samples
-    var = max(sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-    return SupremumEstimate(mean=float(mean), stderr=float(math.sqrt(var / n_samples)),
-                            n_samples=n_samples, seed=seed)
+                        lambda x: _sum_and_squares(x.max(axis=1)))
+    mean, stderr = _mean_and_stderr(parts, n_samples)
+    return SupremumEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -207,17 +217,23 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
         warnings.warn("no admissible pair at this delta; modulus is trivially 0")
         return ModulusEstimate(delta=float(delta), value=0.0, stderr=0.0)
 
+    pairs = list(zip(ii.tolist(), jj.tolist()))
+
     def per_block(x):
-        m = np.abs(x[:, ii] - x[:, jj]).max(axis=1)
-        return m.sum(), np.square(m).sum(), m.shape[0]
+        # one running max over the pairs, never a (shard x pairs) block; a
+        # max of exactly rounded |x_a - x_b| is the same in any pair order
+        xt = np.ascontiguousarray(x.T)
+        m = np.zeros(xt.shape[1])
+        diff = np.empty_like(m)
+        for a, b in pairs:
+            np.subtract(xt[a], xt[b], out=diff)
+            np.abs(diff, out=diff)
+            np.maximum(m, diff, out=m)
+        return _sum_and_squares(m)
 
     parts = _map_shards(model, n_samples, seed, threads, per_block)
-    s = sum(p[0] for p in parts)
-    sq = sum(p[1] for p in parts)
-    mean = s / n_samples
-    var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
-    return ModulusEstimate(delta=float(delta), value=float(mean),
-                           stderr=float(math.sqrt(var / n_samples)))
+    value, stderr = _mean_and_stderr(parts, n_samples)
+    return ModulusEstimate(delta=float(delta), value=value, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +272,12 @@ def concentration_check(model: GaussianModel, u_grid, n_samples: int, seed: int,
         warnings.warn("degenerate model: zero variance, concentration check skipped")
         return []
     u_grid = [float(u) for u in u_grid]
-    parts = _map_shards(model, n_samples, seed, threads,
-                        lambda x: (x.max(axis=1).sum(), x.max(axis=1)))
+
+    def per_block(x):
+        m = x.max(axis=1)
+        return m.sum(), m
+
+    parts = _map_shards(model, n_samples, seed, threads, per_block)
     mean = sum(p[0] for p in parts) / n_samples
     sups = np.concatenate([p[1] for p in parts])
     rows = []

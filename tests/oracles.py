@@ -9,10 +9,13 @@ and packing kernels of ``metric_core``, ``SigmaReference``, one distance
 row at a time, is the reference for the dense ``SigmaEvaluator``, and
 ``search_reference``, an exact-objective ascent and a separate annealed
 soft-extremum loop, is the reference for the one mirror-ascent loop of
-``search``.
+``search``.  ``modulus_reference``, a fancy-indexed (shard x pairs) block
+per shard, is the reference for the streamed pair reduction of
+``gaussian_lab.estimate_modulus``.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -343,3 +346,30 @@ def search_reference(problem, space, restarts, max_iter, seed, init_measures=(),
     prof = ev.profile(w)
     exact = {"sup_self": ev.m_self(w), "inf_sup": prof.max(), "sup_inf": prof.min()}
     return w, float(exact[problem]), total, best[2], rows
+
+
+def modulus_reference(model, delta, n_samples, seed, threads):
+    """S(delta) from one (shard x admissible pairs) block of |X_s - X_t| per shard.
+
+    Same sharding, shard-order sums and empty-delta warning as
+    ``gaussian_lab.estimate_modulus``; returns (value, stderr).
+    """
+    from chainscope.gaussian_lab import _map_shards
+
+    ii, jj = np.triu_indices(model.n, k=1)
+    keep = model.space.dist[ii, jj] <= delta
+    ii, jj = ii[keep], jj[keep]
+    if ii.size == 0:
+        warnings.warn("no admissible pair at this delta; modulus is trivially 0")
+        return 0.0, 0.0
+
+    def per_block(x):
+        m = np.abs(x[:, ii] - x[:, jj]).max(axis=1)
+        return m.sum(), np.square(m).sum()
+
+    parts = _map_shards(model, n_samples, seed, threads, per_block)
+    s = sum(p[0] for p in parts)
+    sq = sum(p[1] for p in parts)
+    mean = s / n_samples
+    var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
+    return float(mean), float(math.sqrt(var / n_samples))

@@ -1,15 +1,20 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainscope import (build_model, argmax_distribution, concentration_check,
-                        estimate_modulus, estimate_sup, nested_net_experiment,
+                        estimate_modulus, estimate_sup, gaussian_lab, nested_net_experiment,
                         sample_paths, sudakov_bound, supremum_report)
-from chainscope.gaussian_lab import (FactorizationError, standard_normal_block,
-                                     submodel)
+from chainscope.gaussian_lab import (FactorizationError, _default_shard,
+                                     standard_normal_block, submodel)
 
 from conftest import random_covariance
+from oracles import modulus_reference
 
 # two points at distance 1 realized as correlated unit-variance Gaussians
 COV_PAIR_D1 = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -100,6 +105,138 @@ class TestEstimates:
         deltas = np.linspace(0.2, 1.0, 5) * m.space.diam
         vals = [estimate_modulus(m, float(d), 20000, 9).value for d in deltas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def _pair_distances(model):
+    ii, jj = np.triu_indices(model.n, k=1)
+    return np.sort(model.space.dist[ii, jj])
+
+
+def _modulus_both(model, delta, n_samples, seed, threads):
+    """(estimate_modulus, reference, warnings of each) at one delta."""
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        est = estimate_modulus(model, delta, n_samples, seed, threads)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        ref = modulus_reference(model, delta, n_samples, seed, threads)
+    return ((est.value, est.stderr), ref,
+            [str(w.message) for w in got], [str(w.message) for w in want])
+
+
+# rank < n gives a singular covariance, which build_model factors with jitter
+@given(st.integers(min_value=2, max_value=16), st.integers(min_value=1, max_value=16),
+       st.sampled_from(["none", "some", "all"]), st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=1, max_value=3000), st.sampled_from([1, 2]),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_modulus_bit_identical_to_reference(n, rank, kept, frac, n_samples, threads, seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n)
+    A = rng.standard_normal((n, rank))
+    model = build_model(A @ A.T / rank)
+    d = _pair_distances(model)
+    if kept == "none":
+        assume(d[0] > 0)
+        delta = d[0] / 2
+    elif kept == "all":
+        delta = d[-1]
+    else:
+        assume(d.size >= 2)
+        k = 1 + min(int(frac * (d.size - 1)), d.size - 2)  # keep k of the pairs, 0 < k < all
+        assume(d[0] > 0 and d[k - 1] < d[k])
+        delta = (d[k - 1] + d[k]) / 2
+    got, ref, got_warn, ref_warn = _modulus_both(model, delta, n_samples, seed, threads)
+    assert got == ref
+    assert got_warn == ref_warn
+    assert (got == (0.0, 0.0)) is (kept == "none")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_modulus_three_shards_bit_identical_to_reference(threads):
+    # n = 64: 32768-sample shards, so 70,000 samples are three shards; the
+    # delta keeps the closest ~5% of the pairs to bound the reference's block
+    model = build_model(random_covariance(np.random.default_rng(64), 64))
+    assert -(-70000 // _default_shard(64)) == 3
+    d = _pair_distances(model)
+    delta = (d[99] + d[100]) / 2
+    got, ref, got_warn, ref_warn = _modulus_both(model, delta, 70000, 17, threads)
+    assert got == ref
+    assert got_warn == ref_warn == []
+
+
+def test_modulus_memory_bounded_by_one_shard():
+    # every pair admissible and two full shards: a (shard x pairs) block
+    # would need about 47 shards of memory, the streamed reduction about 2
+    n = 32
+    model = build_model(random_covariance(np.random.default_rng(32), n))
+    shard_bytes = _default_shard(n) * n * 8
+    tracemalloc.start()
+    try:
+        est = estimate_modulus(model, model.space.diam, 2 * _default_shard(n), 3, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.value > 0
+    assert peak < 4 * shard_bytes
+
+
+def _rank_deficient_model():
+    # coordinates 0 and 7 coincide: argmax ties, and the factor needs jitter
+    A = np.random.default_rng(8).standard_normal((8, 6))
+    A[7] = A[0]
+    return build_model(A @ A.T / 6)
+
+
+def _argmax_law(model, n_samples, threads):
+    amd = argmax_distribution(model, n_samples, 5, threads)
+    return amd.measure.weights.tolist(), amd.tie_count
+
+
+ESTIMATORS = {
+    "sup": lambda m, n, th: estimate_sup(m, n, 5, th),
+    "argmax": _argmax_law,
+    "concentration": lambda m, n, th: concentration_check(m, [0.25, 0.5, 1.0, 2.0], n, 5, th),
+    "modulus": lambda m, n, th: estimate_modulus(m, m.space.diam / 2, n, 5, th),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_thread_invariance_across_a_shard_boundary(name):
+    # 1000 more samples than one shard: two shards, which threads > 1 run in parallel
+    model = _rank_deficient_model()
+    assert model.jitter > 0
+    n_samples = _default_shard(model.n) + 1000
+    results = [ESTIMATORS[name](model, n_samples, th) for th in (1, 2, 8)]
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_thread_invariance_at_small_shards(name, monkeypatch):
+    # 256-sample shards: sample counts one short of, at and one past a shard
+    # boundary, and several shards, at every thread count
+    model = _rank_deficient_model()
+    monkeypatch.setattr(gaussian_lab, "_default_shard", lambda n: 256)
+    for n_samples in (255, 256, 257, 1000):
+        results = [ESTIMATORS[name](model, n_samples, th) for th in (1, 2, 8)]
+        assert results[0] == results[1] == results[2]
+
+
+def test_shard_invariance(monkeypatch):
+    # per-sample values do not depend on the sharding; only the order in
+    # which shard sums are added does, so counts match exactly and sums to
+    # a few ulps (the stderr's variance loses digits to cancellation)
+    model = _rank_deficient_model()
+    whole = {name: f(model, 1000, 1) for name, f in ESTIMATORS.items()}
+    monkeypatch.setattr(gaussian_lab, "_default_shard", lambda n: 256)
+    sharded = {name: f(model, 1000, 2) for name, f in ESTIMATORS.items()}
+    assert sharded["argmax"] == whole["argmax"]
+    assert sharded["sup"].mean == pytest.approx(whole["sup"].mean, rel=1e-12)
+    assert sharded["sup"].stderr == pytest.approx(whole["sup"].stderr, rel=1e-9)
+    assert sharded["modulus"].value == pytest.approx(whole["modulus"].value, rel=1e-12)
+    assert sharded["modulus"].stderr == pytest.approx(whole["modulus"].stderr, rel=1e-9)
+    for a, b in zip(whole["concentration"], sharded["concentration"]):
+        assert b == pytest.approx(a, rel=1e-12)
 
 
 class TestArgmax:
