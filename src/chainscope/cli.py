@@ -201,20 +201,19 @@ def cmd_analyze(args, inst, outputs):
     return payload
 
 
-def _default_delta_grid(space):
-    return [space.diam * f for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+def _delta_grid(args, space):
+    """``--delta-grid``, else fractions of the diameter, else [1.0] on one point."""
+    if args.delta_grid is not None:
+        return _parse_grid(args.delta_grid)
+    if space.diam > 0:
+        return [space.diam * f for f in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    return [1.0]
 
 
 def cmd_bounds(args, inst, outputs):
     space = _space(inst)
     model = build_model(covariance_from_instance(inst))
-    if args.delta_grid is not None:
-        grid = _parse_grid(args.delta_grid)
-    elif space.diam > 0:
-        grid = _default_delta_grid(space)
-    else:
-        grid = [1.0]
-    payload = supremum_report(model, args.samples, args.seed, grid,
+    payload = supremum_report(model, args.samples, args.seed, _delta_grid(args, space),
                               threads=args.threads)
     sud, witness = sudakov_bound(space)
     payload["sudakov"] = {"value": sud, "radius": witness[0], "packing": witness[1]}
@@ -315,14 +314,8 @@ def cmd_ellipsoid(args, inst, outputs):
 def cmd_modulus(args, inst, outputs):
     space = _space(inst)
     model = build_model(covariance_from_instance(inst))
-    if args.delta_grid is not None:
-        grid = _parse_grid(args.delta_grid)
-    elif space.diam > 0:
-        grid = _default_delta_grid(space)
-    else:
-        grid = [1.0]
     rows = []
-    for i, d in enumerate(grid):
+    for i, d in enumerate(_delta_grid(args, space)):
         est = estimate_modulus(model, d, args.samples, args.seed + i, args.threads)
         rows.append({"delta": d, "s_delta": est.value, "s_stderr": est.stderr})
     payload = {
@@ -423,6 +416,10 @@ def main(argv=None) -> int:
     except (MetricValidationError, FactorizationError, ValueError,
             FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numeric error: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

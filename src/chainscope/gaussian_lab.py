@@ -43,10 +43,6 @@ class GaussianModel:
     def n(self) -> int:
         return self.covariance.shape[0]
 
-    @property
-    def diagonal_factor(self) -> bool:
-        return bool(np.count_nonzero(self.factor - np.diag(np.diag(self.factor))) == 0)
-
 
 def build_model(cov) -> GaussianModel:
     """Factor a covariance, escalating jitter (doubling from 1e-12 to 1e-6)."""
@@ -99,10 +95,7 @@ def standard_normal_block(seed: int, start: int, stop: int, n: int) -> np.ndarra
 
 def sample_paths(model: GaussianModel, start: int, stop: int, seed: int) -> np.ndarray:
     """Process samples ``start..stop-1`` as rows (factor @ z per sample)."""
-    z = standard_normal_block(seed, start, stop, model.n)
-    if model.diagonal_factor:
-        return z * np.diag(model.factor)
-    return z @ model.factor.T
+    return standard_normal_block(seed, start, stop, model.n) @ model.factor.T
 
 
 def _default_shard(n: int) -> int:

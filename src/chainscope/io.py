@@ -22,6 +22,7 @@ from .metric_core import (FiniteMetricSpace, MetricValidationError,
                           build_from_points)
 
 METRIC_TYPES = ("matrix", "points", "covariance")
+EMBED_TOL = 1e-8
 
 
 class InstanceError(ValueError):
@@ -82,13 +83,13 @@ def space_from_instance(inst: dict) -> FiniteMetricSpace:
     return build_from_covariance(data)
 
 
-def covariance_from_instance(inst: dict, embed_tol: float = 1e-8) -> np.ndarray:
+def covariance_from_instance(inst: dict) -> np.ndarray:
     """Covariance matrix realizing the instance's metric as a canonical distance.
 
     covariance input is used directly, points become the Gram matrix P P^T,
     and a raw distance matrix goes through classical multidimensional
     scaling G = -1/2 J D^2 J.  A distance matrix whose Gram form has an
-    eigenvalue below -embed_tol * scale admits no Gaussian model and raises
+    eigenvalue below -EMBED_TOL * scale admits no Gaussian model and raises
     MetricValidationError.
     """
     mtype = inst["metric"]["type"]
@@ -105,7 +106,7 @@ def covariance_from_instance(inst: dict, embed_tol: float = 1e-8) -> np.ndarray:
     G = (G + G.T) / 2.0
     lam, V = np.linalg.eigh(G)
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if lam.min(initial=0.0) < -embed_tol * scale:
+    if lam.min(initial=0.0) < -EMBED_TOL * scale:
         raise MetricValidationError(
             f"distance matrix is not Euclidean-embeddable: Gram eigenvalue {lam.min()}")
     lam = np.clip(lam, 0.0, None)

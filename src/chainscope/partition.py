@@ -28,7 +28,6 @@ class Cell:
     members: tuple
     center: int
     level: int
-    parent: "Cell | None" = None
     children: list = field(default_factory=list)
     F_estimate: float = 0.0
     F_stderr: float = 0.0
@@ -93,7 +92,11 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
     The maximization of F over candidate centers is exact over the finite
     set, so the +eps slack of the abstract construction is not needed to
     pick centers; ``eps_slack`` (default 0.01 * diam) survives only as the
-    audit tolerance for carving-order checks.  Carving stops after
+    audit tolerance for carving-order checks.  ``F_oracle`` must be a
+    deterministic function of its subset: carving scores each candidate's
+    probe ball once, again only after a carve takes one of its members,
+    takes the first maximum in member order as center, and calls F once
+    per carved cell.  Carving stops after
     ``max_levels + 2`` levels (by default enough for the smallest distance)
     with a warning that names the largest leaf left.
     """
@@ -132,20 +135,23 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
         probe_r = space.diam * r ** (-k - 1) / 2.0
         new_level = []
         for parent in levels[-1]:
-            remaining = list(parent.members)
-            while remaining:
-                scores = []
-                for s in remaining:
-                    probe = [u for u in remaining if D[s, u] <= probe_r]
-                    scores.append(F_oracle(probe)[0])
-                t_i = remaining[int(np.argmax(scores))]
-                cell_members = tuple(u for u in remaining if D[t_i, u] <= carve_r)
+            rem = np.array(parent.members)
+            near = D[np.ix_(rem, rem)] <= probe_r  # row i: probe ball of rem[i]
+            scores = np.array([F_oracle(rem[row])[0] for row in near])
+            while rem.size:
+                i = int(np.argmax(scores))
+                carved = D[rem[i], rem] <= carve_r
+                cell_members = tuple(rem[carved].tolist())
                 mean, se = F_oracle(cell_members)
-                cell = Cell(members=cell_members, center=t_i, level=k, parent=parent,
+                cell = Cell(members=cell_members, center=int(rem[i]), level=k,
                             F_estimate=mean, F_stderr=se)
                 parent.children.append(cell)
                 new_level.append(cell)
-                remaining = [u for u in remaining if D[t_i, u] > carve_r]
+                keep = ~carved
+                touched = near[np.ix_(keep, carved)].any(axis=1)
+                rem, near, scores = rem[keep], near[np.ix_(keep, keep)], scores[keep]
+                for j in np.flatnonzero(touched):
+                    scores[j] = F_oracle(rem[near[j]])[0]
         levels.append(new_level)
         k += 1
 
@@ -169,6 +175,15 @@ def _cell_mass(mu: ProbabilityMeasure, cell: Cell) -> float:
     return float(sum(mu.weights[list(cell.members)]))
 
 
+def _parent_child_masses(tree: PartitionTree, mu: ProbabilityMeasure):
+    """(k, mu(B), mu(A), A) for every child A of every cell B of level k - 1."""
+    for k in range(1, len(tree.levels)):
+        for parent in tree.levels[k - 1]:
+            mp = _cell_mass(mu, parent)
+            for child in parent.children:
+                yield k, mp, _cell_mass(mu, child), child
+
+
 def chained_functional(tree: PartitionTree, mu: ProbabilityMeasure,
                        nu: ProbabilityMeasure) -> float:
     """r * sum_k diam r^-k sum_{B} sum_{A in A_k(B)} nu(A) sqrt(log2(mu(B)/mu(A))).
@@ -179,18 +194,14 @@ def chained_functional(tree: PartitionTree, mu: ProbabilityMeasure,
     """
     D = tree.space.diam
     total = 0.0
-    for k in range(1, len(tree.levels)):
-        weight = tree.r * D * tree.r ** (-k)
-        for parent in tree.levels[k - 1]:
-            mp = _cell_mass(mu, parent)
-            for child in parent.children:
-                nu_a = _cell_mass(nu, child)
-                if nu_a <= 0.0:
-                    continue
-                term = _log_ratio_term(mp, _cell_mass(mu, child))
-                if math.isinf(term):
-                    return math.inf
-                total += weight * nu_a * term
+    for k, mp, m_a, child in _parent_child_masses(tree, mu):
+        nu_a = _cell_mass(nu, child)
+        if nu_a <= 0.0:
+            continue
+        term = _log_ratio_term(mp, m_a)
+        if math.isinf(term):
+            return math.inf
+        total += tree.r * D * tree.r ** (-k) * nu_a * term
     return total
 
 
@@ -227,8 +238,6 @@ class CellAudit:
     rhs_core: float
     children_term: float
     empirical_L: float
-    block_sizes: tuple
-    block_masses: tuple
     l0: int
     low_confidence: bool
 
@@ -281,16 +290,9 @@ def audit_cell(tree: PartitionTree, mu: ProbabilityMeasure, cell: Cell) -> CellA
         emp_l = core / (2.0 * (lhs - grand))
     else:
         emp_l = math.inf
-    sizes, l0 = grouping_block_sizes(len(cell.children))
-    masses = []
-    pos = 0
-    for s in sizes:
-        masses.append(float(sum(_cell_mass(mu, c) for c in cell.children[pos:pos + s])))
-        pos += s
     return CellAudit(level=cell.level, center=cell.center, lhs=float(lhs),
                      rhs_core=float(core), children_term=float(grand),
-                     empirical_L=float(emp_l), block_sizes=tuple(sizes),
-                     block_masses=tuple(masses), l0=l0,
+                     empirical_L=float(emp_l), l0=grouping_block_sizes(len(cell.children))[1],
                      low_confidence=bool(worst_se > 0.1 * scale))
 
 
@@ -303,14 +305,9 @@ def lower_bound_report(tree: PartitionTree, mu: ProbabilityMeasure, esup_estimat
     """
     D = tree.space.diam
     ind = 0.0
-    for k in range(1, len(tree.levels)):
-        weight = D * tree.r ** (-k)
-        for parent in tree.levels[k - 1]:
-            mp = _cell_mass(mu, parent)
-            for child in parent.children:
-                m_a = _cell_mass(mu, child)
-                if m_a > 0:
-                    ind += weight * m_a * _log_ratio_term(mp, m_a)
+    for k, mp, m_a, _ in _parent_child_masses(tree, mu):
+        if m_a > 0:
+            ind += D * tree.r ** (-k) * m_a * _log_ratio_term(mp, m_a)
     tail = D * sum(tree.r ** (-k) for k in range(1, len(tree.levels)))
     denom = 2.0 * (esup_estimate + 4.0 * tail)
     return {"induction_sum": float(ind),

@@ -25,6 +25,12 @@ from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure, SigmaEva
                        WEIGHT_FLOOR, YoungFunction, nu_average, young_power)
 from .metric_core import FiniteMetricSpace
 
+# balanced_measure: fixed-point iteration cap, first step exponent, and the
+# relative spread of the integrals that counts as balanced
+BALANCE_MAX_ITER = 2000
+BALANCE_DAMPING = 0.5
+BALANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -235,7 +241,6 @@ def maximize_inf_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts:
 
 
 def balanced_measure(space: FiniteMetricSpace, young: YoungFunction | None = None,
-                     max_iter: int = 2000, damping: float = 0.5, tol: float = 1e-8,
                      init: ProbabilityMeasure | None = None) -> BalancedMeasure:
     """The measure equalizing the young-inverse integrals over all points.
 
@@ -261,13 +266,13 @@ def balanced_measure(space: FiniteMetricSpace, young: YoungFunction | None = Non
     spread = float(phi.max() - phi.min())
     it = 0
     converged = False
-    while it < max_iter:
+    while it < BALANCE_MAX_ITER:
         it += 1
         mean = float(phi.mean())
-        if spread <= tol * mean:
+        if spread <= BALANCE_TOL * mean:
             converged = True
             break
-        theta = damping
+        theta = BALANCE_DAMPING
         accepted = False
         while theta > 1e-7:
             cand = _project(w * (phi / mean) ** theta)
@@ -284,7 +289,7 @@ def balanced_measure(space: FiniteMetricSpace, young: YoungFunction | None = Non
         # the damped iteration stalls near the solution; polish by least
         # squares on the centered integrals over softmax weights
         w, phi, spread = _balance_polish(ev, w)
-    if spread <= tol * float(phi.mean()):
+    if spread <= BALANCE_TOL * float(phi.mean()):
         converged = True
     return BalancedMeasure(measure=ProbabilityMeasure(space, w), phi_values=phi,
                            spread=spread, iterations=it, converged=converged)

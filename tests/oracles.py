@@ -11,7 +11,9 @@ row at a time, is the reference for the dense ``SigmaEvaluator``, and
 soft-extremum loop, is the reference for the one mirror-ascent loop of
 ``search``.  ``modulus_reference``, a fancy-indexed (shard x pairs) block
 per shard, is the reference for the streamed pair reduction of
-``gaussian_lab.estimate_modulus``.
+``gaussian_lab.estimate_modulus``.  ``build_partition_reference``, which
+rescores every remaining candidate's probe ball after each carve, is the
+reference for the carried-score carving of ``partition.build_partition``.
 """
 
 import math
@@ -373,3 +375,50 @@ def modulus_reference(model, delta, n_samples, seed, threads):
     mean = s / n_samples
     var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
     return float(mean), float(math.sqrt(var / n_samples))
+
+
+def build_partition_reference(space, F_oracle, r=4.0):
+    """Levels of cells carved by rescoring every remaining candidate after each carve.
+
+    Same radii, depth limit and first-maximum centers as
+    ``partition.build_partition``, without the cut-off warning.
+    """
+    from chainscope.partition import Cell, _one_center
+
+    all_points = tuple(range(space.n))
+    mean, se = F_oracle(all_points)
+    root = Cell(members=all_points, center=_one_center(space, all_points) if space.n else 0,
+                level=0, F_estimate=mean, F_stderr=se)
+    levels = [[root]]
+    if space.n <= 1:
+        return levels
+    ds = space.distinct_distances()
+    d_min = float(ds[0]) if ds.size else 0.0
+    if space.diam > 0 and d_min > 0:
+        max_levels = int(math.ceil(math.log(space.diam / d_min, r))) + 2
+    else:
+        max_levels = 1
+    D = space.dist
+    k = 1
+    while any(len(c.members) > 1 for c in levels[-1]) and k <= max_levels + 2:
+        carve_r = space.diam * r ** (-k) / 2.0
+        probe_r = space.diam * r ** (-k - 1) / 2.0
+        new_level = []
+        for parent in levels[-1]:
+            remaining = list(parent.members)
+            while remaining:
+                scores = []
+                for s in remaining:
+                    probe = [u for u in remaining if D[s, u] <= probe_r]
+                    scores.append(F_oracle(probe)[0])
+                t_i = remaining[int(np.argmax(scores))]
+                cell_members = tuple(u for u in remaining if D[t_i, u] <= carve_r)
+                mean, se = F_oracle(cell_members)
+                cell = Cell(members=cell_members, center=t_i, level=k,
+                            F_estimate=mean, F_stderr=se)
+                parent.children.append(cell)
+                new_level.append(cell)
+                remaining = [u for u in remaining if D[t_i, u] > carve_r]
+        levels.append(new_level)
+        k += 1
+    return levels

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from chainscope import cli
 from chainscope.cli import (data_instance_path, main, replay_manifest,
                             validate_envelope, _threads_default)
 
@@ -98,6 +99,17 @@ class TestNumericErrors:
         code, _ = run(tmp_path, "bounds", "--instance", path)
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhaust(args, inst, outputs):
+            raise MemoryError("Unable to allocate 67.1 GiB for an array with shape (94919, 94919)")
+
+        monkeypatch.setitem(cli.COMMANDS, "ellipsoid", exhaust)
+        code, _ = run(tmp_path, "ellipsoid", "--axes", "1,0.5")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestAnalyze:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from chainscope import (build_model, argmax_distribution, concentration_check,
                         estimate_modulus, estimate_sup, gaussian_lab, nested_net_experiment,
                         sample_paths, sudakov_bound, supremum_report)
+from chainscope.cli import data_instance_path
 from chainscope.gaussian_lab import (FactorizationError, _default_shard,
                                      standard_normal_block, submodel)
+from chainscope.io import covariance_from_instance, load_instance
 
 from conftest import random_covariance
 from oracles import modulus_reference
@@ -66,6 +68,22 @@ class TestCounterSampling:
         x = sample_paths(m, 0, 100000, 3)
         emp = np.cov(x.T)
         assert np.abs(emp - COV_PAIR_D1).max() < 0.02
+
+    def test_diagonal_factor_samples_exactly(self):
+        # z @ factor.T adds only exact zeros to z * diag(factor), so the
+        # matrix product keeps every value and sign bit of a scaling
+        rng = np.random.default_rng(12)
+        iid = covariance_from_instance(load_instance(data_instance_path("iid_16.json")))
+        covs = [iid, np.diag(rng.uniform(0.1, 5.0, 7)), np.diag(rng.uniform(1e-3, 1e3, 12)),
+                np.diag([1.0, 0.0, 2.0])]
+        for cov in covs:
+            m = build_model(cov)
+            assert np.count_nonzero(m.factor - np.diag(np.diag(m.factor))) == 0
+            x = sample_paths(m, 0, 50000, 5)
+            want = standard_normal_block(5, 0, 50000, m.n) * np.diag(m.factor)
+            assert np.array_equal(x, want)
+            assert np.array_equal(np.signbit(x), np.signbit(want))
+        assert m.jitter > 0  # the zero variance needs jitter
 
 
 class TestEstimates:

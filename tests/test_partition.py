@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_from_points,
                         build_model, build_partition, chained_functional,
@@ -10,7 +12,8 @@ from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_fr
                         audit_cell, uniform_measure, verify_tree_translation)
 from chainscope.partition import grouping_block_sizes, grouping_bound
 
-from conftest import random_covariance, random_weights
+from conftest import integer_l1_space, random_covariance, random_weights
+from oracles import build_partition_reference
 
 COV_PAIR_D1 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -87,6 +90,71 @@ class TestConstruction:
     def test_leaf_level_singletons(self, session_rng):
         _, tree = random_tree(session_rng, 8)
         assert all(len(c.members) == 1 for c in tree.levels[-1])
+
+
+def _counted(oracle):
+    calls = []
+
+    def counted(subset):
+        calls.append(len(subset))
+        return oracle(subset)
+    return counted, calls
+
+
+def _carve_both(space, oracle, r):
+    """(tree levels, reference levels, oracle calls of each)."""
+    F, calls = _counted(oracle)
+    F_ref, ref_calls = _counted(oracle)
+    levels = build_partition(space, F, r=r).levels
+    return levels, build_partition_reference(space, F_ref, r=r), len(calls), len(ref_calls)
+
+
+def _assert_same_levels(levels, want):
+    assert len(levels) == len(want)
+    for cells, want_cells in zip(levels, want):
+        assert len(cells) == len(want_cells)
+        for c, w in zip(cells, want_cells):
+            assert (c.members, c.center, c.level) == (w.members, w.center, w.level)
+            assert all(type(m) is int for m in c.members) and type(c.center) is int
+            assert (c.F_estimate, c.F_stderr) == (w.F_estimate, w.F_stderr)
+            assert [a.members for a in c.children] == [a.members for a in w.children]
+
+
+@given(st.booleans(), st.integers(min_value=2, max_value=16), st.sampled_from([1.5, 2.0, 4.0]),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_carving_matches_reference(tied, n, r, seed):
+    rng = np.random.default_rng(seed)
+    if tied:
+        # integer l1 grid with a size oracle: ties everywhere, so the first
+        # maximum in member order decides most centers
+        space = integer_l1_space(rng, n)
+        assume(space.n >= 2)
+        oracle = lambda subset: (float(len(subset) // 2), float(sum(subset)))  # noqa: E731
+    else:
+        model = build_model(random_covariance(rng, n))
+        space, oracle = model.space, common_sample_oracle(model, 200, seed)
+    levels, want, calls, ref_calls = _carve_both(space, oracle, r)
+    _assert_same_levels(levels, want)
+    assert calls <= ref_calls
+
+
+def test_carving_rescores_touched_probe_balls():
+    # on 0..9 at r = 1.5 the first carve takes 0..5 around 2; the probe ball
+    # of 6 loses 4 and 5, so its stale score would beat 7 for the next center
+    space = build_from_points(np.arange(10.0)[:, None])
+    size_oracle = lambda subset: (float(len(subset)), 0.0)  # noqa: E731
+    levels, want, _, _ = _carve_both(space, size_oracle, 1.5)
+    _assert_same_levels(levels, want)
+    assert [c.center for c in levels[1]] == [2, 7]
+
+
+def test_carving_reuses_untouched_scores():
+    model = build_model(random_covariance(np.random.default_rng(64), 64))
+    levels, want, calls, ref_calls = _carve_both(
+        model.space, common_sample_oracle(model, 2000, 5), 4.0)
+    _assert_same_levels(levels, want)
+    assert 4 * calls < ref_calls
 
 
 class TestOracle:
