@@ -17,7 +17,7 @@ from chainscope import (build_from_distance_matrix, build_from_points,
 
 def show(title, space):
     print(f"\n== {title} (n={space.n}, diam={space.diam:g}) ==")
-    dudley = entropy_integral(space, space.diam).value
+    dudley = entropy_integral(space, space.diam)
     mu = uniform_measure(space)
     m_uniform = functional_M(space, mu, mu)
     best = maximize_M_self(space, restarts=6)

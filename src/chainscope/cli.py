@@ -17,12 +17,13 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .ellipsoid import ellipsoid_report, esup_check, gap_lower_bound_check, make_spec
 from .gaussian_lab import (FactorizationError, build_model, estimate_modulus,
                            sudakov_bound, supremum_report)
 from .io import (InstanceError, covariance_from_instance, dump_json, load_instance,
                  sha256_file, space_from_instance, write_csv, write_json)
-from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure, functional_M,
-                       sigma_profile, uniform_measure, young_power)
+from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
+                       functional_M, sigma_profile, uniform_measure, young_power)
 from .metric_core import (MetricValidationError, covering_table, entropy_integral,
                           modulus_entropy_diagnostic)
 from .partition import (audit_cell, build_partition, chained_functional,
@@ -172,6 +173,11 @@ def _covering_rows(space):
             for rep in covering_table(space, radii)]
 
 
+def _entropy_rows(space):
+    return [{"delta": d, "delta_sqrt_log_cover": v}
+            for d, v in modulus_entropy_diagnostic(space)]
+
+
 def cmd_analyze(args, inst, outputs):
     space = _space(inst)
     payload = {"n": space.n, "diam": space.diam}
@@ -180,12 +186,13 @@ def cmd_analyze(args, inst, outputs):
         payload.update({"covering": [], "dudley": 0.0, "entropy_table": []})
     else:
         payload["covering"] = _covering_rows(space)
-        payload["dudley"] = float(entropy_integral(space, space.diam))
-        payload["entropy_table"] = [
-            {"delta": d, "delta_sqrt_log_cover": v}
-            for d, v in modulus_entropy_diagnostic(space)]
+        payload["dudley"] = entropy_integral(space, space.diam)
+        payload["entropy_table"] = _entropy_rows(space)
     if "weights" in inst:
-        mu = ProbabilityMeasure(space, inst["weights"])
+        try:
+            mu = ProbabilityMeasure(space, inst["weights"])
+        except MeasureError as exc:  # weights off the simplex are bad input
+            raise InstanceError(str(exc)) from None
         young = young_power(args.young) if args.mode == YOUNG_INVERSE else None
         prof = sigma_profile(space, mu, space.diam, args.mode, young)
         payload["measure"] = {
@@ -217,7 +224,7 @@ def cmd_bounds(args, inst, outputs):
                               threads=args.threads)
     sud, witness = sudakov_bound(space)
     payload["sudakov"] = {"value": sud, "radius": witness[0], "packing": witness[1]}
-    payload["dudley"] = float(entropy_integral(space, space.diam)) if space.n > 1 else 0.0
+    payload["dudley"] = entropy_integral(space, space.diam) if space.diam > 0 else 0.0
     outputs.csv("bounds_delta.csv",
                 ["delta", "s_delta", "s_stderr", "cover_size",
                  "upper_proxy", "lower_expression"],
@@ -281,11 +288,11 @@ def cmd_duality(args, inst, outputs):
 
 
 def cmd_ellipsoid(args, inst, outputs):
-    from .ellipsoid import (esup_check, gap_lower_bound_check, make_spec,
-                            ellipsoid_report)
-
     axes = _parse_grid(args.axes)
-    spec = make_spec(axes)
+    try:
+        spec = make_spec(axes)
+    except ValueError as exc:  # axes out of order are bad input
+        raise InstanceError(str(exc)) from None
     payload = {
         "axes": list(spec.semi_axes),
         "truncation": spec.truncation,
@@ -320,8 +327,7 @@ def cmd_modulus(args, inst, outputs):
         rows.append({"delta": d, "s_delta": est.value, "s_stderr": est.stderr})
     payload = {
         "rows": rows,
-        "entropy_table": [{"delta": d, "delta_sqrt_log_cover": v}
-                          for d, v in modulus_entropy_diagnostic(space)],
+        "entropy_table": _entropy_rows(space),
     }
     outputs.csv("modulus_delta.csv", ["delta", "s_delta", "s_stderr"], rows)
     return payload

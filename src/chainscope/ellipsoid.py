@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .gaussian_lab import standard_normal_block
-from .measures import ProbabilityMeasure
+from .measures import ProbabilityMeasure, functional_M
 from .metric_core import FiniteMetricSpace, build_from_points
 
 
@@ -213,8 +213,6 @@ def gap_lower_bound_check(spec: EllipsoidSpec, i: int, n_samples: int, seed: int
 def ellipsoid_report(spec: EllipsoidSpec, n_samples: int, seed: int,
                      net_resolution: float | None = None):
     """M(mu, mu) of the snapped empirical argmax measure against ||t||."""
-    from .measures import functional_M
-
     emp = empirical_measure(spec, n_samples, seed, net_resolution)
     m_self = functional_M(emp.space, emp.measure, emp.measure)
     return {"m_self": m_self, "norm_t": spec.norm_t,

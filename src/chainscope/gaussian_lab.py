@@ -20,7 +20,8 @@ from scipy.special import ndtri
 
 from . import measures
 from .measures import ProbabilityMeasure, functional_M
-from .metric_core import FiniteMetricSpace, build_from_covariance, cover_sizes, packings
+from .metric_core import (FiniteMetricSpace, build_from_covariance, cover_sizes, packings,
+                          sqrt_log2)
 
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
@@ -237,17 +238,18 @@ def sudakov_bound(space: FiniteMetricSpace):
     """max over separations a of a * sqrt(log2 m(a)), without the constant.
 
     m(a) is the greedy packing size at pairwise distance >= a.  Returns
-    (value, (a, m)) with the maximizing witness.
+    (value, (a, m)) with the maximizing witness (the smallest such a), or
+    (0.0, (0.0, 1)) when all points coincide.
     """
     if space.n < 2:
         raise ValueError("sudakov_bound needs at least 2 points")
     seps = space.distinct_distances()
-    best = (0.0, (0.0, 1))
-    for a, m in zip(seps, packings(space, seps, strict=False).sum(axis=1).tolist()):
-        val = float(a) * math.sqrt(math.log2(m)) if m > 1 else 0.0
-        if val > best[0]:
-            best = (val, (float(a), m))
-    return best
+    if seps.size == 0:  # all points coincide
+        return 0.0, (0.0, 1)
+    sizes = packings(space, seps, strict=False).sum(axis=1)
+    vals = seps * sqrt_log2(sizes)
+    i = int(np.argmax(vals))
+    return float(vals[i]), (float(seps[i]), int(sizes[i]))
 
 
 def concentration_check(model: GaussianModel, u_grid, n_samples: int, seed: int,
@@ -297,7 +299,9 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
     All comparison constants are universal and unknown; only ratios are
     reported here.
     """
-    from . import search  # deferred: search pulls estimators from this module
+    # deferred: search imports estimate_sup and argmax_distribution from this
+    # module at load time, so a top-level import here would be circular
+    from . import search
 
     est = estimate_sup(model, n_samples, seed, threads)
     amd = argmax_distribution(model, n_samples, seed + 1, threads)

@@ -31,13 +31,12 @@ class FiniteMetricSpace:
     immutable; every operation on them is pure.
     """
 
-    labels: tuple
     dist: np.ndarray
     diam: float
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return self.dist.shape[0]
 
     def __post_init__(self):
         self.dist.setflags(write=False)
@@ -55,8 +54,7 @@ class FiniteMetricSpace:
         return vals[vals > 0]
 
 
-def build_from_distance_matrix(matrix, labels=None, *,
-                               _check_triangle: bool = True) -> FiniteMetricSpace:
+def build_from_distance_matrix(matrix, *, _check_triangle: bool = True) -> FiniteMetricSpace:
     """Validate a raw square matrix and wrap it as a metric space.
 
     Raises :class:`MetricValidationError` naming the offending entry or
@@ -69,9 +67,10 @@ def build_from_distance_matrix(matrix, labels=None, *,
     if not np.all(np.isfinite(D)):
         raise MetricValidationError("matrix entries must be finite")
     n = D.shape[0]
-    for i in range(n):
-        if abs(D[i, i]) > 1e-12:
-            raise MetricValidationError(f"nonzero diagonal at ({i}, {i}): {D[i, i]}")
+    diag = np.flatnonzero(np.abs(np.diag(D)) > 1e-12)
+    if diag.size:
+        i = int(diag[0])
+        raise MetricValidationError(f"nonzero diagonal at ({i}, {i}): {D[i, i]}")
     bad = np.argwhere(np.abs(D - D.T) > 1e-12)
     if bad.size:
         i, j = (int(v) for v in bad[0])
@@ -89,12 +88,10 @@ def build_from_distance_matrix(matrix, labels=None, *,
             if viol.any():
                 i, j = (int(v) for v in np.argwhere(viol)[0])
                 raise MetricValidationError(f"triangle violated ({i},{j}) via {k}")
-    if labels is None:
-        labels = tuple(range(n))
-    return FiniteMetricSpace(labels=tuple(labels), dist=D, diam=float(D.max()) if n else 0.0)
+    return FiniteMetricSpace(dist=D, diam=float(D.max()) if n else 0.0)
 
 
-def build_from_covariance(cov, labels=None) -> FiniteMetricSpace:
+def build_from_covariance(cov) -> FiniteMetricSpace:
     """Metric space with the canonical distance of a centered Gaussian vector.
 
     ``dist[i, j] = sqrt(cov[i, i] + cov[j, j] - 2 cov[i, j])``.  The input
@@ -119,17 +116,17 @@ def build_from_covariance(cov, labels=None) -> FiniteMetricSpace:
     D = np.sqrt(np.clip(sq, 0.0, None))
     np.fill_diagonal(D, 0.0)
     # the canonical distance is an L2 norm distance, so the triangle holds
-    return build_from_distance_matrix(D, labels=labels, _check_triangle=False)
+    return build_from_distance_matrix(D, _check_triangle=False)
 
 
-def build_from_points(points, labels=None) -> FiniteMetricSpace:
+def build_from_points(points) -> FiniteMetricSpace:
     """Euclidean metric space on a list of equally-sized real vectors."""
     P = np.atleast_2d(np.array(points, dtype=float))
     if P.ndim != 2:
         raise MetricValidationError("points must form a 2-d array")
     D = cdist(P, P)
     # Euclidean distances satisfy the triangle inequality by construction
-    return build_from_distance_matrix(D, labels=labels, _check_triangle=False)
+    return build_from_distance_matrix(D, _check_triangle=False)
 
 
 # ---------------------------------------------------------------------------
@@ -287,37 +284,25 @@ def _segment_table(space: FiniteMetricSpace):
     return np.concatenate([[0.0], ds]), cover_sizes(space, np.concatenate([[ds[0] / 2.0], ds]))
 
 
-@dataclass(frozen=True)
-class EntropyIntegralResult:
-    value: float
-    breakpoints: tuple  # (start_radius, cover_size) pairs
-
-    def __float__(self):
-        return self.value
+def sqrt_log2(counts) -> np.ndarray:
+    """sqrt(log2 m) for each count m, and 0 where m <= 1."""
+    return np.sqrt(np.log2(np.maximum(counts, 1)))
 
 
-def entropy_integral(space: FiniteMetricSpace, delta: float) -> EntropyIntegralResult:
+def entropy_integral(space: FiniteMetricSpace, delta: float) -> float:
     """Exact integral of sqrt(log2 N^(eps)) over (0, min(delta, diam)].
 
     N^ is the greedy cover size, a step function of eps evaluated between
     every pair of consecutive distinct distances, so the integral is a
-    finite sum.
+    finite sum, added segment by segment from eps = 0 up.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     starts, sizes = _segment_table(space)
     hi = min(delta, space.diam) if space.diam > 0 else 0.0
-    total = 0.0
-    for i in range(len(starts)):
-        a = starts[i]
-        b = starts[i + 1] if i + 1 < len(starts) else np.inf
-        length = max(0.0, min(b, hi) - a)
-        if length > 0 and sizes[i] > 1:
-            total += length * np.sqrt(np.log2(sizes[i]))
-    return EntropyIntegralResult(
-        value=float(total),
-        breakpoints=tuple((float(s), int(c)) for s, c in zip(starts, sizes)),
-    )
+    lengths = np.minimum(np.append(starts[1:], np.inf), hi) - starts
+    terms = np.maximum(lengths, 0.0) * sqrt_log2(sizes)
+    return float(np.cumsum(terms)[-1])  # cumsum adds strictly left to right
 
 
 def modulus_entropy_diagnostic(space: FiniteMetricSpace):
@@ -328,9 +313,5 @@ def modulus_entropy_diagnostic(space: FiniteMetricSpace):
     singleton spaces.
     """
     starts, sizes = _segment_table(space)
-    rows = []
-    for i in range(1, len(starts)):
-        below = sizes[i - 1]
-        d = starts[i]
-        rows.append((float(d), float(d * np.sqrt(np.log2(below))) if below > 1 else 0.0))
-    return rows
+    deltas = starts[1:]
+    return list(zip(deltas.tolist(), (deltas * sqrt_log2(sizes[:-1])).tolist()))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussian_lab import sample_paths
 from .measures import GAUSSIAN_LOG, ProbabilityMeasure, SigmaEvaluator
 from .metric_core import FiniteMetricSpace
 
@@ -65,8 +66,6 @@ def common_sample_oracle(model, n_samples: int, seed: int):
     Using the same draws for every subset makes F monotone under inclusion
     sample-by-sample, which keeps carving-order comparisons noise-free.
     """
-    from .gaussian_lab import sample_paths
-
     X = sample_paths(model, 0, n_samples, seed)
 
     def oracle(subset):
@@ -96,7 +95,8 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
     deterministic function of its subset: carving scores each candidate's
     probe ball once, again only after a carve takes one of its members,
     takes the first maximum in member order as center, and calls F once
-    per carved cell.  Carving stops after
+    per carved cell, unless the cell is exactly the center's probe ball,
+    whose (F, se) pair it already holds.  Carving stops after
     ``max_levels + 2`` levels (by default enough for the smallest distance)
     with a warning that names the largest leaf left.
     """
@@ -137,21 +137,24 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
         for parent in levels[-1]:
             rem = np.array(parent.members)
             near = D[np.ix_(rem, rem)] <= probe_r  # row i: probe ball of rem[i]
-            scores = np.array([F_oracle(rem[row])[0] for row in near])
+            probes = np.array([F_oracle(rem[row]) for row in near], dtype=float)  # (F, se)
             while rem.size:
-                i = int(np.argmax(scores))
+                i = int(np.argmax(probes[:, 0]))
                 carved = D[rem[i], rem] <= carve_r
                 cell_members = tuple(rem[carved].tolist())
-                mean, se = F_oracle(cell_members)
+                if np.array_equal(carved, near[i]):  # the cell is the center's probe ball
+                    mean, se = probes[i].tolist()
+                else:
+                    mean, se = F_oracle(cell_members)
                 cell = Cell(members=cell_members, center=int(rem[i]), level=k,
                             F_estimate=mean, F_stderr=se)
                 parent.children.append(cell)
                 new_level.append(cell)
                 keep = ~carved
                 touched = near[np.ix_(keep, carved)].any(axis=1)
-                rem, near, scores = rem[keep], near[np.ix_(keep, keep)], scores[keep]
+                rem, near, probes = rem[keep], near[np.ix_(keep, keep)], probes[keep]
                 for j in np.flatnonzero(touched):
-                    scores[j] = F_oracle(rem[near[j]])[0]
+                    probes[j] = F_oracle(rem[near[j]])
         levels.append(new_level)
         k += 1
 

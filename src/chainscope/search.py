@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian_lab import argmax_distribution, estimate_sup
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure, SigmaEvaluator,
                        WEIGHT_FLOOR, YoungFunction, nu_average, young_power)
 from .metric_core import FiniteMetricSpace
@@ -349,8 +350,6 @@ def duality_report(space: FiniteMetricSpace, model=None, n_samples: int = 20000,
     pointwise-averaging ordering (sup_inf <= sup_self) holds for the
     reported numbers by construction.
     """
-    from .gaussian_lab import argmax_distribution, estimate_sup
-
     flags = []
     if space.n < 2 or space.diam == 0:
         flags.append("degenerate")

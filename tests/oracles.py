@@ -14,6 +14,9 @@ per shard, is the reference for the streamed pair reduction of
 ``gaussian_lab.estimate_modulus``.  ``build_partition_reference``, which
 rescores every remaining candidate's probe ball after each carve, is the
 reference for the carried-score carving of ``partition.build_partition``.
+``entropy_integral_reference``, ``modulus_entropy_diagnostic_reference``
+and ``sudakov_bound_reference``, one distance row at a time, are the
+references for the array forms in ``metric_core`` and ``gaussian_lab``.
 """
 
 import math
@@ -422,3 +425,45 @@ def build_partition_reference(space, F_oracle, r=4.0):
         levels.append(new_level)
         k += 1
     return levels
+
+
+def entropy_integral_reference(space, delta):
+    """Integral of sqrt(log2 N^(eps)) over (0, min(delta, diam)], one segment at a time."""
+    from chainscope.metric_core import _segment_table
+
+    starts, sizes = _segment_table(space)
+    hi = min(delta, space.diam) if space.diam > 0 else 0.0
+    total = 0.0
+    for i in range(len(starts)):
+        a = starts[i]
+        b = starts[i + 1] if i + 1 < len(starts) else np.inf
+        length = max(0.0, min(b, hi) - a)
+        if length > 0 and sizes[i] > 1:
+            total += length * np.sqrt(np.log2(sizes[i]))
+    return float(total)
+
+
+def modulus_entropy_diagnostic_reference(space):
+    """(delta, delta * sqrt(log2 N^(delta-))) rows, one distinct distance at a time."""
+    from chainscope.metric_core import _segment_table
+
+    starts, sizes = _segment_table(space)
+    rows = []
+    for i in range(1, len(starts)):
+        below = sizes[i - 1]
+        d = starts[i]
+        rows.append((float(d), float(d * np.sqrt(np.log2(below))) if below > 1 else 0.0))
+    return rows
+
+
+def sudakov_bound_reference(space):
+    """(value, (a, m)) of the first strict maximum of a * sqrt(log2 m(a)), one a at a time."""
+    from chainscope.metric_core import packings
+
+    seps = space.distinct_distances()
+    best = (0.0, (0.0, 1))
+    for a, m in zip(seps, packings(space, seps, strict=False).sum(axis=1).tolist()):
+        val = float(a) * math.sqrt(math.log2(m)) if m > 1 else 0.0
+        if val > best[0]:
+            best = (val, (float(a), m))
+    return best

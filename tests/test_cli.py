@@ -82,6 +82,19 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: {argv[-1]!r} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights, message", [
+        ([1.5, -0.5], "negative weight at index 1"),
+        ([0.5, 0.25], "weights sum to 0.75"),
+    ])
+    def test_weights_off_the_simplex_exit_2(self, tmp_path, capsys, weights, message):
+        path = write_instance(tmp_path, {
+            "name": "x", "metric": {"type": "matrix", "data": [[0, 1], [1, 0]]},
+            "weights": weights})
+        code, _ = run(tmp_path, "analyze", "--instance", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_bad_delta_grid_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "modulus", "--instance",
                       data_instance_path("two_point.json"),
@@ -162,6 +175,17 @@ class TestBounds:
         header = (out / "bounds_delta.csv").read_text().splitlines()[0]
         assert header == "delta,s_delta,s_stderr,cover_size,upper_proxy,lower_expression"
 
+    def test_coincident_points_degenerate(self, tmp_path):
+        # two perfectly correlated coordinates: both points of the canonical
+        # metric coincide, so the diameter, Dudley and Sudakov are all zero
+        path = write_instance(tmp_path, {
+            "name": "x", "metric": {"type": "covariance", "data": [[1, 1], [1, 1]]}})
+        code, out = run(tmp_path, "bounds", "--instance", path, "--samples", "100")
+        assert code == 0
+        p = read_report(out, "bounds")["payload"]
+        assert p["dudley"] == 0.0
+        assert p["sudakov"] == {"value": 0.0, "radius": 0.0, "packing": 1}
+
 
 class TestPartitionCommand:
     def test_two_point(self, tmp_path):
@@ -212,6 +236,11 @@ class TestEllipsoid:
     def test_bad_axes_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "ellipsoid", "--axes", "1.0,oops")
         assert code == 2
+
+    def test_increasing_axes_exit_2(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "ellipsoid", "--axes", "0.5,1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: semi_axes must be nonincreasing\n"
 
 
 class TestModulus:

@@ -10,13 +10,14 @@ from scipy.spatial.distance import cdist
 from chainscope import (MetricValidationError, build_from_covariance,
                         build_from_distance_matrix, build_from_points,
                         covering_number, entropy_integral,
-                        modulus_entropy_diagnostic)
+                        modulus_entropy_diagnostic, sudakov_bound)
 from chainscope.metric_core import (cover_sizes, covering_table, exact_covering_number,
                                     greedy_cover_size, greedy_packing, greedy_permutation,
                                     packings)
 
-from conftest import random_space
-from oracles import cover_size_reference, greedy_packing_reference
+from conftest import integer_l1_space, random_covariance, random_space
+from oracles import (cover_size_reference, entropy_integral_reference, greedy_packing_reference,
+                     modulus_entropy_diagnostic_reference, sudakov_bound_reference)
 
 
 @st.composite
@@ -42,6 +43,19 @@ def l1_metrics(draw):
     return build_from_distance_matrix(cdist(pts, pts, "cityblock"))
 
 
+@st.composite
+def bound_spaces(draw):
+    """Tied integer-l1 grids, l1 clouds (coincident points allowed) and PSD covariances."""
+    kind = draw(st.sampled_from(["grid", "l1", "covariance"]))
+    if kind == "l1":
+        return draw(l1_metrics())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31)))
+    n = draw(st.integers(min_value=1, max_value=16))
+    if kind == "grid":
+        return integer_l1_space(rng, n)
+    return build_from_covariance(random_covariance(rng, n))
+
+
 class TestValidation:
     def test_two_point(self):
         sp = build_from_distance_matrix([[0, 1], [1, 0]])
@@ -55,6 +69,13 @@ class TestValidation:
     def test_nonzero_diagonal(self):
         with pytest.raises(MetricValidationError, match="diagonal"):
             build_from_distance_matrix([[0.5, 1], [1, 0]])
+
+    def test_nonzero_diagonal_names_first_index(self):
+        D = np.ones((4, 4)) - np.eye(4)
+        D[2, 2], D[3, 3] = 0.25, 0.5
+        with pytest.raises(MetricValidationError,
+                           match=r"^nonzero diagonal at \(2, 2\): 0\.25$"):
+            build_from_distance_matrix(D)
 
     def test_negative_entry(self):
         with pytest.raises(MetricValidationError, match="negative"):
@@ -177,6 +198,48 @@ class TestEntropyIntegral:
         assert sp.diam == 0.0
         assert float(entropy_integral(sp, 1.0)) == 0.0
         assert modulus_entropy_diagnostic(sp) == []
+
+
+def _same(got, want):
+    """Equal values with equal reprs: the same types and the same float bits."""
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+class TestArrayBoundsMatchLoops:
+    """Entropy integral, modulus diagnostic and Sudakov bound against their loops."""
+
+    @staticmethod
+    def _check(sp):
+        ds = sp.distinct_distances()
+        deltas = [1.0] if ds.size == 0 else [ds[0] / 2.0, *ds, sp.diam, 10.0 * sp.diam]
+        for delta in deltas:
+            _same(entropy_integral(sp, delta), entropy_integral_reference(sp, delta))
+        _same(modulus_entropy_diagnostic(sp), modulus_entropy_diagnostic_reference(sp))
+        if sp.n >= 2:
+            _same(sudakov_bound(sp), sudakov_bound_reference(sp))
+
+    @given(bound_spaces())
+    @settings(max_examples=150, deadline=None)
+    def test_match_reference_loops(self, sp):
+        self._check(sp)
+
+    def test_tied_sudakov_values_keep_first_witness(self):
+        # 16 points at distance 1, one pair at 2: 1 * sqrt(log2 16) = 2 * sqrt(log2 2)
+        D = np.ones((16, 16)) - np.eye(16)
+        D[0, 1] = D[1, 0] = 2.0
+        sp = build_from_distance_matrix(D)
+        self._check(sp)
+        assert sudakov_bound(sp) == (2.0, (1.0, 16))
+
+    @pytest.mark.parametrize("D", [[[0.0]], np.zeros((3, 3))], ids=["singleton", "coincident"])
+    def test_degenerate_spaces(self, D):
+        sp = build_from_distance_matrix(D)
+        self._check(sp)
+        assert entropy_integral(sp, 1.0) == 0.0
+        assert modulus_entropy_diagnostic(sp) == []
+        if sp.n >= 2:
+            assert sudakov_bound(sp) == (0.0, (0.0, 1))
 
 
 class TestBatchedKernels:

@@ -155,6 +155,11 @@ def test_carving_reuses_untouched_scores():
         model.space, common_sample_oracle(model, 2000, 5), 4.0)
     _assert_same_levels(levels, want)
     assert 4 * calls < ref_calls
+    # r = 4 carves this covariance into single points at level 1: each point's
+    # probe ball is the point itself, so the carved cell takes its stored F
+    # and F runs once at the root and once per probe ball
+    assert [len(cells) for cells in levels] == [1, 64]
+    assert calls == 1 + 64
 
 
 class TestOracle:
