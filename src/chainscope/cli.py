@@ -8,7 +8,7 @@ byte for byte.  Exit codes: 0 ok, 2 invalid input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
 import time
@@ -219,7 +219,7 @@ def _delta_grid(args, space):
 
 def cmd_bounds(args, inst, outputs):
     space = _space(inst)
-    model = build_model(covariance_from_instance(inst))
+    model = build_model(covariance_from_instance(inst), space)
     payload = supremum_report(model, args.samples, args.seed, _delta_grid(args, space),
                               threads=args.threads)
     sud, witness = sudakov_bound(space)
@@ -234,7 +234,7 @@ def cmd_bounds(args, inst, outputs):
 
 def cmd_partition(args, inst, outputs):
     space = _space(inst)
-    model = build_model(covariance_from_instance(inst))
+    model = build_model(covariance_from_instance(inst), space)
     oracle = common_sample_oracle(model, args.samples, args.seed)
     tree = build_partition(space, oracle, r=args.r, eps_slack=args.eps)
     mu = uniform_measure(space)
@@ -242,11 +242,7 @@ def cmd_partition(args, inst, outputs):
     for level in tree.levels[:-1]:
         for cell in level:
             if cell.children:
-                a = audit_cell(tree, mu, cell)
-                audits.append({"level": a.level, "center": a.center, "lhs": a.lhs,
-                               "rhs_core": a.rhs_core, "children_term": a.children_term,
-                               "empirical_L": a.empirical_L, "l0": a.l0,
-                               "low_confidence": a.low_confidence})
+                audits.append(dataclasses.asdict(audit_cell(tree, mu, cell)))
     esup = tree.levels[0][0].F_estimate
     payload = {
         "r": tree.r,
@@ -269,19 +265,14 @@ def cmd_partition(args, inst, outputs):
 
 def cmd_duality(args, inst, outputs):
     space = _space(inst)
-    model = build_model(covariance_from_instance(inst))
+    model = build_model(covariance_from_instance(inst), space)
     trace = []
     rep = duality_report(space, model, n_samples=args.samples, seed=args.seed,
                          restarts=args.restarts, threads=args.threads, trace=trace)
-    payload = {
-        "sup_self": rep.sup_self, "inf_sup": rep.inf_sup, "sup_inf": rep.sup_inf,
-        "esup": rep.esup, "esup_stderr": rep.esup_stderr,
-        "ratios": rep.ratios, "flags": rep.flags,
-        "measures": rep.measures,
-        # search results are feasible points, not certified optima
-        "semantics": {"sup_self": "lower-bound", "sup_inf": "lower-bound",
-                      "inf_sup": "upper-bound"},
-    }
+    payload = dataclasses.asdict(rep)
+    # search results are feasible points, not certified optima
+    payload["semantics"] = {"sup_self": "lower-bound", "sup_inf": "lower-bound",
+                            "inf_sup": "upper-bound"}
     outputs.csv("duality_trace.csv",
                 ["problem", "restart", "objective", "iterations"], trace)
     return payload
@@ -320,7 +311,7 @@ def cmd_ellipsoid(args, inst, outputs):
 
 def cmd_modulus(args, inst, outputs):
     space = _space(inst)
-    model = build_model(covariance_from_instance(inst))
+    model = build_model(covariance_from_instance(inst), space)
     rows = []
     for i, d in enumerate(_delta_grid(args, space)):
         est = estimate_modulus(model, d, args.samples, args.seed + i, args.threads)

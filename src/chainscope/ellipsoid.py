@@ -63,7 +63,6 @@ def make_spec(semi_axes) -> EllipsoidSpec:
 
 @dataclass(frozen=True)
 class EllipsoidSample:
-    gaussian: np.ndarray
     point: np.ndarray        # argmax on the ellipsoid boundary
     sup_value: float         # <x, g> = ||gt||
     tail_profile: np.ndarray  # a_i = ||x(i)||, 1-based, with a_0 = t_1 prepended
@@ -83,7 +82,7 @@ def argmax_point(spec: EllipsoidSpec, g) -> EllipsoidSample:
     x = g * spec.semi_axes ** 2 / norm_gt
     tails = np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])
     profile = np.r_[spec.semi_axes[0], tails]
-    return EllipsoidSample(gaussian=g, point=x, sup_value=norm_gt, tail_profile=profile)
+    return EllipsoidSample(point=x, sup_value=norm_gt, tail_profile=profile)
 
 
 def _argmax_cloud(spec: EllipsoidSpec, n_samples: int, seed: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -45,11 +45,16 @@ class GaussianModel:
         return self.covariance.shape[0]
 
 
-def build_model(cov) -> GaussianModel:
-    """Factor a covariance, escalating jitter (doubling from 1e-12 to 1e-6)."""
+def build_model(cov, space: FiniteMetricSpace | None = None) -> GaussianModel:
+    """Factor a covariance, escalating jitter (doubling from 1e-12 to 1e-6).
+
+    ``space`` is the metric the estimators choose pairs and cover sizes in;
+    by default the canonical metric derived from the covariance.
+    """
     C = np.array(cov, dtype=float)
     C = (C + C.T) / 2.0
-    space = build_from_covariance(C)
+    if space is None:
+        space = build_from_covariance(C)
     jitter = 0.0
     while True:
         try:
@@ -139,8 +144,6 @@ def _mean_and_stderr(parts, n_samples):
 class SupremumEstimate:
     mean: float
     stderr: float
-    n_samples: int
-    seed: int
 
 
 def estimate_sup(model: GaussianModel, n_samples: int, seed: int,
@@ -151,15 +154,13 @@ def estimate_sup(model: GaussianModel, n_samples: int, seed: int,
     parts = _map_shards(model, n_samples, seed, threads,
                         lambda x: _sum_and_squares(x.max(axis=1)))
     mean, stderr = _mean_and_stderr(parts, n_samples)
-    return SupremumEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
+    return SupremumEstimate(mean=mean, stderr=stderr)
 
 
 @dataclass(frozen=True)
 class ArgmaxDistribution:
     measure: ProbabilityMeasure
     tie_count: int
-    n_samples: int
-    seed: int
 
 
 def argmax_distribution(model: GaussianModel, n_samples: int, seed: int,
@@ -188,12 +189,11 @@ def argmax_distribution(model: GaussianModel, n_samples: int, seed: int,
     ties = sum(p[1] for p in parts)
     return ArgmaxDistribution(
         measure=ProbabilityMeasure(model.space, counts / n_samples),
-        tie_count=ties, n_samples=n_samples, seed=seed)
+        tie_count=ties)
 
 
 @dataclass(frozen=True)
 class ModulusEstimate:
-    delta: float
     value: float
     stderr: float
 
@@ -209,7 +209,7 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
     ii, jj = ii[keep], jj[keep]
     if ii.size == 0:
         warnings.warn("no admissible pair at this delta; modulus is trivially 0")
-        return ModulusEstimate(delta=float(delta), value=0.0, stderr=0.0)
+        return ModulusEstimate(value=0.0, stderr=0.0)
 
     pairs = list(zip(ii.tolist(), jj.tolist()))
 
@@ -227,7 +227,7 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
 
     parts = _map_shards(model, n_samples, seed, threads, per_block)
     value, stderr = _mean_and_stderr(parts, n_samples)
-    return ModulusEstimate(delta=float(delta), value=value, stderr=stderr)
+    return ModulusEstimate(value=value, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def concentration_check(model: GaussianModel, u_grid, n_samples: int, seed: int,
 
 
 def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
-                    threads: int = 1, restarts: int = 2, max_iter: int = 150):
+                    threads: int = 1):
     """Empirical ratio E sup / M(mu_F, mu_F) and the two-sided S(delta) proxy.
 
     For each delta the report carries the Monte Carlo S(delta), the upper
@@ -321,21 +321,18 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
 
     delta_grid = [float(d) for d in delta_grid]
     c_grid = sorted(set(delta_grid) | {space.diam})
-    cache = {}
-
-    def best_m_self(c):
-        if c not in cache:
-            res = search.maximize_M_self(space, delta=c, init_measures=[amd.measure],
-                                         restarts=restarts, max_iter=max_iter, seed=seed)
-            cache[c] = res.objective
-        return cache[c]
+    needed = set(c_grid) | {min(2.0 * d, space.diam) for d in delta_grid}
+    # every search is seeded alike, so the order they run in does not matter
+    best_m_self = {c: search.maximize_M_self(space, delta=c, init_measures=[amd.measure],
+                                             restarts=2, max_iter=150, seed=seed).objective
+                   for c in needed}
 
     rows = []
     for i, (d, nhat) in enumerate(zip(delta_grid, cover_sizes(space, delta_grid).tolist())):
         mod = estimate_modulus(model, d, n_samples, seed + 2 + i, threads)
         log_n = math.sqrt(math.log2(nhat)) if nhat > 1 else 0.0
-        upper = best_m_self(min(2.0 * d, space.diam)) + d * log_n
-        lower = max(best_m_self(c) - c * log_n for c in c_grid)
+        upper = best_m_self[min(2.0 * d, space.diam)] + d * log_n
+        lower = max(best_m_self[c] - c * log_n for c in c_grid)
         rows.append({"delta": d, "s_delta": mod.value, "s_stderr": mod.stderr,
                      "cover_size": nhat, "upper_proxy": upper, "lower_expression": lower})
     report["modulus"] = rows

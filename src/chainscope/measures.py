@@ -17,7 +17,7 @@ kept separate and never mixed inside one computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .metric_core import FiniteMetricSpace
 
 GAUSSIAN_LOG = "gaussian-log"
 YOUNG_INVERSE = "young-inverse"
-MODES = (GAUSSIAN_LOG, YOUNG_INVERSE)
 
 WEIGHT_SUM_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
@@ -86,7 +85,6 @@ class YoungFunction:
     ``doubling_range``; the built-in power family records it explicitly.
     """
 
-    name: str
     evaluate: callable
     inverse: callable
     doubling_constant: float | None = None
@@ -110,7 +108,6 @@ def young_power(q: float = 2.0) -> YoungFunction:
         return np.power(np.log1p(y) / math.log(2.0), 1.0 / q)
 
     return YoungFunction(
-        name=f"phi_{q:g}",
         evaluate=ev,
         inverse=inv,
         doubling_constant=2.0 ** (q - 1.0) if q > 1 else None,
@@ -141,10 +138,10 @@ class SigmaEvaluator:
     """Exact sigma profiles and their gradients for one (space, delta, mode).
 
     Dense row layout: row t of the n x n arrays ``order`` (stable argsort of
-    ``dist[t]``), ``pos`` (its inverse) and ``gaps`` (the length of
-    [r_j, r_{j+1}) clipped to delta, r_j the j-th sorted distance) describes
-    the balls around t.  A gap is 0 inside a block of tied distances, so a
-    cumulative weight counts as a ball mass only at the end of its block.
+    ``dist[t]``) and ``gaps`` (the length of [r_j, r_{j+1}) clipped to
+    delta, r_j the j-th sorted distance) describe the balls around t.  A gap
+    is 0 inside a block of tied distances, so a cumulative weight counts as
+    a ball mass only at the end of its block.
     Memory is O(n^2) per evaluator and per call.  ``delta`` is truncated at
     the diameter: the functionals treat delta >= diam and delta = infinity
     as identical.
@@ -159,8 +156,6 @@ class SigmaEvaluator:
         self.delta = max(float(d), 0.0)
         n = space.n
         self.order = np.argsort(space.dist, axis=1, kind="stable")
-        self.pos = np.empty_like(self.order)
-        np.put_along_axis(self.pos, self.order, np.arange(n)[None, :], axis=1)
         sd = np.take_along_axis(space.dist, self.order, axis=1)
         nxt = np.minimum(np.c_[sd[:, 1:], np.full(n, np.inf)], self.delta)
         self.gaps = np.clip(nxt - sd, 0.0, None)
@@ -186,8 +181,7 @@ class SigmaEvaluator:
     def _fprime(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         if self.mode == GAUSSIAN_LOG:
-            fv = np.sqrt(np.maximum(-np.log2(p), 0.0))
-            fv = np.maximum(fv, 1e-8)  # clamp the p -> 1 singularity
+            fv = np.maximum(self.f(p), 1e-8)  # clamp the p -> 1 singularity
             return -1.0 / (2.0 * math.log(2.0) * p * fv)
         # young-inverse, built-in family handled generically via finite diff
         h = 1e-7
@@ -206,7 +200,9 @@ class SigmaEvaluator:
         term = np.zeros_like(p)
         term[moving] = self.gaps[moving] * self._fprime(p[moving])
         suffix = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
-        return np.take_along_axis(suffix, self.pos, axis=1)
+        J = np.empty_like(suffix)
+        np.put_along_axis(J, self.order, suffix, axis=1)
+        return J
 
     def m_self_grad(self, w: np.ndarray, prof: np.ndarray) -> np.ndarray:
         """Gradient of M(mu, mu) at w, given ``prof = profile(w)``."""

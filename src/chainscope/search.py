@@ -31,6 +31,8 @@ from .metric_core import FiniteMetricSpace
 BALANCE_MAX_ITER = 2000
 BALANCE_DAMPING = 0.5
 BALANCE_TOL = 1e-8
+# the three searches: relative gain a step or a new best iterate must make
+SEARCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,6 @@ class OptimizationResult:
     measure: ProbabilityMeasure
     objective: float
     iterations: int
-    restarts_used: int
     converged: bool
 
 
@@ -56,19 +57,14 @@ def _project(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _evaluator(space, delta=None, mode=GAUSSIAN_LOG):
-    if space.n == 0:
-        raise ValueError("empty space")
-    return SigmaEvaluator(space, delta, mode)
-
-
 class _SelfM:
-    """sup_mu M(mu, mu), followed exactly; a step must gain tol * (1 + |M|)."""
+    """sup_mu M(mu, mu), followed exactly; a step must gain SEARCH_TOL * (1 + |M|)."""
 
     sign = 1.0
+    slack = SEARCH_TOL
 
-    def __init__(self, ev, tol):
-        self.ev, self.slack = ev, tol
+    def __init__(self, ev):
+        self.ev = ev
 
     def start(self, prof):
         pass
@@ -125,13 +121,13 @@ class _Soft:
         return self.ev.jacobian(w).T @ sm
 
 
-def _mirror_ascent(problem, w, max_iter, tol):
+def _mirror_ascent(problem, w, max_iter):
     """Multiplicative-weights local search with a backtracking step size.
 
     Steps follow ``problem.value`` along ``problem.gradient`` (``sign`` +1
     ascends, -1 descends) when they move it by more than ``slack * (1 +
     |value|)``; the best iterate by ``problem.exact`` is kept up to a relative
-    ``tol``.  Each accepted point's profile is computed once.  Returns
+    ``SEARCH_TOL``.  Each accepted point's profile is computed once.  Returns
     (best_w, best_exact, iterations, converged); converged means a stop
     before ``max_iter``.
     """
@@ -157,7 +153,7 @@ def _mirror_ascent(problem, w, max_iter, tol):
             if sign * (problem.value(cprof, cand) - val) > problem.slack * (1.0 + abs(val)):
                 w, prof = cand, cprof
                 cexact = problem.exact(prof, w)
-                if sign * (cexact - best) > tol * (1.0 + abs(best)):
+                if sign * (cexact - best) > SEARCH_TOL * (1.0 + abs(best)):
                     best_w, best = w, cexact
                 eta = min(eta * 1.5, 4.0)
                 break
@@ -169,7 +165,7 @@ def _mirror_ascent(problem, w, max_iter, tol):
     return best_w, best, it, False
 
 
-def _best_of_restarts(problem, name, init_measures, restarts, max_iter, tol, seed, trace):
+def _best_of_restarts(problem, name, init_measures, restarts, max_iter, seed, trace):
     """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
     ``restarts`` Dirichlet draws.
 
@@ -178,6 +174,8 @@ def _best_of_restarts(problem, name, init_measures, restarts, max_iter, tol, see
     """
     space = problem.ev.space
     n = space.n
+    if n == 0:
+        raise ValueError("empty space")
     rng = np.random.default_rng(seed)
     inits = ([np.full(n, 1.0 / n)]
              + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
@@ -185,7 +183,7 @@ def _best_of_restarts(problem, name, init_measures, restarts, max_iter, tol, see
     best = None
     total_it = 0
     for idx, w0 in enumerate(inits):
-        w, obj, it, conv = _mirror_ascent(problem, w0, max_iter, tol)
+        w, obj, it, conv = _mirror_ascent(problem, w0, max_iter)
         total_it += it
         if trace is not None:
             trace.append({"problem": name, "restart": idx,
@@ -194,12 +192,12 @@ def _best_of_restarts(problem, name, init_measures, restarts, max_iter, tol, see
             best = (w, obj, conv)
     return OptimizationResult(measure=ProbabilityMeasure(space, best[0]),
                               objective=float(best[1]), iterations=total_it,
-                              restarts_used=restarts, converged=best[2])
+                              converged=best[2])
 
 
 def maximize_M_self(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG,
                     delta: float | None = None, init_measures=None, restarts: int = 8,
-                    max_iter: int = 300, tol: float = 1e-9, seed: int = 0,
+                    max_iter: int = 300, seed: int = 0,
                     trace: list | None = None) -> OptimizationResult:
     """Best-found measure for sup_mu M(mu, mu, delta).
 
@@ -207,24 +205,24 @@ def maximize_M_self(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG,
     Dirichlet restarts; the returned objective is the exact functional at
     the returned measure.
     """
-    return _best_of_restarts(_SelfM(_evaluator(space, delta, mode), tol), "sup_self",
-                             init_measures, restarts, max_iter, tol, seed, trace)
+    return _best_of_restarts(_SelfM(SigmaEvaluator(space, delta, mode)), "sup_self",
+                             init_measures, restarts, max_iter, seed, trace)
 
 
 def minimize_sup_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts: int = 8,
-                   max_iter: int = 400, tol: float = 1e-9, seed: int = 0,
+                   max_iter: int = 400, seed: int = 0,
                    trace: list | None = None) -> OptimizationResult:
     """Best-found measure for inf_mu sup_t M(mu, delta_t).
 
     The reported objective is an upper bound for the true infimum
     (feasible-point semantics).
     """
-    return _best_of_restarts(_Soft(_evaluator(space, None, mode), -1.0), "inf_sup", None,
-                             restarts, max_iter, tol, seed, trace)
+    return _best_of_restarts(_Soft(SigmaEvaluator(space, None, mode), -1.0), "inf_sup", None,
+                             restarts, max_iter, seed, trace)
 
 
 def maximize_inf_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts: int = 8,
-                   max_iter: int = 400, tol: float = 1e-9, seed: int = 0,
+                   max_iter: int = 400, seed: int = 0,
                    extra_inits=None, trace: list | None = None) -> OptimizationResult:
     """Best-found measure for sup_mu inf_t M(mu, delta_t).
 
@@ -232,13 +230,13 @@ def maximize_inf_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts:
     integrals keep the inner infimum non-degenerate over the support.
     Without one (coincident points) the search warns and goes on without it.
     """
-    problem = _Soft(_evaluator(space, None, mode), 1.0)
+    problem = _Soft(SigmaEvaluator(space, None, mode), 1.0)
     inits = list(extra_inits or [])
     try:
         inits.append(balanced_measure(space).measure)
     except ValueError as exc:
         warnings.warn(f"sup_inf search without the balanced initializer: {exc}")
-    return _best_of_restarts(problem, "sup_inf", inits, restarts, max_iter, tol, seed, trace)
+    return _best_of_restarts(problem, "sup_inf", inits, restarts, max_iter, seed, trace)
 
 
 def balanced_measure(space: FiniteMetricSpace, young: YoungFunction | None = None,
@@ -342,7 +340,7 @@ class DualityReport:
 
 
 def duality_report(space: FiniteMetricSpace, model=None, n_samples: int = 20000,
-                   seed: int = 0, restarts: int = 8, max_iter: int = 300,
+                   seed: int = 0, restarts: int = 8,
                    threads: int = 1, trace: list | None = None) -> DualityReport:
     """All three extrema plus the Monte Carlo E sup and their pairwise ratios.
 
@@ -360,16 +358,13 @@ def duality_report(space: FiniteMetricSpace, model=None, n_samples: int = 20000,
         est = estimate_sup(model, n_samples, seed, threads)
         esup, se = est.mean, est.stderr
         inits.append(argmax_distribution(model, n_samples, seed + 1, threads).measure)
-    sup_inf = maximize_inf_M(space, restarts=restarts, max_iter=max_iter, seed=seed,
-                             trace=trace)
-    inf_sup = minimize_sup_M(space, restarts=restarts, max_iter=max_iter, seed=seed,
-                             trace=trace)
+    sup_inf = maximize_inf_M(space, restarts=restarts, max_iter=300, seed=seed, trace=trace)
+    inf_sup = minimize_sup_M(space, restarts=restarts, max_iter=300, seed=seed, trace=trace)
     sup_self = maximize_M_self(space, init_measures=inits + [sup_inf.measure],
-                               restarts=restarts, max_iter=max_iter, seed=seed,
-                               trace=trace)
-    ev = SigmaEvaluator(space)
-    prof = ev.profile(sup_inf.measure.weights)
-    if not (prof.min() <= ev.m_self(sup_inf.measure.weights) + 1e-9):
+                               restarts=restarts, max_iter=300, seed=seed, trace=trace)
+    w = sup_inf.measure.weights
+    prof = SigmaEvaluator(space).profile(w)
+    if not (prof.min() <= nu_average(prof, w) + 1e-9):
         flags.append("averaging sandwich violated")
     if sup_inf.objective > sup_self.objective + 1e-6:
         flags.append("ordering sup_inf <= sup_self violated")

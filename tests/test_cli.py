@@ -254,6 +254,21 @@ class TestModulus:
         header = (out / "modulus_delta.csv").read_text().splitlines()[0]
         assert header == "delta,s_delta,s_stderr"
 
+    def test_pairs_follow_the_instance_metric(self, tmp_path):
+        # no distance of this matrix lies in (sqrt(10), 3.17], so both deltas
+        # keep the same five pairs; the metric re-derived from the MDS
+        # covariance puts d(1, 3) just above sqrt(10)
+        r10, r13 = math.sqrt(10.0), math.sqrt(13.0)
+        path = write_instance(tmp_path, {"name": "four", "metric": {"type": "matrix", "data": [
+            [0, r13, 2, 3], [r13, 0, 3, r10], [2, 3, 0, 1], [3, r10, 1, 0]]}})
+        values = []
+        for delta in (repr(r10), "3.17"):
+            code, out = run(tmp_path, "modulus", "--instance", path, "--delta-grid", delta,
+                            "--samples", "4000", "--seed", "3", sub=delta)
+            assert code == 0
+            values.append(read_report(out, "modulus")["payload"]["rows"][0]["s_delta"])
+        assert values[0] == values[1]
+
 
 class TestManifestReplay:
     def test_replay_byte_identical(self, tmp_path):
