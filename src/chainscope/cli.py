@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -63,33 +64,23 @@ def validate_envelope(envelope: dict) -> None:
     jsonschema.validate(envelope, ENVELOPE_SCHEMA)
 
 
-def _threads_default() -> int:
-    env = os.environ.get("CHAINSCOPE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _parse_grid(text: str):
     try:
         vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise InstanceError(f"bad numeric list {text!r}") from None
-    if not vals or any(v <= 0 for v in vals):
-        raise InstanceError("grid values must be positive")
+    if not vals or not all(0 < v < math.inf for v in vals):
+        raise InstanceError("grid values must be positive and finite")
     return vals
 
 
 def _at_least(kind, low, strict: bool = False):
-    """argparse ``type=`` for ``kind(text) >= low`` (``> low`` if strict); else exit 2."""
+    """argparse ``type=`` for a finite ``kind(text) >= low`` (``> low`` if strict); else exit 2."""
     def parse(text: str):
         value = kind(text)
-        if not (value > low if strict else value >= low):
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(
-                f"{text!r} must be {'>' if strict else '>='} {low}")
+                f"{text!r} must be {'>' if strict else '>='} {low} and finite")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
@@ -106,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance_required=True, samples=True):
         p.add_argument("--instance", required=instance_required,
                        help="instance JSON file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(int, 0), default=0)
         if samples:
             p.add_argument("--samples", type=_at_least(int, 2), default=20000)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=_at_least(int, 1), default=None,
-                       help="worker threads (CHAINSCOPE_THREADS as fallback)")
+        p.add_argument("--threads", type=_at_least(int, 1), default=1,
+                       help="worker threads")
 
     p = sub.add_parser("analyze", help="diameter, covering table, entropy integral")
     common(p, samples=False)
@@ -128,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--r", type=_at_least(float, 1, strict=True), default=4.0,
                    help="scale ratio between levels")
-    p.add_argument("--eps", type=_at_least(float, 0, strict=True), default=None,
-                   help="audit slack (default 0.01 * diameter)")
 
     p = sub.add_parser("duality", help="three extremal searches plus E sup")
     common(p)
@@ -163,9 +152,11 @@ def _space(inst):
 
 
 def _covering_rows(space):
-    radii = [float(d) for d in space.distinct_distances()]
-    if radii:
-        radii = [radii[0] / 2.0] + radii
+    """One row per segment of the scale table: at half the smallest distance,
+    then at each distinct distance."""
+    radii = space.breaks[1:]
+    if radii.size:
+        radii = np.concatenate([[radii[0] / 2.0], radii])
     return [{"radius": rep.radius, "greedy_cover_size": rep.greedy_cover_size,
              "packing_size": rep.packing_size,
              "lower_bound": rep.certified_bounds[0],
@@ -236,7 +227,7 @@ def cmd_partition(args, inst, outputs):
     space = _space(inst)
     model = build_model(covariance_from_instance(inst), space)
     oracle = common_sample_oracle(model, args.samples, args.seed)
-    tree = build_partition(space, oracle, r=args.r, eps_slack=args.eps)
+    tree = build_partition(space, oracle, r=args.r)
     mu = uniform_measure(space)
     audits = []
     for level in tree.levels[:-1]:
@@ -246,7 +237,8 @@ def cmd_partition(args, inst, outputs):
     esup = tree.levels[0][0].F_estimate
     payload = {
         "r": tree.r,
-        "eps_slack": tree.eps_slack,
+        # informational only: no audit reads it
+        "eps_slack": 0.01 * space.diam if space.diam > 0 else 0.01,
         "depth": tree.depth,
         "level_sizes": [len(level) for level in tree.levels],
         "levels": [[{"members": list(c.members), "center": c.center,
@@ -360,8 +352,6 @@ def _flag_dict(args) -> dict:
 
 
 def run_command(args) -> int:
-    if args.threads is None:
-        args.threads = _threads_default()
     os.makedirs(args.out, exist_ok=True)
     outputs = _Outputs(args.out)
     start = time.monotonic()

@@ -20,8 +20,7 @@ from scipy.special import ndtri
 
 from . import measures
 from .measures import ProbabilityMeasure, functional_M
-from .metric_core import (FiniteMetricSpace, build_from_covariance, cover_sizes, packings,
-                          sqrt_log2)
+from .metric_core import FiniteMetricSpace, build_from_covariance, cover_sizes, sqrt_log2
 
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
@@ -237,16 +236,16 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
 def sudakov_bound(space: FiniteMetricSpace):
     """max over separations a of a * sqrt(log2 m(a)), without the constant.
 
-    m(a) is the greedy packing size at pairwise distance >= a.  Returns
-    (value, (a, m)) with the maximizing witness (the smallest such a), or
-    (0.0, (0.0, 1)) when all points coincide.
+    m(a) is the greedy packing size at pairwise distance >= a.  At the k-th
+    distinct distance a = breaks[k + 1] that is the strict packing at the
+    break before it, ``packs[k]``, so the scale table holds every m(a).
+    Returns (value, (a, m)) with the maximizing witness (the smallest such
+    a), or (0.0, (0.0, 1)) when fewer than two points are distinct.
     """
-    if space.n < 2:
-        raise ValueError("sudakov_bound needs at least 2 points")
-    seps = space.distinct_distances()
-    if seps.size == 0:  # all points coincide
+    seps = space.breaks[1:]
+    if seps.size == 0:
         return 0.0, (0.0, 1)
-    sizes = packings(space, seps, strict=False).sum(axis=1)
+    sizes = space.packs[:-1]
     vals = seps * sqrt_log2(sizes)
     i = int(np.argmax(vals))
     return float(vals[i]), (float(seps[i]), int(sizes[i]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -29,6 +30,11 @@ class FiniteMetricSpace:
     ``dist`` is an n x n symmetric matrix with zero diagonal that satisfies
     the triangle inequality within :data:`TRIANGLE_TOL`.  Instances are
     immutable; every operation on them is pure.
+
+    Cover and packing counts are step functions of the scale that change
+    only at pairwise distances, so the scale table, one row per segment
+    ``[breaks[k], breaks[k+1])``, holds them all.  Each column is computed
+    on first use and kept, read-only, on the instance.
     """
 
     dist: np.ndarray
@@ -45,13 +51,47 @@ class FiniteMetricSpace:
         """Indices of the closed ball around point ``t``."""
         return np.flatnonzero(self.dist[t] <= radius)
 
-    def distinct_distances(self) -> np.ndarray:
-        """Sorted distinct positive pairwise distances."""
-        if self.n < 2:
-            return np.empty(0)
+    @cached_property
+    def breaks(self) -> np.ndarray:
+        """[0, d_0, ..., d_{K-1}] over the sorted distinct positive distances."""
         iu = np.triu_indices(self.n, k=1)
-        vals = np.unique(self.dist[iu])
-        return vals[vals > 0]
+        ds = np.unique(self.dist[iu])
+        return _frozen(np.concatenate([[0.0], ds[ds > 0]]))
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        """Greedy cover size on each segment, from one greedy permutation.
+
+        The cover at radius r is the shortest prefix of the permutation
+        whose covering radius is <= r, so its size is
+        ``1 + #(insertion radii > r)``; insertion radii are distances, so
+        the size is constant on each segment.
+        """
+        if self.n == 0:
+            return _frozen(np.zeros(1, dtype=int))
+        _, inserted = greedy_permutation(self)
+        inserted = np.sort(inserted[1:])
+        return _frozen(1 + inserted.size - np.searchsorted(inserted, self.breaks, side="right"))
+
+    @cached_property
+    def packs(self) -> np.ndarray:
+        """Strict greedy packing size on each segment, from one :func:`packings` scan."""
+        return _frozen(packings(self, self.breaks).sum(axis=1))
+
+    def segment(self, radii) -> np.ndarray:
+        """Index k of the segment [breaks[k], breaks[k+1]) holding each radius.
+
+        A negative or NaN radius raises ``ValueError``.
+        """
+        radii = np.asarray(radii, dtype=float)
+        if not np.all(radii >= 0):
+            raise ValueError("lookup radius must be nonnegative")
+        return np.searchsorted(self.breaks, radii, side="right") - 1
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def build_from_distance_matrix(matrix, *, _check_triangle: bool = True) -> FiniteMetricSpace:
@@ -157,52 +197,41 @@ def greedy_permutation(space: FiniteMetricSpace):
 
 
 def cover_sizes(space: FiniteMetricSpace, radii) -> np.ndarray:
-    """Greedy cover size at each radius, from one greedy permutation.
+    """Greedy cover size at each radius, read from the scale table.
 
-    The cover at radius r is the shortest prefix of the permutation whose
-    covering radius is <= r, so its size is ``1 + #(insertion radii > r)``,
-    read for every radius at once with ``searchsorted`` on the sorted
-    insertion radii.  Returns an int array shaped like ``radii``.
+    Returns an int array shaped like ``radii``; a negative or NaN radius raises
+    ``ValueError``.
     """
-    radii = np.asarray(radii, dtype=float)
-    if space.n <= 1:
-        return np.full(radii.shape, space.n, dtype=int)
-    _, inserted = greedy_permutation(space)
-    inserted = np.sort(inserted[1:])
-    return 1 + inserted.size - np.searchsorted(inserted, radii, side="right")
+    return space.covers[space.segment(radii)]
 
 
 def greedy_cover_size(space: FiniteMetricSpace, radius: float) -> int:
     return int(cover_sizes(space, [radius])[0])
 
 
-def packings(space: FiniteMetricSpace, separations, strict: bool = True) -> np.ndarray:
+def packings(space: FiniteMetricSpace, separations) -> np.ndarray:
     """Greedy maximal packings at several separations, scanned in index order.
 
     Row r of the returned (separations x n) boolean matrix marks the points
-    kept at ``separations[r]``: ``strict`` keeps points at pairwise distance
-    ``> separation``, otherwise ``>= separation`` (the Sudakov convention).
-    One scan over the points serves every row: point i is kept in each row
-    where no kept point blocks it, and then blocks, in those rows, each later
-    point j that fails the comparison on ``dist[j, i]``.  Those are the
+    kept at ``separations[r]``, pairwise at distance ``> separation``.  One
+    scan over the points serves every row: point i is kept in each row
+    where no earlier kept point blocks it, and then blocks, in those rows,
+    each later point j with ``dist[j, i] <= separation``.  Those are the
     comparisons an independent scan per separation makes, on the same
-    entries, so every row equals that scan's packing.
+    entries, so every row equals that scan's packing.  Column i is final
+    once the scan reaches i, so the kept points are the never-blocked ones.
     """
     seps = np.asarray(separations, dtype=float).reshape(-1, 1)
-    keep = np.zeros((seps.shape[0], space.n), dtype=bool)
-    blocked = np.zeros_like(keep)
+    blocked = np.zeros((seps.shape[0], space.n), dtype=bool)
     for i in range(space.n):
         rows = np.flatnonzero(~blocked[:, i])
-        keep[rows, i] = True
-        later = space.dist[i + 1:, i]
-        apart = later > seps[rows] if strict else later >= seps[rows]
-        blocked[rows, i + 1:] |= ~apart
-    return keep
+        blocked[rows, i + 1:] |= ~(space.dist[i + 1:, i] > seps[rows])
+    return ~blocked
 
 
-def greedy_packing(space: FiniteMetricSpace, separation: float, strict: bool = True) -> list[int]:
+def greedy_packing(space: FiniteMetricSpace, separation: float) -> list[int]:
     """Greedy maximal packing at one separation; see :func:`packings`."""
-    return np.flatnonzero(packings(space, [separation], strict)[0]).tolist()
+    return np.flatnonzero(packings(space, [separation])[0]).tolist()
 
 
 def exact_covering_number(space: FiniteMetricSpace, radius: float) -> int:
@@ -219,8 +248,8 @@ def exact_covering_number(space: FiniteMetricSpace, radius: float) -> int:
             m |= 1 << int(x)
         masks.append(m)
     full = (1 << n) - 1
-    lo = len(greedy_packing(space, 2.0 * radius, strict=True))
-    hi = greedy_cover_size(space, radius)
+    at_r, at_2r = space.segment([radius, 2.0 * radius])
+    lo, hi = int(space.packs[at_2r]), int(space.covers[at_r])
     for k in range(max(lo, 1), hi + 1):
         for combo in itertools.combinations(range(n), k):
             acc = 0
@@ -246,19 +275,18 @@ def covering_table(space: FiniteMetricSpace, radii) -> list[CoveringReport]:
 
     ``certified_bounds = (packing at separation 2*radius, greedy cover size)``
     brackets the exact covering number: points pairwise further than
-    ``2*radius`` apart cannot share one closed ball.  One :func:`cover_sizes`
-    call and one :func:`packings` call over ``[radii, 2*radii]`` serve the
-    whole table.
+    ``2*radius`` apart cannot share one closed ball.  Every count is a
+    lookup in the space's scale table.
     """
-    radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
+    radii = np.array(radii, dtype=float)
+    if np.any(radii <= 0):
         raise ValueError("radius must be positive")
-    uppers = cover_sizes(space, radii).tolist()
-    packed = packings(space, radii + [2.0 * r for r in radii], strict=True).sum(axis=1).tolist()
-    k = len(radii)
+    k, k2 = space.segment(radii), space.segment(2.0 * radii)
     return [CoveringReport(radius=r, greedy_cover_size=upper, packing_size=packing,
                            certified_bounds=(lower, upper))
-            for r, upper, packing, lower in zip(radii, uppers, packed[:k], packed[k:])]
+            for r, upper, packing, lower in zip(radii.tolist(), space.covers[k].tolist(),
+                                                space.packs[k].tolist(),
+                                                space.packs[k2].tolist())]
 
 
 def covering_number(space: FiniteMetricSpace, radius: float) -> CoveringReport:
@@ -268,20 +296,6 @@ def covering_number(space: FiniteMetricSpace, radius: float) -> CoveringReport:
 
 # ---------------------------------------------------------------------------
 # entropy integrals
-
-
-def _segment_table(space: FiniteMetricSpace):
-    """Breakpoints of eps -> greedy cover size.
-
-    Returns (starts, sizes): the cover size equals sizes[i] on
-    [starts[i], starts[i+1]) with starts[0] = 0.
-    """
-    if space.n <= 1:
-        return np.array([0.0]), np.array([space.n], dtype=int)
-    ds = space.distinct_distances()
-    if ds.size == 0:
-        return np.array([0.0]), cover_sizes(space, [0.0])
-    return np.concatenate([[0.0], ds]), cover_sizes(space, np.concatenate([[ds[0] / 2.0], ds]))
 
 
 def sqrt_log2(counts) -> np.ndarray:
@@ -298,10 +312,10 @@ def entropy_integral(space: FiniteMetricSpace, delta: float) -> float:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    starts, sizes = _segment_table(space)
+    starts = space.breaks
     hi = min(delta, space.diam) if space.diam > 0 else 0.0
     lengths = np.minimum(np.append(starts[1:], np.inf), hi) - starts
-    terms = np.maximum(lengths, 0.0) * sqrt_log2(sizes)
+    terms = np.maximum(lengths, 0.0) * sqrt_log2(space.covers)
     return float(np.cumsum(terms)[-1])  # cumsum adds strictly left to right
 
 
@@ -312,6 +326,5 @@ def modulus_entropy_diagnostic(space: FiniteMetricSpace):
     diameter reports the last nontrivial scale.  An empty table for
     singleton spaces.
     """
-    starts, sizes = _segment_table(space)
-    deltas = starts[1:]
-    return list(zip(deltas.tolist(), (deltas * sqrt_log2(sizes[:-1])).tolist()))
+    deltas = space.breaks[1:]
+    return list(zip(deltas.tolist(), (deltas * sqrt_log2(space.covers[:-1])).tolist()))

@@ -38,7 +38,6 @@ class Cell:
 class PartitionTree:
     space: FiniteMetricSpace
     r: float
-    eps_slack: float
     levels: list  # levels[k] = list of cells forming partition A_k
 
     @property
@@ -85,27 +84,22 @@ def _one_center(space: FiniteMetricSpace, members) -> int:
 
 
 def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
-                    eps_slack: float | None = None, max_levels: int | None = None) -> PartitionTree:
+                    max_levels: int | None = None) -> PartitionTree:
     """Carve the leveled partition tree down to singleton cells.
 
     The maximization of F over candidate centers is exact over the finite
     set, so the +eps slack of the abstract construction is not needed to
-    pick centers; ``eps_slack`` (default 0.01 * diam) survives only as the
-    audit tolerance for carving-order checks.  ``F_oracle`` must be a
-    deterministic function of its subset: carving scores each candidate's
-    probe ball once, again only after a carve takes one of its members,
-    takes the first maximum in member order as center, and calls F once
-    per carved cell, unless the cell is exactly the center's probe ball,
-    whose (F, se) pair it already holds.  Carving stops after
-    ``max_levels + 2`` levels (by default enough for the smallest distance)
-    with a warning that names the largest leaf left.
+    pick centers.  ``F_oracle`` must be a deterministic function of its
+    subset: carving scores each candidate's probe ball once, again only
+    after a carve takes one of its members, takes the first maximum in
+    member order as center, and calls F once per carved cell, unless the
+    cell is exactly the center's probe ball, whose (F, se) pair it already
+    holds.  Carving stops after ``max_levels + 2`` levels (by default
+    enough for the smallest distance) with a warning that names the largest
+    leaf left.
     """
     if r <= 1.0:
         raise ValueError("r must be > 1")
-    if eps_slack is None:
-        eps_slack = 0.01 * space.diam if space.diam > 0 else 0.01
-    if eps_slack <= 0:
-        raise ValueError("eps_slack must be positive")
 
     all_points = tuple(range(space.n))
     mean, se = F_oracle(all_points)
@@ -113,13 +107,11 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
                 level=0, F_estimate=mean, F_stderr=se)
     levels = [[root]]
     if space.n <= 1:
-        return PartitionTree(space=space, r=float(r), eps_slack=float(eps_slack), levels=levels)
+        return PartitionTree(space=space, r=float(r), levels=levels)
 
-    ds = space.distinct_distances()
-    d_min = float(ds[0]) if ds.size else 0.0
     if max_levels is None:
-        if space.diam > 0 and d_min > 0:
-            max_levels = int(math.ceil(math.log(space.diam / d_min, r))) + 2
+        if space.breaks.size > 1:  # breaks[1] is the smallest positive distance
+            max_levels = int(math.ceil(math.log(space.diam / float(space.breaks[1]), r))) + 2
         else:
             max_levels = 1
 
@@ -158,7 +150,7 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
         levels.append(new_level)
         k += 1
 
-    return PartitionTree(space=space, r=float(r), eps_slack=float(eps_slack), levels=levels)
+    return PartitionTree(space=space, r=float(r), levels=levels)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ per shard, is the reference for the streamed pair reduction of
 rescores every remaining candidate's probe ball after each carve, is the
 reference for the carried-score carving of ``partition.build_partition``.
 ``entropy_integral_reference``, ``modulus_entropy_diagnostic_reference``
-and ``sudakov_bound_reference``, one distance row at a time, are the
-references for the array forms in ``metric_core`` and ``gaussian_lab``.
+and ``sudakov_bound_reference``, one distinct distance at a time and
+built only from the sequential scans ``cover_size_reference`` and
+``greedy_packing_reference``, are the references for the scale-table
+forms in ``metric_core`` and ``gaussian_lab``.
 """
 
 import math
@@ -395,8 +397,8 @@ def build_partition_reference(space, F_oracle, r=4.0):
     levels = [[root]]
     if space.n <= 1:
         return levels
-    ds = space.distinct_distances()
-    d_min = float(ds[0]) if ds.size else 0.0
+    ds = distinct_distances_reference(space)
+    d_min = ds[0] if ds else 0.0
     if space.diam > 0 and d_min > 0:
         max_levels = int(math.ceil(math.log(space.diam / d_min, r))) + 2
     else:
@@ -427,43 +429,54 @@ def build_partition_reference(space, F_oracle, r=4.0):
     return levels
 
 
+def distinct_distances_reference(space):
+    """Sorted distinct positive pairwise distances, one pair at a time."""
+    D = space.dist
+    return sorted({float(D[i, j]) for i in range(space.n) for j in range(i + 1, space.n)
+                   if D[i, j] > 0})
+
+
+def _segments_reference(space):
+    """(start, greedy cover size) of each segment of eps -> N^(eps), from eps = 0 up.
+
+    The cover size only changes at distances, so it is read once per
+    segment, at the segment's start.
+    """
+    starts = [0.0] + distinct_distances_reference(space)
+    return [(a, cover_size_reference(space, a)) for a in starts]
+
+
 def entropy_integral_reference(space, delta):
     """Integral of sqrt(log2 N^(eps)) over (0, min(delta, diam)], one segment at a time."""
-    from chainscope.metric_core import _segment_table
-
-    starts, sizes = _segment_table(space)
+    segments = _segments_reference(space)
     hi = min(delta, space.diam) if space.diam > 0 else 0.0
     total = 0.0
-    for i in range(len(starts)):
-        a = starts[i]
-        b = starts[i + 1] if i + 1 < len(starts) else np.inf
+    for i, (a, size) in enumerate(segments):
+        b = segments[i + 1][0] if i + 1 < len(segments) else np.inf
         length = max(0.0, min(b, hi) - a)
-        if length > 0 and sizes[i] > 1:
-            total += length * np.sqrt(np.log2(sizes[i]))
+        if length > 0 and size > 1:
+            total += length * np.sqrt(np.log2(size))
     return float(total)
 
 
 def modulus_entropy_diagnostic_reference(space):
     """(delta, delta * sqrt(log2 N^(delta-))) rows, one distinct distance at a time."""
-    from chainscope.metric_core import _segment_table
-
-    starts, sizes = _segment_table(space)
+    segments = _segments_reference(space)
     rows = []
-    for i in range(1, len(starts)):
-        below = sizes[i - 1]
-        d = starts[i]
-        rows.append((float(d), float(d * np.sqrt(np.log2(below))) if below > 1 else 0.0))
+    for (_, below), (d, _) in zip(segments, segments[1:]):
+        rows.append((d, float(d * np.sqrt(np.log2(below))) if below > 1 else 0.0))
     return rows
 
 
 def sudakov_bound_reference(space):
-    """(value, (a, m)) of the first strict maximum of a * sqrt(log2 m(a)), one a at a time."""
-    from chainscope.metric_core import packings
+    """(value, (a, m)) of the first strict maximum of a * sqrt(log2 m(a)), one a at a time.
 
-    seps = space.distinct_distances()
+    m(a) is the index-order greedy packing at pairwise distance ``>= a``.
+    """
     best = (0.0, (0.0, 1))
-    for a, m in zip(seps, packings(space, seps, strict=False).sum(axis=1).tolist()):
-        val = float(a) * math.sqrt(math.log2(m)) if m > 1 else 0.0
+    for a in distinct_distances_reference(space):
+        m = len(greedy_packing_reference(space, a, strict=False))
+        val = a * math.sqrt(math.log2(m)) if m > 1 else 0.0
         if val > best[0]:
-            best = (val, (float(a), m))
+            best = (val, (a, m))
     return best

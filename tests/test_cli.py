@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope import cli
-from chainscope.cli import (data_instance_path, main, replay_manifest,
-                            validate_envelope, _threads_default)
+from chainscope.cli import data_instance_path, main, replay_manifest, validate_envelope
 
 
 def run(tmp_path, *argv, sub="run"):
@@ -55,6 +60,7 @@ class TestInputErrors:
         ("bounds", "--mode", "young-inverse"),
         ("modulus", "--young", "3"),
         ("duality", "--tol", "1e-8"),
+        ("partition", "--eps", "0.5"),
         ("analyze", "--samples", "5"),
     ])
     def test_flag_of_another_command_exits_2(self, tmp_path, argv):
@@ -67,14 +73,16 @@ class TestInputErrors:
         ("modulus", "--samples", "0"),
         ("partition", "--r", "0.5"),
         ("partition", "--r", "1"),
-        ("partition", "--eps", "-1"),
-        ("partition", "--eps", "0"),
         ("ellipsoid", "--axes", "1,0.5", "--net", "-1"),
         ("ellipsoid", "--axes", "1,0.5", "--net", "0"),
         ("duality", "--restarts", "-1"),
         ("duality", "--threads", "0"),
         ("analyze", "--young", "0.5"),
         ("analyze", "--young", "nan"),
+        ("analyze", "--young", "inf"),
+        ("partition", "--r", "inf"),
+        ("ellipsoid", "--axes", "1,0.5", "--net", "inf"),
+        ("bounds", "--seed", "-1"),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -100,6 +108,20 @@ class TestInputErrors:
                       data_instance_path("two_point.json"),
                       "--delta-grid", "0.5,-1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--delta-grid", "nan"),
+        ("bounds", "--delta-grid", "0.5,inf"),
+        ("modulus", "--delta-grid", "nan"),
+        ("modulus", "--delta-grid", "1,-inf"),
+        ("ellipsoid", "--axes", "inf"),
+        ("ellipsoid", "--axes", "1,nan"),
+    ])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, argv):
+        code, _ = run(tmp_path, *argv, "--samples", "100",
+                      "--instance", data_instance_path("two_point.json"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid values must be positive and finite\n"
 
 
 class TestNumericErrors:
@@ -174,6 +196,16 @@ class TestBounds:
         assert p["dudley"] == pytest.approx(1.0)
         header = (out / "bounds_delta.csv").read_text().splitlines()[0]
         assert header == "delta,s_delta,s_stderr,cover_size,upper_proxy,lower_expression"
+
+    def test_one_point_degenerate(self, tmp_path):
+        path = write_instance(tmp_path, {
+            "name": "one", "metric": {"type": "matrix", "data": [[0]]}})
+        code, out = run(tmp_path, "bounds", "--instance", path, "--samples", "100")
+        assert code == 0
+        p = read_report(out, "bounds")["payload"]
+        assert p["degenerate"] is True
+        assert p["dudley"] == 0.0
+        assert p["sudakov"] == {"value": 0.0, "radius": 0.0, "packing": 1}
 
     def test_coincident_points_degenerate(self, tmp_path):
         # two perfectly correlated coordinates: both points of the canonical
@@ -301,14 +333,6 @@ class TestMisc:
                      "collinear_013.json", "iid_16.json"):
             assert os.path.exists(data_instance_path(name))
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CHAINSCOPE_THREADS", "6")
-        assert _threads_default() == 6
-        monkeypatch.setenv("CHAINSCOPE_THREADS", "junk")
-        assert _threads_default() == 1
-        monkeypatch.delenv("CHAINSCOPE_THREADS")
-        assert _threads_default() == 1
-
     def test_envelope_schema_rejects_extra_keys(self):
         import jsonschema
 
@@ -316,3 +340,85 @@ class TestMisc:
             validate_envelope({"schema_version": "1", "command": "analyze",
                                "instance": "x", "payload": {}, "warnings": [],
                                "extra": 1})
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv on tiny instances
+
+# flag -> (valid values, out-of-range or non-finite values)
+COMMON_FLAGS = {
+    "--seed": (["0", "7"], ["-1", "nan"]),
+    "--threads": (["1", "2"], ["0", "inf"]),
+}
+SAMPLES = (["2", "50", "200"], ["1", "0", "nan", "inf"])
+GRIDS = (["0.5", "0.25,1", "3"], ["0", "-1", "0.5,-2", "nan", "inf", "1,nan", "oops"])
+OWN_FLAGS = {
+    "analyze": {"--mode": (["gaussian-log", "young-inverse"], ["other"]),
+                "--young": (["1", "2.5"], ["0.5", "nan", "inf"])},
+    "bounds": {"--delta-grid": GRIDS},
+    "partition": {"--r": (["2", "4"], ["1", "0.5", "nan", "inf"])},
+    "duality": {"--restarts": (["0"], ["-1", "nan"])},
+    "ellipsoid": {"--axes": (["1,0.5", "1", "1,1,0.25"], ["0.5,1", "1,0", "nan", "1,inf"]),
+                  "--net": (["0.1", "0.5"], ["0", "-1", "nan", "inf"])},
+    "modulus": {"--delta-grid": GRIDS},
+}
+
+
+@st.composite
+def tiny_instances(draw):
+    """n <= 5 instances of each metric type; small integer data makes
+    coincident points and tied distances common."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(["matrix", "points", "covariance"]))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    A = np.array(draw(st.lists(st.integers(min_value=-2, max_value=2),
+                               min_size=n * dim, max_size=n * dim)), dtype=float)
+    A = A.reshape(n, dim)
+    if kind == "matrix":  # l1 distances, often not Euclidean-embeddable
+        data = np.abs(A[:, None, :] - A[None, :, :]).sum(axis=2)
+    elif kind == "points":
+        data = A
+    else:
+        data = A @ A.T
+    obj = {"name": "fuzz", "metric": {"type": kind, "data": data.tolist()}}
+    if draw(st.booleans()):
+        obj["weights"] = [1.0 / n] * n
+    return obj
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command with some of its flags set to valid values, and at most one
+    flag set to an out-of-range, NaN or infinite value."""
+    command = draw(st.sampled_from(sorted(OWN_FLAGS)))
+    flags = dict(COMMON_FLAGS, **OWN_FLAGS[command])
+    if command != "analyze":
+        flags["--samples"] = SAMPLES
+    bad = draw(st.one_of(st.none(), st.sampled_from(sorted(flags))))
+    argv = [command]
+    for flag, (valid, invalid) in sorted(flags.items()):
+        if flag == bad:
+            argv += [flag, draw(st.sampled_from(invalid))]
+        elif flag in ("--axes", "--samples") or draw(st.booleans()):
+            # --axes is required; the default 20000 samples would slow Tier-1
+            argv += [flag, draw(st.sampled_from(valid))]
+    return argv
+
+
+@given(tiny_instances(), fuzz_argv())
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_argv_exits_0_2_or_3_without_traceback(instance, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w") as fh:
+            json.dump(instance, fh)
+        if argv[0] != "ellipsoid":
+            argv = argv + ["--instance", path]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", os.path.join(tmp, "out")])
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -11,12 +11,14 @@ from chainscope import (MetricValidationError, build_from_covariance,
                         build_from_distance_matrix, build_from_points,
                         covering_number, entropy_integral,
                         modulus_entropy_diagnostic, sudakov_bound)
+from chainscope import metric_core
 from chainscope.metric_core import (cover_sizes, covering_table, exact_covering_number,
                                     greedy_cover_size, greedy_packing, greedy_permutation,
                                     packings)
 
 from conftest import integer_l1_space, random_covariance, random_space
-from oracles import (cover_size_reference, entropy_integral_reference, greedy_packing_reference,
+from oracles import (cover_size_reference, distinct_distances_reference,
+                     entropy_integral_reference, greedy_packing_reference,
                      modulus_entropy_diagnostic_reference, sudakov_bound_reference)
 
 
@@ -118,7 +120,7 @@ class TestCovering:
 
     def test_radius_below_min_distance_is_n(self, session_rng):
         sp = random_space(session_rng, 9)
-        d_min = float(sp.distinct_distances()[0])
+        d_min = float(sp.breaks[1])
         assert greedy_cover_size(sp, d_min * 0.49) == sp.n
 
     def test_cover_size_monotone_in_radius(self, session_rng):
@@ -148,9 +150,11 @@ class TestCovering:
         assert order[2] == 1  # 1 and 2 tie; lowest index wins
 
     def test_packing_strict_vs_nonstrict(self):
+        # the >= packing at a distance is the strict packing at the break before it
         sp = build_from_points([[0.0], [1.0], [2.0]])
-        assert greedy_packing(sp, 1.0, strict=True) == [0, 2]
-        assert greedy_packing(sp, 1.0, strict=False) == [0, 1, 2]
+        assert greedy_packing(sp, 1.0) == [0, 2]
+        assert greedy_packing_reference(sp, 1.0, strict=False) == [0, 1, 2]
+        assert greedy_packing(sp, 0.0) == [0, 1, 2]
 
 
 class TestEntropyIntegral:
@@ -211,13 +215,12 @@ class TestArrayBoundsMatchLoops:
 
     @staticmethod
     def _check(sp):
-        ds = sp.distinct_distances()
+        ds = sp.breaks[1:]
         deltas = [1.0] if ds.size == 0 else [ds[0] / 2.0, *ds, sp.diam, 10.0 * sp.diam]
         for delta in deltas:
             _same(entropy_integral(sp, delta), entropy_integral_reference(sp, delta))
         _same(modulus_entropy_diagnostic(sp), modulus_entropy_diagnostic_reference(sp))
-        if sp.n >= 2:
-            _same(sudakov_bound(sp), sudakov_bound_reference(sp))
+        _same(sudakov_bound(sp), sudakov_bound_reference(sp))
 
     @given(bound_spaces())
     @settings(max_examples=150, deadline=None)
@@ -238,22 +241,60 @@ class TestArrayBoundsMatchLoops:
         self._check(sp)
         assert entropy_integral(sp, 1.0) == 0.0
         assert modulus_entropy_diagnostic(sp) == []
-        if sp.n >= 2:
-            assert sudakov_bound(sp) == (0.0, (0.0, 1))
+        assert sudakov_bound(sp) == (0.0, (0.0, 1))
 
 
 class TestBatchedKernels:
     @given(st.one_of(integer_metrics(), l1_metrics()))
     @settings(max_examples=150, deadline=None)
     def test_match_sequential_scans(self, sp):
-        ds = sp.distinct_distances()
+        ds = sp.breaks[1:]
         radii = np.concatenate([[0.0], ds, ds / 2.0, 2.0 * ds])
-        for strict in (True, False):
-            rows = packings(sp, radii, strict=strict)
-            assert rows.shape == (radii.size, sp.n)
-            for r, row in zip(radii, rows):
-                assert np.flatnonzero(row).tolist() == greedy_packing_reference(sp, r, strict)
+        rows = packings(sp, radii)
+        assert rows.shape == (radii.size, sp.n)
+        for r, row in zip(radii, rows):
+            assert np.flatnonzero(row).tolist() == greedy_packing_reference(sp, r)
         assert cover_sizes(sp, radii).tolist() == [cover_size_reference(sp, r) for r in radii]
+
+    @given(st.one_of(integer_metrics(), l1_metrics()))
+    @settings(max_examples=100, deadline=None)
+    def test_scale_table_matches_sequential_scans(self, sp):
+        # each column is constant on [breaks[k], breaks[k+1]): check it at
+        # every break and at the midpoint of every gap
+        b = sp.breaks
+        assert b[0] == 0.0 and np.all(np.diff(b) > 0)
+        assert b[1:].tolist() == distinct_distances_reference(sp)
+        assert sp.covers.shape == sp.packs.shape == b.shape
+        mids = (b[:-1] + b[1:]) / 2.0
+        for k, a in enumerate(b):
+            probes = [a] if k == len(mids) else [a, mids[k]]
+            for r in probes:
+                assert sp.covers[k] == cover_size_reference(sp, r)
+                assert sp.packs[k] == len(greedy_packing_reference(sp, r))
+            assert cover_sizes(sp, probes).tolist() == [sp.covers[k]] * len(probes)
+
+    def test_scale_table_is_read_only_and_built_once(self, monkeypatch):
+        calls = []
+        real = metric_core.greedy_permutation
+        monkeypatch.setattr(metric_core, "greedy_permutation",
+                            lambda space: calls.append(space) or real(space))
+        sp = build_from_points([[0.0], [1.0], [3.0]])
+        covering_table(sp, [0.5, 1.0])
+        entropy_integral(sp, sp.diam)
+        modulus_entropy_diagnostic(sp)
+        assert sudakov_bound(sp) == (3.0, (3.0, 2))
+        assert len(calls) == 1
+        assert sp.breaks.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert sp.covers.tolist() == [3, 2, 2, 1]
+        assert sp.packs.tolist() == [3, 2, 2, 1]
+        for column in (sp.breaks, sp.covers, sp.packs):
+            assert not column.flags.writeable
+
+    def test_lookup_rejects_negative_radius(self):
+        sp = build_from_points([[0.0], [1.0]])
+        for bad in (-1e-300, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                cover_sizes(sp, [0.5, bad])
 
     def test_covering_table_matches_sequential_scans(self):
         sp = random_space(np.random.default_rng(11), 11)
