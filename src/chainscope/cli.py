@@ -51,6 +51,7 @@ ENVELOPE_SCHEMA = {
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+SEED_LIMIT = 2 ** 64  # --seed is below this, so every derived Philox key is below 2**128
 
 
 def data_instance_path(name: str) -> str:
@@ -74,13 +75,16 @@ def _parse_grid(text: str):
     return vals
 
 
-def _at_least(kind, low, strict: bool = False):
-    """argparse ``type=`` for a finite ``kind(text) >= low`` (``> low`` if strict); else exit 2."""
+def _at_least(kind, low, strict: bool = False, below=math.inf):
+    """argparse ``type=`` for a finite ``kind(text) >= low`` (``> low`` if strict)
+    that is also ``< below``; else exit 2."""
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        if not (math.isfinite(value) and (value > low if strict else value >= low)
+                and value < below):
             raise argparse.ArgumentTypeError(
-                f"{text!r} must be {'>' if strict else '>='} {low} and finite")
+                f"{text!r} must be {'>' if strict else '>='} {low} and "
+                + ("finite" if below == math.inf else f"< {below}"))
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance_required=True, samples=True):
         p.add_argument("--instance", required=instance_required,
                        help="instance JSON file")
-        p.add_argument("--seed", type=_at_least(int, 0), default=0)
+        p.add_argument("--seed", type=_at_least(int, 0, below=SEED_LIMIT), default=0)
         if samples:
             p.add_argument("--samples", type=_at_least(int, 2), default=20000)
         p.add_argument("--out", default=".", help="output directory")

@@ -55,10 +55,17 @@ def make_spec(semi_axes) -> EllipsoidSpec:
         raise ValueError("semi_axes must be positive")
     if np.any(np.diff(t) > 0):
         raise ValueError("semi_axes must be nonincreasing")
-    tails = np.sqrt(np.cumsum(t[::-1] ** 2)[::-1])
-    tails_sq = np.sqrt(np.cumsum(t[::-1] ** 4)[::-1])
+    with np.errstate(over="ignore", under="ignore"):
+        sq_sums = np.cumsum(t[::-1] ** 2)[::-1]
+        fourth_sums = np.cumsum(t[::-1] ** 4)[::-1]
+    # the axes do not increase, so the last sums are the smallest square and
+    # fourth power and the first are the largest sums
+    sums = np.concatenate([sq_sums, fourth_sums])
+    if not np.all(np.isfinite(sums) & (sums >= np.finfo(float).tiny)):
+        raise ValueError("semi_axes out of range: each square and fourth power, "
+                         "and their tail sums, must be finite normal floats")
     return EllipsoidSpec(semi_axes=t, norm_t=float(np.linalg.norm(t)),
-                         tail_norms=tails, tail_sq_norms=tails_sq)
+                         tail_norms=np.sqrt(sq_sums), tail_sq_norms=np.sqrt(fourth_sums))
 
 
 @dataclass(frozen=True)

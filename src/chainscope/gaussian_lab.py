@@ -5,6 +5,11 @@ index): sample i always occupies the same slice of the word stream, so
 estimates are bit-reproducible for a fixed seed no matter how the work is
 sharded or how many worker threads run the shards.  Reductions are performed
 in shard order to keep floating-point sums identical as well.
+
+Paths are laid out coordinates by samples: ``sample_paths`` returns an
+n x samples C-contiguous array whose row t is X(t) over the samples, so
+every estimator reduces across coordinates along axis 0, reading whole
+contiguous rows.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .metric_core import FiniteMetricSpace, build_from_covariance, cover_sizes, 
 
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
+TRANSPOSE_BLOCK = 1 << 15  # path values per block when sample_paths transposes a product
+MODULUS_BLOCK = 16384   # samples per column block of the modulus pair loop
 
 
 class FactorizationError(RuntimeError):
@@ -99,8 +106,20 @@ def standard_normal_block(seed: int, start: int, stop: int, n: int) -> np.ndarra
 
 
 def sample_paths(model: GaussianModel, start: int, stop: int, seed: int) -> np.ndarray:
-    """Process samples ``start..stop-1`` as rows (factor @ z per sample)."""
-    return standard_normal_block(seed, start, stop, model.n) @ model.factor.T
+    """Process samples ``start..stop-1`` as columns: row t holds X(t).
+
+    The product is formed sample-major, as ``z @ factor.T``, and copied out
+    in cache-sized blocks of samples.  ``factor @ z.T`` is not the same
+    arithmetic: OpenBLAS rounds the last (count mod 8) samples of a long
+    range differently in that orientation.  So every path value is bit for
+    bit the sample-major product, for any range.
+    """
+    rows = standard_normal_block(seed, start, stop, model.n) @ model.factor.T
+    out = np.empty(rows.shape[::-1])
+    step = max(1, TRANSPOSE_BLOCK // max(model.n, 1))
+    for s in range(0, rows.shape[0], step):
+        out[:, s:s + step] = rows[s:s + step].T
+    return out
 
 
 def _default_shard(n: int) -> int:
@@ -151,7 +170,7 @@ def estimate_sup(model: GaussianModel, n_samples: int, seed: int,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     parts = _map_shards(model, n_samples, seed, threads,
-                        lambda x: _sum_and_squares(x.max(axis=1)))
+                        lambda x: _sum_and_squares(x.max(axis=0)))
     mean, stderr = _mean_and_stderr(parts, n_samples)
     return SupremumEstimate(mean=mean, stderr=stderr)
 
@@ -176,11 +195,10 @@ def argmax_distribution(model: GaussianModel, n_samples: int, seed: int,
     tol = 0.0 if model.jitter == 0.0 else 10.0 * math.sqrt(2.0 * model.jitter)
 
     def per_block(x):
-        m = x.max(axis=1)
-        tied = (m[:, None] - x) <= tol
-        idx = tied.argmax(axis=1)  # first index within tolerance of the max
+        tied = (x.max(axis=0) - x) <= tol
+        idx = tied.argmax(axis=0)  # first index within tolerance of the max
         counts = np.bincount(idx, minlength=model.n)
-        ties = int(np.sum(tied.sum(axis=1) > 1))
+        ties = int(np.sum(tied.sum(axis=0) > 1))
         return counts, ties
 
     parts = _map_shards(model, n_samples, seed, threads, per_block)
@@ -213,15 +231,18 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
     pairs = list(zip(ii.tolist(), jj.tolist()))
 
     def per_block(x):
-        # one running max over the pairs, never a (shard x pairs) block; a
-        # max of exactly rounded |x_a - x_b| is the same in any pair order
-        xt = np.ascontiguousarray(x.T)
-        m = np.zeros(xt.shape[1])
-        diff = np.empty_like(m)
-        for a, b in pairs:
-            np.subtract(xt[a], xt[b], out=diff)
-            np.abs(diff, out=diff)
-            np.maximum(m, diff, out=m)
+        # one running max over the pairs, never a (shard x pairs) block, run
+        # over column blocks of samples so the rows read stay in cache; a max
+        # of exactly rounded |x_a - x_b| is the same in any pair or block order
+        m = np.zeros(x.shape[1])
+        diff = np.empty(min(MODULUS_BLOCK, x.shape[1]))
+        for s in range(0, x.shape[1], MODULUS_BLOCK):
+            xb, mb = x[:, s:s + MODULUS_BLOCK], m[s:s + MODULUS_BLOCK]
+            db = diff[:mb.size]
+            for a, b in pairs:
+                np.subtract(xb[a], xb[b], out=db)
+                np.abs(db, out=db)
+                np.maximum(mb, db, out=mb)
         return _sum_and_squares(m)
 
     parts = _map_shards(model, n_samples, seed, threads, per_block)
@@ -268,7 +289,7 @@ def concentration_check(model: GaussianModel, u_grid, n_samples: int, seed: int,
     u_grid = [float(u) for u in u_grid]
 
     def per_block(x):
-        m = x.max(axis=1)
+        m = x.max(axis=0)
         return m.sum(), m
 
     parts = _map_shards(model, n_samples, seed, threads, per_block)

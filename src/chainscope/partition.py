@@ -69,7 +69,7 @@ def common_sample_oracle(model, n_samples: int, seed: int):
 
     def oracle(subset):
         idx = np.fromiter(subset, dtype=int)
-        m = X[:, idx].max(axis=1)
+        m = X[idx].max(axis=0)
         mean = float(m.mean())
         se = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0
         return mean, se

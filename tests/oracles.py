@@ -11,7 +11,11 @@ row at a time, is the reference for the dense ``SigmaEvaluator``, and
 soft-extremum loop, is the reference for the one mirror-ascent loop of
 ``search``.  ``modulus_reference``, a fancy-indexed (shard x pairs) block
 per shard, is the reference for the streamed pair reduction of
-``gaussian_lab.estimate_modulus``.  ``build_partition_reference``, which
+``gaussian_lab.estimate_modulus``; both it and
+``common_sample_oracle_reference``, the reference for the F oracle of
+``partition``, form paths sample by sample in rows, independently of the
+coordinates-by-samples layout of ``gaussian_lab.sample_paths``.
+``build_partition_reference``, which
 rescores every remaining candidate's probe ball after each carve, is the
 reference for the carried-score carving of ``partition.build_partition``.
 ``entropy_integral_reference``, ``modulus_entropy_diagnostic_reference``
@@ -355,13 +359,14 @@ def search_reference(problem, space, restarts, max_iter, seed, init_measures=(),
     return w, float(exact[problem]), total, best[2], rows
 
 
-def modulus_reference(model, delta, n_samples, seed, threads):
+def modulus_reference(model, delta, n_samples, seed):
     """S(delta) from one (shard x admissible pairs) block of |X_s - X_t| per shard.
 
-    Same sharding, shard-order sums and empty-delta warning as
-    ``gaussian_lab.estimate_modulus``; returns (value, stderr).
+    Paths are formed sample by sample in rows, ``z @ factor.T``, one shard
+    after another.  Same shard size, shard-order sums and empty-delta
+    warning as ``gaussian_lab.estimate_modulus``; returns (value, stderr).
     """
-    from chainscope.gaussian_lab import _map_shards
+    from chainscope.gaussian_lab import _default_shard, standard_normal_block
 
     ii, jj = np.triu_indices(model.n, k=1)
     keep = model.space.dist[ii, jj] <= delta
@@ -370,16 +375,33 @@ def modulus_reference(model, delta, n_samples, seed, threads):
         warnings.warn("no admissible pair at this delta; modulus is trivially 0")
         return 0.0, 0.0
 
-    def per_block(x):
+    shard = _default_shard(model.n)
+    s = sq = 0.0
+    for start in range(0, n_samples, shard):
+        x = standard_normal_block(seed, start, min(start + shard, n_samples),
+                                  model.n) @ model.factor.T
         m = np.abs(x[:, ii] - x[:, jj]).max(axis=1)
-        return m.sum(), np.square(m).sum()
-
-    parts = _map_shards(model, n_samples, seed, threads, per_block)
-    s = sum(p[0] for p in parts)
-    sq = sum(p[1] for p in parts)
+        s += m.sum()
+        sq += np.square(m).sum()
     mean = s / n_samples
     var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
     return float(mean), float(math.sqrt(var / n_samples))
+
+
+def common_sample_oracle_reference(model, n_samples, seed):
+    """F oracle on one sample-major matrix ``z @ factor.T``: the mean and
+    standard error of each sample's max over the subset's columns, as
+    ``partition.common_sample_oracle`` computes them."""
+    from chainscope.gaussian_lab import standard_normal_block
+
+    x = standard_normal_block(seed, 0, n_samples, model.n) @ model.factor.T
+
+    def oracle(subset):
+        m = x[:, list(subset)].max(axis=1)
+        se = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0
+        return float(m.mean()), se
+
+    return oracle
 
 
 def build_partition_reference(space, F_oracle, r=4.0):

@@ -108,7 +108,7 @@ def test_two_point_closed_forms():
     assert abs(est.mean - d / math.sqrt(2 * math.pi)) <= 3 * est.stderr
 
     x = sample_paths(model, 0, n, 7)
-    diffs = np.abs(x[:, 0] - x[:, 1])
+    diffs = np.abs(x[0] - x[1])
     se = diffs.std(ddof=1) / math.sqrt(n)
     assert abs(diffs.mean() - d * math.sqrt(2 / math.pi)) <= 3 * se
 

@@ -83,6 +83,8 @@ class TestInputErrors:
         ("partition", "--r", "inf"),
         ("ellipsoid", "--axes", "1,0.5", "--net", "inf"),
         ("bounds", "--seed", "-1"),
+        ("bounds", "--seed", str(2 ** 64)),
+        ("modulus", "--seed", str(2 ** 128 - 1)),
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -185,6 +187,12 @@ class TestAnalyze:
 
 
 class TestBounds:
+    def test_largest_seed_runs(self, tmp_path):
+        # bounds keys its draws up to seed + 2 + (number of deltas - 1)
+        code, _ = run(tmp_path, "bounds", "--instance", data_instance_path("iid_16.json"),
+                      "--samples", "200", "--seed", str(2 ** 64 - 1))
+        assert code == 0
+
     def test_two_point(self, tmp_path):
         code, out = run(tmp_path, "bounds", "--instance",
                         data_instance_path("two_point.json"),
@@ -269,6 +277,14 @@ class TestEllipsoid:
         code, _ = run(tmp_path, "ellipsoid", "--axes", "1.0,oops")
         assert code == 2
 
+    @pytest.mark.parametrize("axes", ["1e-320", "1e200", "1e308,1e308", "1e77,1e77"])
+    def test_axes_beyond_the_float_range_exit_2(self, tmp_path, capsys, axes):
+        # a square that underflows, infinite squares, and an infinite tail
+        # sum of fourth powers
+        code, _ = run(tmp_path, "ellipsoid", "--axes", axes, "--samples", "200")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: semi_axes out of range")
+
     def test_increasing_axes_exit_2(self, tmp_path, capsys):
         code, _ = run(tmp_path, "ellipsoid", "--axes", "0.5,1")
         assert code == 2
@@ -347,7 +363,7 @@ class TestMisc:
 
 # flag -> (valid values, out-of-range or non-finite values)
 COMMON_FLAGS = {
-    "--seed": (["0", "7"], ["-1", "nan"]),
+    "--seed": (["0", "7", str(2 ** 64 - 1)], ["-1", "nan", str(2 ** 64)]),
     "--threads": (["1", "2"], ["0", "inf"]),
 }
 SAMPLES = (["2", "50", "200"], ["1", "0", "nan", "inf"])
@@ -358,7 +374,8 @@ OWN_FLAGS = {
     "bounds": {"--delta-grid": GRIDS},
     "partition": {"--r": (["2", "4"], ["1", "0.5", "nan", "inf"])},
     "duality": {"--restarts": (["0"], ["-1", "nan"])},
-    "ellipsoid": {"--axes": (["1,0.5", "1", "1,1,0.25"], ["0.5,1", "1,0", "nan", "1,inf"]),
+    "ellipsoid": {"--axes": (["1,0.5", "1", "1,1,0.25"],
+                             ["0.5,1", "1,0", "nan", "1,inf", "1e-320", "1e200"]),
                   "--net": (["0.1", "0.5"], ["0", "-1", "nan", "inf"])},
     "modulus": {"--delta-grid": GRIDS},
 }

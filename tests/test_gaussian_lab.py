@@ -66,8 +66,27 @@ class TestCounterSampling:
     def test_sample_paths_covariance(self):
         m = build_model(COV_PAIR_D1)
         x = sample_paths(m, 0, 100000, 3)
-        emp = np.cov(x.T)
+        emp = np.cov(x)  # row t is X(t)
         assert np.abs(emp - COV_PAIR_D1).max() < 0.02
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_sample_paths_transpose_the_row_product(self, n):
+        # coordinates by samples, bit for bit the transpose of the
+        # sample-major product z @ factor.T, on one-row, empty, odd-length
+        # and long ragged ranges and a jittered rank-deficient factor
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, max(n // 2, 1)))
+        A[-1] = 0.0  # a zero-variance coordinate: the factor needs jitter
+        jittered = build_model(A @ A.T)
+        assert jittered.jitter > 0
+        for m in (jittered, build_model(random_covariance(rng, n))):
+            for start, stop in [(0, 1), (5, 6), (4, 4), (3, 26), (5, 70), (7, 1001),
+                                (100, 355), (1, 4098), (0, 20000)]:
+                x = sample_paths(m, start, stop, 9)
+                want = (standard_normal_block(9, start, stop, n) @ m.factor.T).T
+                assert x.shape == (n, stop - start) and x.flags.c_contiguous
+                assert np.array_equal(x, want)
+                assert np.array_equal(np.signbit(x), np.signbit(want))
 
     def test_diagonal_factor_samples_exactly(self):
         # z @ factor.T adds only exact zeros to z * diag(factor), so the
@@ -80,7 +99,7 @@ class TestCounterSampling:
             m = build_model(cov)
             assert np.count_nonzero(m.factor - np.diag(np.diag(m.factor))) == 0
             x = sample_paths(m, 0, 50000, 5)
-            want = standard_normal_block(5, 0, 50000, m.n) * np.diag(m.factor)
+            want = (standard_normal_block(5, 0, 50000, m.n) * np.diag(m.factor)).T
             assert np.array_equal(x, want)
             assert np.array_equal(np.signbit(x), np.signbit(want))
         assert m.jitter > 0  # the zero variance needs jitter
@@ -137,7 +156,7 @@ def _modulus_both(model, delta, n_samples, seed, threads):
         est = estimate_modulus(model, delta, n_samples, seed, threads)
     with warnings.catch_warnings(record=True) as want:
         warnings.simplefilter("always")
-        ref = modulus_reference(model, delta, n_samples, seed, threads)
+        ref = modulus_reference(model, delta, n_samples, seed)
     return ((est.value, est.stderr), ref,
             [str(w.message) for w in got], [str(w.message) for w in want])
 
@@ -179,6 +198,22 @@ def test_modulus_three_shards_bit_identical_to_reference(threads):
     d = _pair_distances(model)
     delta = (d[99] + d[100]) / 2
     got, ref, got_warn, ref_warn = _modulus_both(model, delta, 70000, 17, threads)
+    assert got == ref
+    assert got_warn == ref_warn == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_modulus_ragged_blocks_bit_identical_to_reference(threads):
+    # n = 16: a full 131072-sample shard of eight column blocks, then an
+    # 18928-sample shard of one full block and a ragged one; the delta keeps
+    # the closest 10 pairs to bound the reference's block
+    model = build_model(random_covariance(np.random.default_rng(16), 16))
+    shard = _default_shard(16)
+    assert shard % gaussian_lab.MODULUS_BLOCK == 0 and shard // gaussian_lab.MODULUS_BLOCK > 1
+    assert gaussian_lab.MODULUS_BLOCK < 150000 - shard < 2 * gaussian_lab.MODULUS_BLOCK
+    d = _pair_distances(model)
+    delta = (d[9] + d[10]) / 2
+    got, ref, got_warn, ref_warn = _modulus_both(model, delta, 150000, 23, threads)
     assert got == ref
     assert got_warn == ref_warn == []
 

@@ -13,7 +13,7 @@ from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_fr
 from chainscope.partition import grouping_block_sizes, grouping_bound
 
 from conftest import integer_l1_space, random_covariance, random_weights
-from oracles import build_partition_reference
+from oracles import build_partition_reference, common_sample_oracle_reference
 
 COV_PAIR_D1 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -169,6 +169,16 @@ class TestOracle:
         full, _ = oracle(range(8))
         sub, _ = oracle(range(4))
         assert sub <= full + 1e-12  # common draws make this exact, not just in mean
+
+    @pytest.mark.parametrize("n, n_samples", [(2, 1), (24, 3001), (64, 25000)])
+    def test_matches_row_layout_reference(self, n, n_samples):
+        rng = np.random.default_rng(n)
+        model = build_model(random_covariance(rng, n))
+        oracle = common_sample_oracle(model, n_samples, 7)
+        reference = common_sample_oracle_reference(model, n_samples, 7)
+        for _ in range(20):
+            subset = tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            assert oracle(subset) == reference(subset)
 
 
 class TestChainedFunctional:
