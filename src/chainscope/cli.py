@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -21,8 +22,8 @@ from . import __version__
 from .ellipsoid import ellipsoid_report, esup_check, gap_lower_bound_check, make_spec
 from .gaussian_lab import (FactorizationError, build_model, estimate_modulus,
                            sudakov_bound, supremum_report)
-from .io import (InstanceError, covariance_from_instance, dump_json, load_instance,
-                 sha256_file, space_from_instance, write_csv, write_json)
+from .io import (InstanceError, covariance_from_instance, load_instance, sha256_file,
+                 space_from_instance, write_csv, write_json)
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
                        functional_M, sigma_profile, uniform_measure, young_power)
 from .metric_core import (MetricValidationError, covering_table, entropy_integral,
@@ -59,10 +60,17 @@ def data_instance_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
-def validate_envelope(envelope: dict) -> None:
+@functools.cache
+def _envelope_validator():
+    # built on first use, so importing the CLI does not import jsonschema;
+    # tests check ENVELOPE_SCHEMA against the metaschema once
     import jsonschema
 
-    jsonschema.validate(envelope, ENVELOPE_SCHEMA)
+    return jsonschema.Draft7Validator(ENVELOPE_SCHEMA)
+
+
+def validate_envelope(envelope: dict) -> None:
+    _envelope_validator().validate(envelope)
 
 
 def _parse_grid(text: str):

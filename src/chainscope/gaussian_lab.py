@@ -1,10 +1,14 @@
 """Gaussian models, reproducible Monte Carlo, and summary reports.
 
 Sampling uses a counter-based generator (Philox) keyed by (seed, sample
-index): sample i always occupies the same slice of the word stream, so
-estimates are bit-reproducible for a fixed seed no matter how the work is
-sharded or how many worker threads run the shards.  Reductions are performed
-in shard order to keep floating-point sums identical as well.
+index): sample i always occupies the same slice of the word stream, so the
+standard normal draws are the same however the work is sharded.  Path
+values are not: the product ``z @ factor.T`` of a range shorter than about
+70 samples rounds differently from the same samples inside a long range,
+and at n >= 256 its bits depend on the OpenBLAS thread count (tile-aligned
+sampling, ROADMAP item 3, is the plan for the first).  At a fixed shard
+size and BLAS thread count, estimates are bit-reproducible for a fixed seed
+at any number of worker threads, because reductions run in shard order.
 
 Paths are laid out coordinates by samples: ``sample_paths`` returns an
 n x samples C-contiguous array whose row t is X(t) over the samples, so
@@ -230,6 +234,11 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
 
     pairs = list(zip(ii.tolist(), jj.tolist()))
 
+    def all_pairs(x):
+        # rounding is monotone, so the largest exactly rounded |x_a - x_b| is
+        # the rounded range; abs keeps a zero range +0.0, as |x_a - x_b| is
+        return _sum_and_squares(np.abs(x.max(axis=0) - x.min(axis=0)))
+
     def per_block(x):
         # one running max over the pairs, never a (shard x pairs) block, run
         # over column blocks of samples so the rows read stay in cache; a max
@@ -245,7 +254,8 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
                 np.maximum(mb, db, out=mb)
         return _sum_and_squares(m)
 
-    parts = _map_shards(model, n_samples, seed, threads, per_block)
+    parts = _map_shards(model, n_samples, seed, threads,
+                        all_pairs if keep.all() else per_block)
     value, stderr = _mean_and_stderr(parts, n_samples)
     return ModulusEstimate(value=value, stderr=stderr)
 

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
+import math
+import operator
 import os
 import tempfile
 
@@ -115,10 +119,25 @@ def covariance_from_instance(inst: dict) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
+#
+# dump_json writes the bytes of json.dumps(to_jsonable(obj), sort_keys=True,
+# indent=2, ensure_ascii=True, allow_nan=False) + "\n" in one walk.  Lists of
+# scalars, lists of flat scalar lists and lists of flat dicts that share their
+# string keys (the report tables) are formatted a column at a time.
+
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_TYPES = {float, np.float64, np.float32, np.float16}
+_JSON_NAMES = {name: f'"{name}"' for name in ("inf", "-inf", "nan")}
+_CSV_NAMES = {name: name for name in _JSON_NAMES}
+
+
+def _non_finite_name(f: float) -> str:
+    return "nan" if math.isnan(f) else ("inf" if f > 0 else "-inf")
 
 
 def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them.
+    """Recursively convert numpy scalars/arrays to plain Python values, as
+    ``write_csv`` puts a cell of a column that is not all floats or all ints.
 
     Non-finite floats become strings ("inf", "-inf", "nan") because strict
     JSON has no encoding for them.
@@ -133,17 +152,138 @@ def to_jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
-        if not np.isfinite(f):
-            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
-        return f
+        return f if math.isfinite(f) else _non_finite_name(f)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
 
 
+def _numeric_column(col, names):
+    """Tokens of a column of only floats or only ints, else None.
+
+    Floats print as ``float.__repr__``; a non-finite one prints as
+    ``names[its string]``."""
+    kinds = set(map(type, col))
+    if kinds <= _FLOAT_TYPES:
+        a = np.array(col, dtype=float)
+        tokens = list(map(float.__repr__, a.tolist()))
+        for i in np.flatnonzero(~np.isfinite(a)).tolist():
+            tokens[i] = names[_non_finite_name(float(a[i]))]
+        return tokens
+    if all(k is int or issubclass(k, np.integer) for k in kinds):
+        return list(map(int.__repr__, col if kinds == {int} else map(int, col)))
+    return None
+
+
+def _scalar(v):
+    """The JSON token of a scalar, or None for a container (or a value json
+    cannot encode)."""
+    if v is None:
+        return "null"
+    if v is True or v is False or isinstance(v, np.bool_):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return _encode_str(v)
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        return float.__repr__(f) if math.isfinite(f) else _JSON_NAMES[_non_finite_name(f)]
+    if isinstance(v, (int, np.integer)):
+        return int.__repr__(int(v))
+    return None
+
+
+def _column(col):
+    """JSON tokens of a list of scalars, or None if one of them is not."""
+    tokens = _numeric_column(col, _JSON_NAMES)
+    if tokens is None:
+        tokens = list(map(_scalar, col))
+        if None in tokens:
+            return None
+    return tokens
+
+
+def _block(open_, items, close, ind):
+    """``items`` one to a line at the indent after ``ind``, between brackets."""
+    inner = ind + "  "
+    return open_ + inner + ("," + inner).join(items) + ind + close
+
+
+def _table(rows, ind):
+    """Items of a list of dicts sharing their string keys, each value a scalar,
+    or None for any other list of dicts."""
+    keys = rows[0].keys()
+    if not keys or any(type(k) is not str for k in keys) or \
+            set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
+        return None
+    names = sorted(keys)
+    try:  # rows of the same length with every key of the first share its keys
+        columns = [_column(list(map(operator.itemgetter(k), rows))) for k in names]
+    except KeyError:
+        return None
+    if None in columns:
+        return None
+    # each row is a fixed piece before each value, then the closing brace
+    inner = ind + "    "
+    parts = []
+    for i, (name, column) in enumerate(zip(names, columns)):
+        parts += [itertools.repeat(("," if i else "{") + inner + _encode_str(name) + ": "),
+                  column]
+    parts.append(itertools.repeat(ind + "  }"))
+    return list(map("".join, zip(*parts)))
+
+
+def _matrix(rows, ind):
+    """Items of a list of flat lists of scalars, or None."""
+    if not all(isinstance(r, (list, tuple)) for r in rows):
+        return None
+    tokens = _column([v for r in rows for v in r])
+    if tokens is None:
+        return None
+    out, start, row_ind = [], 0, ind + "  "
+    for r in rows:
+        stop = start + len(r)
+        out.append(_block("[", tokens[start:stop], "]", row_ind) if r else "[]")
+        start = stop
+    return out
+
+
+def _items(seq, ind):
+    """Encoded items of a nonempty list whose closing bracket sits at ``ind``."""
+    first = seq[0]
+    if isinstance(first, dict):
+        items = _table(seq, ind)
+    elif isinstance(first, (list, tuple)):
+        items = _matrix(seq, ind)
+    else:
+        items = _column(seq)
+    if items is None:
+        inner = ind + "  "
+        items = [_encode(v, inner) for v in seq]
+    return items
+
+
+def _encode(obj, ind):
+    """JSON text of ``obj`` whose closing bracket, if any, sits at ``ind``."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        plain = {str(k): v for k, v in obj.items()}
+        inner = ind + "  "
+        return _block("{", [_encode_str(k) + ": " + _encode(plain[k], inner)
+                            for k in sorted(plain)], "}", ind)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+        return _block("[", _items(seq, ind), "]", ind) if seq else "[]"
+    token = _scalar(obj)
+    if token is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return token
+
+
 def dump_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2,
-                      ensure_ascii=True, allow_nan=False) + "\n"
+    """Indent-2 JSON with sorted keys, ASCII only, and non-finite floats as the
+    strings "inf", "-inf" and "nan"; numpy scalars and arrays are accepted."""
+    return _encode(obj, "\n") + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -166,14 +306,16 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Rows are dicts keyed exactly by the header names."""
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(header), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: to_jsonable(row[k]) for k in header})
+    """Rows are dicts keyed exactly by the nonempty header.  A cell holds what
+    the report holds: a float column prints as in ``dump_json``, with
+    non-finite values as inf, -inf and nan."""
+    header, rows = list(header), list(rows)
+    columns = [_numeric_column(col, _CSV_NAMES) or list(map(to_jsonable, col))
+               for col in (list(map(operator.itemgetter(k), rows)) for k in header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
     atomic_write_text(path, buf.getvalue())
 
 

@@ -22,9 +22,15 @@ reference for the carried-score carving of ``partition.build_partition``.
 and ``sudakov_bound_reference``, one distinct distance at a time and
 built only from the sequential scans ``cover_size_reference`` and
 ``greedy_packing_reference``, are the references for the scale-table
-forms in ``metric_core`` and ``gaussian_lab``.
+forms in ``metric_core`` and ``gaussian_lab``.  ``dump_json_reference``,
+the standard library's indent-2 encoder over a separate conversion walk,
+and ``csv_reference``, a ``csv.DictWriter`` fed one converted value at a
+time, are the byte references for the column-wise writers of ``io``.
 """
 
+import csv
+import io
+import json
 import math
 import warnings
 
@@ -502,3 +508,43 @@ def sudakov_bound_reference(space):
         if val > best[0]:
             best = (val, (a, m))
     return best
+
+
+def to_jsonable_reference(obj):
+    """The report writer's value conversion as one recursive walk: numpy
+    scalars and arrays to plain values, non-finite floats to "inf", "-inf"
+    and "nan"."""
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable_reference(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        if not np.isfinite(f):
+            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
+        return f
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def dump_json_reference(obj):
+    """The bytes ``io.dump_json`` must write: the standard library's indent-2
+    encoder over ``to_jsonable_reference``, which is the byte format."""
+    return json.dumps(to_jsonable_reference(obj), sort_keys=True, indent=2,
+                      ensure_ascii=True, allow_nan=False) + "\n"
+
+
+def csv_reference(header, rows):
+    """The text ``io.write_csv`` must write: a ``csv.DictWriter`` row per dict,
+    each value through ``to_jsonable_reference``."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(header), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: to_jsonable_reference(row[k]) for k in header})
+    return buf.getvalue()

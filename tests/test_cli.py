@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -356,6 +358,20 @@ class TestMisc:
             validate_envelope({"schema_version": "1", "command": "analyze",
                                "instance": "x", "payload": {}, "warnings": [],
                                "extra": 1})
+
+    def test_envelope_schema_is_a_valid_draft7_schema(self):
+        # validate_envelope runs a validator built once, which does not
+        # check the schema itself against the metaschema
+        import jsonschema
+
+        jsonschema.Draft7Validator.check_schema(cli.ENVELOPE_SCHEMA)
+
+    def test_importing_the_cli_leaves_out_jsonschema(self):
+        code = "import sys, chainscope.cli; print('jsonschema' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,20 @@ def test_modulus_three_shards_bit_identical_to_reference(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+def test_modulus_all_pairs_bit_identical_to_reference(monkeypatch, threads, scale):
+    # delta >= diam keeps all 2016 pairs of n = 64, which takes the range
+    # max - min per sample; 1024-sample shards make 3000 samples three
+    # shards (the last one ragged) and bound the reference's block
+    model = build_model(random_covariance(np.random.default_rng(65), 64))
+    monkeypatch.setattr(gaussian_lab, "_default_shard", lambda n: 1024)
+    got, ref, got_warn, ref_warn = _modulus_both(model, scale * model.space.diam, 3000, 29,
+                                                 threads)
+    assert got == ref
+    assert got_warn == ref_warn == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_modulus_ragged_blocks_bit_identical_to_reference(threads):
     # n = 16: a full 131072-sample shard of eight column blocks, then an
     # 18928-sample shard of one full block and a ragged one; the delta keeps
@@ -276,9 +290,11 @@ def test_thread_invariance_at_small_shards(name, monkeypatch):
 
 
 def test_shard_invariance(monkeypatch):
-    # per-sample values do not depend on the sharding; only the order in
-    # which shard sums are added does, so counts match exactly and sums to
-    # a few ulps (the stderr's variance loses digits to cancellation)
+    # the draws do not depend on the sharding, and at n = 8 neither do the
+    # path values of these 256-sample shards; a range shorter than about 70
+    # samples would round its product differently (ROADMAP item 3).  So
+    # counts match exactly and sums, added in another order, to a few ulps
+    # (the stderr's variance loses digits to cancellation)
     model = _rank_deficient_model()
     whole = {name: f(model, 1000, 1) for name, f in ESTIMATORS.items()}
     monkeypatch.setattr(gaussian_lab, "_default_shard", lambda n: 256)

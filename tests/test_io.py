@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from chainscope.cli import data_instance_path, main
 from chainscope.io import dump_json, write_csv
 
 NON_FINITE = {math.inf: "inf", -math.inf: "-inf"}
@@ -75,3 +79,128 @@ def test_csv_writes_the_json_strings(tmp_path_factory, values):
     tokens = [line.strip().rstrip(",").strip('"')
               for line in dump_json(list(values)).splitlines()[1:-1]]
     assert rows == [header, tokens]
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the standard library encoder (tests/oracles.py)
+
+special_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3,
+                                  1e300, math.inf, -math.inf, math.nan])
+texts = st.text(st.characters(codec="utf-8"), max_size=5) | \
+    st.sampled_from(["", "%s", "%%", '"', "\\", "\n\t\x00", "é", "日本", "\U0001f600"])
+plain_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 70, 2 ** 70), texts,
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), special_floats)
+numpy_scalars = st.one_of(
+    floats.map(np.float64), st.floats(width=32, allow_subnormal=True).map(np.float32),
+    st.floats(width=16).map(np.float16), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8), st.booleans().map(np.bool_))
+any_scalar = plain_scalars | numpy_scalars
+keys = st.one_of(texts, st.integers(-3, 3), st.sampled_from([1.5, None, True, False, ("t", 1)]))
+arrays = st.one_of(
+    floats.map(np.array),  # 0-d: neither writer can iterate it
+    st.lists(floats, max_size=5).map(np.array),
+    st.integers(0, 3).flatmap(lambda c: st.lists(st.lists(floats, min_size=c, max_size=c),
+                                                 max_size=4)).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=5).map(lambda v: np.array(v, dtype=np.int64)))
+
+# a column draws all its values from one kind, as a report table does, or
+# mixes scalar kinds
+COLUMN_KINDS = {
+    "float": lambda r: float(r.standard_normal() * 10.0 ** r.integers(-5, 6)),
+    "float64": lambda r: np.float64(r.standard_normal()),
+    "float32": lambda r: np.float32(r.standard_normal()),
+    "int": lambda r: int(r.integers(-10 ** 6, 10 ** 6)),
+    "int64": lambda r: r.integers(0, 100),
+    "bool": lambda r: bool(r.integers(2)),
+    "none": lambda r: None,
+    "str": lambda r: "ab,\"cé"[:int(r.integers(6))],
+    "mixed": lambda r: [1, 2.5, None, True, np.float64(-0.0), np.int64(7), "x",
+                        np.bool_(False)][int(r.integers(8))],
+}
+SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324]
+
+
+def _table(kinds, length, seed, specials, ragged):
+    """``length`` rows of flat dicts, one column per entry of ``kinds``;
+    ``specials`` puts non-finite, signed zero and subnormal floats in float
+    columns, ``ragged`` drops a key from the first or a random row, or adds
+    one to a random row."""
+    r = np.random.default_rng(seed)
+    rows = [{f"k{i}_{kind}": COLUMN_KINDS[kind](r) for i, kind in enumerate(kinds)}
+            for _ in range(length)]
+    columns = list(zip(rows[0], kinds))
+    for _ in range(specials):
+        key, kind = columns[int(r.integers(len(columns)))]
+        if kind.startswith("float"):
+            rows[int(r.integers(length))][key] = SPECIAL[int(r.integers(len(SPECIAL)))]
+    row = rows[0 if ragged == "first" else int(r.integers(length))]
+    if ragged == "extra":
+        row["extra"] = 1.0
+    elif ragged and len(row) > 1:
+        del row[next(iter(row))]
+    return rows
+
+
+tables = st.builds(_table, st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1,
+                                    max_size=4),
+                   st.integers(1, 600), st.integers(0, 2 ** 32), st.integers(0, 3),
+                   st.sampled_from([None, "first", "any", "extra"]))
+byte_trees = st.recursive(
+    any_scalar | arrays | tables,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+                            st.lists(st.lists(any_scalar, max_size=3), max_size=4),
+                            st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=10)
+
+
+def _encoded(dump, x):
+    """``dump(x)``, or the type of the exception it raises."""
+    try:
+        return dump(x)
+    except TypeError as exc:  # a 0-d array: tolist() gives a scalar to iterate
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(byte_trees)
+def test_dump_json_bytes_match_the_standard_encoder(x):
+    assert _encoded(dump_json, x) == _encoded(oracles.dump_json_reference, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(texts | st.integers(0, 9), min_size=1, max_size=4), st.integers(0, 300),
+       st.integers(0, 2 ** 32), st.integers(0, 3), st.data())
+def test_write_csv_bytes_match_dict_writer(tmp_path_factory, header, length, seed, specials,
+                                           data):
+    kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=len(header),
+                               max_size=len(header)))
+    rows = [dict(zip(header, row.values()))
+            for row in (_table(kinds, length, seed, specials, None) if length else [])]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(str(path), header, rows)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == oracles.csv_reference(header, rows)
+
+
+BUNDLED = sorted(os.listdir(os.path.dirname(data_instance_path("two_point.json"))))
+BUNDLED_RUNS = {f"{command}-{name[:-5]}": [command, "--instance", data_instance_path(name)]
+                + extra
+                for name in BUNDLED
+                for command, extra in [("analyze", []), ("bounds", ["--samples", "2000"]),
+                                       ("partition", ["--samples", "2000"]),
+                                       ("duality", ["--samples", "2000", "--restarts", "0"]),
+                                       ("modulus", ["--samples", "2000"])]}
+BUNDLED_RUNS["ellipsoid"] = ["ellipsoid", "--axes", "1,0.5,0.25", "--samples", "2000"]
+
+
+@pytest.mark.parametrize("argv", BUNDLED_RUNS.values(), ids=BUNDLED_RUNS.keys())
+def test_cli_json_outputs_are_in_the_byte_format(tmp_path, argv):
+    # every report, side JSON and manifest is what the standard encoder
+    # writes for the values it holds
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    names = sorted(n for n in os.listdir(tmp_path) if n.endswith(".json"))
+    assert f"{argv[0]}_report.json" in names
+    for name in names:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert oracles.dump_json_reference(json.loads(text)) == text, name
