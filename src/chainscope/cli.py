@@ -404,9 +404,14 @@ def run_command(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser as it found it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return run_command(args)
     except InstanceError as exc:

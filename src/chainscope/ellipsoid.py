@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .gaussian_lab import standard_normal_block
 from .measures import ProbabilityMeasure, functional_M
-from .metric_core import FiniteMetricSpace, build_from_points
+from .metric_core import FiniteMetricSpace, build_from_points, euclidean_distances
 
 
 @dataclass(frozen=True)
@@ -132,34 +131,70 @@ def empirical_measure(spec: EllipsoidSpec, n_samples: int, seed: int,
     h = net_resolution if net_resolution is not None else 0.05 * float(spec.semi_axes[0])
     if h <= 0:
         raise ValueError("net resolution must be positive")
-    cloud = _argmax_cloud(spec, n_samples, seed)
-    dim = spec.truncation
-    centers = np.empty((n_samples, dim))
-    center_counts = np.zeros(n_samples)
-    centers[0] = cloud[0]
-    center_counts[0] = 1
-    m = 1
-    chunk = 2048
-    for lo in range(1, n_samples, chunk):
-        block = cloud[lo:lo + chunk]
-        d = cdist(block, centers[:m])
-        near = d.min(axis=1) <= h
-        snap = d.argmin(axis=1)
-        np.add.at(center_counts, snap[near], 1)
-        for x in block[~near]:  # sequential: new centers may absorb later rows
-            d2 = np.linalg.norm(centers[:m] - x, axis=1)
-            j = int(np.argmin(d2))
-            if d2[j] <= h:
-                center_counts[j] += 1
-            else:
-                centers[m] = x
-                center_counts[m] = 1
-                m += 1
-    pts = centers[:m].copy()
-    counts = center_counts[:m].copy()
-    space = build_from_points(pts)
-    return EmpiricalMeasure(points=pts, counts=counts, space=space,
+    centers, counts = _snap_to_net(_argmax_cloud(spec, n_samples, seed), h)
+    space = build_from_points(centers)
+    return EmpiricalMeasure(points=centers, counts=counts, space=space,
                             measure=ProbabilityMeasure(space, counts / counts.sum()))
+
+
+SNAP_CHUNK = 2048  # rows compared with the centers of earlier chunks in one matrix
+
+
+def _snap_to_net(cloud: np.ndarray, h: float):
+    """Greedy net of the rows of ``cloud`` at resolution h, and its counts.
+
+    Row 0 is the first center.  The rest go in chunks of ``SNAP_CHUNK``
+    rows.  A row within h of a center from an earlier chunk snaps to the
+    nearest one, read off one distance matrix.  The other rows go in order:
+    each snaps to its nearest center if that is within h, and becomes a new
+    center otherwise.  Those rows carry their nearest new center and its
+    distance, updated once per new center from its distances to the later
+    rows (strict ``<``, so ties keep the earlier center).
+
+    Distances to new centers sum their squares as ``np.linalg.norm`` does,
+    pairwise from 8 coordinates on, and the distance matrix sums them in
+    order.  The two can round one distance to opposite sides of h, so the
+    rows the matrix puts within a few roundings above h also take their
+    nearest earlier center in the pairwise sum.
+    """
+    n, dim = cloud.shape
+    band = h * (1.0 + (dim + 2) * np.finfo(float).eps)
+    centers = np.empty_like(cloud)
+    counts = np.zeros(n)
+    centers[0] = cloud[0]
+    counts[0] = 1
+    m = 1
+    for lo in range(1, n, SNAP_CHUNK):
+        block = cloud[lo:lo + SNAP_CHUNK]
+        d = euclidean_distances(block, centers[:m])
+        d_near, snap = d.min(axis=1), d.argmin(axis=1)
+        near = d_near <= h
+        np.add.at(counts, snap[near], 1)
+        rows = block[~near]
+        best = np.full(len(rows), np.inf)  # nearest center's distance so far
+        owner = np.zeros(len(rows), dtype=int)
+        for r in np.flatnonzero(d_near[~near] <= band):
+            d_old = np.linalg.norm(centers[:m] - rows[r], axis=1)
+            owner[r] = np.argmin(d_old)
+            best[r] = d_old[owner[r]]
+        r = _first_above(best, 0, h)
+        while r < len(rows):  # rows[r] is farther than h from every center
+            centers[m] = rows[r]
+            counts[m] = 1
+            d_new = np.linalg.norm(rows[r + 1:] - rows[r], axis=1)
+            closer = d_new < best[r + 1:]
+            np.copyto(best[r + 1:], d_new, where=closer)
+            np.copyto(owner[r + 1:], m, where=closer)
+            m += 1
+            r = _first_above(best, r + 1, h)
+        np.add.at(counts, owner[best <= h], 1)
+    return centers[:m].copy(), counts[:m].copy()
+
+
+def _first_above(values: np.ndarray, start: int, h: float) -> int:
+    """First index >= start whose value exceeds h, or len(values)."""
+    above = np.flatnonzero(values[start:] > h)
+    return start + int(above[0]) if above.size else len(values)
 
 
 def smallball_check(spec: EllipsoidSpec, anchor: EllipsoidSample, i: int, eps_grid,

@@ -24,8 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from . import measures
 from .measures import ProbabilityMeasure, functional_M
@@ -102,6 +100,10 @@ def standard_normal_block(seed: int, start: int, stop: int, n: int) -> np.ndarra
     """
     if stop <= start:
         return np.empty((0, n))
+    # loaded at the first draw, so commands that draw nothing never import them
+    from numpy.random import Generator, Philox
+    from scipy.special import ndtri
+
     w = _words_per_sample(n)
     bg = Philox(key=seed, counter=start * (w // 4))
     u = Generator(bg).random((stop - start, w))

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 TRIANGLE_TOL = 1e-9
 EXACT_COVER_MAX_N = 12
+DISTANCE_BLOCK = 1 << 15  # output entries per pass of euclidean_distances
 
 
 class MetricValidationError(ValueError):
@@ -164,9 +164,37 @@ def build_from_points(points) -> FiniteMetricSpace:
     P = np.atleast_2d(np.array(points, dtype=float))
     if P.ndim != 2:
         raise MetricValidationError("points must form a 2-d array")
-    D = cdist(P, P)
+    D = euclidean_distances(P, P)
     # Euclidean distances satisfy the triangle inequality by construction
     return build_from_distance_matrix(D, _check_triangle=False)
+
+
+def euclidean_distances(A, B) -> np.ndarray:
+    """Matrix of Euclidean distances between the rows of ``A`` and of ``B``.
+
+    Each entry sums the squared coordinate differences one coordinate at a
+    time, in order, and then takes the square root: the arithmetic of
+    scipy's Euclidean ``cdist``, so the two agree bit for bit.  Rows
+    of the output are filled a block at a time through one reused buffer
+    of about ``DISTANCE_BLOCK`` entries, so the working memory is the
+    output plus that buffer.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError(f"need two 2-d arrays of equal width, got {A.shape} and {B.shape}")
+    out = np.zeros((A.shape[0], B.shape[0]))
+    Bt = B.T.copy()  # coordinate j of every B row, contiguous
+    step = max(1, DISTANCE_BLOCK // max(B.shape[0], 1))
+    buf = np.empty((min(step, A.shape[0]), B.shape[0]))
+    for lo in range(0, A.shape[0], step):
+        rows = out[lo:lo + step]
+        diff = buf[:rows.shape[0]]
+        for a_j, b_j in zip(A[lo:lo + step].T, Bt):
+            np.subtract(a_j[:, None], b_j, out=diff)
+            np.multiply(diff, diff, out=diff)
+            rows += diff
+    return np.sqrt(out, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ forms in ``metric_core`` and ``gaussian_lab``.  ``dump_json_reference``,
 the standard library's indent-2 encoder over a separate conversion walk,
 and ``csv_reference``, a ``csv.DictWriter`` fed one converted value at a
 time, are the byte references for the column-wise writers of ``io``.
+``snap_to_net_reference``, one norm over all centers per unsnapped row, is
+the reference for the incremental net snapping of ``ellipsoid``.
 """
 
 import csv
@@ -548,3 +550,36 @@ def csv_reference(header, rows):
     for row in rows:
         writer.writerow({k: to_jsonable_reference(row[k]) for k in header})
     return buf.getvalue()
+
+
+def snap_to_net_reference(cloud, h, chunk=2048):
+    """Row-by-row greedy net: the reference for ``ellipsoid._snap_to_net``.
+
+    Rows of each chunk within h of a center from an earlier chunk snap to
+    the nearest one (one ``cdist`` matrix); every other row takes one
+    ``np.linalg.norm`` over all the centers so far.
+    """
+    from scipy.spatial.distance import cdist
+
+    n, dim = cloud.shape
+    centers = np.empty((n, dim))
+    center_counts = np.zeros(n)
+    centers[0] = cloud[0]
+    center_counts[0] = 1
+    m = 1
+    for lo in range(1, n, chunk):
+        block = cloud[lo:lo + chunk]
+        d = cdist(block, centers[:m])
+        near = d.min(axis=1) <= h
+        snap = d.argmin(axis=1)
+        np.add.at(center_counts, snap[near], 1)
+        for x in block[~near]:  # sequential: new centers may absorb later rows
+            d2 = np.linalg.norm(centers[:m] - x, axis=1)
+            j = int(np.argmin(d2))
+            if d2[j] <= h:
+                center_counts[j] += 1
+            else:
+                centers[m] = x
+                center_counts[m] = 1
+                m += 1
+    return centers[:m].copy(), center_counts[:m].copy()

@@ -367,11 +367,58 @@ class TestMisc:
         jsonschema.Draft7Validator.check_schema(cli.ENVELOPE_SCHEMA)
 
     def test_importing_the_cli_leaves_out_jsonschema(self):
-        code = "import sys, chainscope.cli; print('jsonschema' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # neither the package nor the CLI imports scipy or jsonschema: they
+        # load where a command first needs them
+        for module in ("chainscope", "chainscope.cli"):
+            code = (f"import sys, {module}; "
+                    "print(sorted({m.split('.')[0] for m in sys.modules} "
+                    "& {'scipy', 'jsonschema'}))")
+            assert _fresh_python(code) == "[]", module
+
+    def test_first_draw_loads_the_inverse_normal_cdf(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from chainscope.cli import data_instance_path, main\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"code = main(['modulus', '--instance', data_instance_path('iid_16.json'),\n"
+            f"             '--samples', '500', '--out', {str(tmp_path / 'lazy')!r}])\n"
+            "print(code, 'scipy.special' in sys.modules)\n")
+        assert _fresh_python(code) == "0 True"
+        _, out = run(tmp_path, "modulus", "--instance", data_instance_path("iid_16.json"),
+                     "--samples", "500")
+        assert ((tmp_path / "lazy" / "modulus_report.json").read_bytes()
+                == (out / "modulus_report.json").read_bytes())
+
+    def test_repeated_calls_share_one_parser(self, tmp_path):
+        # main builds the argparse tree once; a command, another command and
+        # a bad flag in one process act as they do in separate processes
+        instance = data_instance_path("iid_16.json")
+        commands = [("analyze", "--instance", instance),
+                    ("bounds", "--instance", instance, "--samples", "500")]
+        for i, argv in enumerate(commands):
+            assert run(tmp_path, *argv, sub=f"in{i}")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "analyze", "--instance", instance, "--no-such-flag")
+        assert exc.value.code == 2
+        for i, argv in enumerate(commands):
+            alone = tmp_path / f"alone{i}"
+            code = ("from chainscope.cli import main; "
+                    f"print(main({list(argv) + ['--out', str(alone)]!r}))")
+            assert _fresh_python(code) == "0"
+            names = sorted(os.listdir(alone))
+            assert names == sorted(os.listdir(tmp_path / f"in{i}"))
+            for name in names:
+                if not name.endswith("_manifest.json"):  # manifests hold wall time
+                    assert (alone / name).read_bytes() == (tmp_path / f"in{i}" / name).read_bytes()
+        assert cli._parser.cache_info().currsize == 1
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of a new interpreter that runs ``code`` with this package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from chainscope import (argmax_point, ellipsoid_report, empirical_measure,
+from chainscope import (argmax_point, ellipsoid, ellipsoid_report, empirical_measure,
                         esup_check, gap_lower_bound_check, make_spec,
                         smallball_check)
+from chainscope.ellipsoid import _argmax_cloud, _snap_to_net
 from chainscope.gaussian_lab import standard_normal_block
+
+from oracles import snap_to_net_reference
+
+# (axes, samples) of the ellipsoid op and probe of the monte-carlo benchmark
+BENCH_ELLIPSOIDS = [((1.0, 0.5, 0.25, 0.125), 3000), ((1.0, 0.5, 0.25), 2000)]
 
 
 class TestSpec:
@@ -108,6 +118,69 @@ class TestEmpiricalMeasure:
         spec = make_spec([1.0])
         with pytest.raises(ValueError):
             empirical_measure(spec, 100, 0, net_resolution=0.0)
+
+    @pytest.mark.parametrize("axes,samples", BENCH_ELLIPSOIDS)
+    @pytest.mark.parametrize("seed", range(1000, 1008))
+    def test_bench_ops_match_row_by_row_reference(self, axes, samples, seed):
+        spec = make_spec(axes)
+        emp = empirical_measure(spec, samples, seed)
+        points, counts = snap_to_net_reference(_argmax_cloud(spec, samples, seed),
+                                               0.05 * axes[0])
+        assert emp.points.tobytes() == points.tobytes()
+        assert emp.counts.tobytes() == counts.tobytes()
+        assert emp.space.dist.tobytes() == cdist(points, points).tobytes()
+
+
+class TestSnapToNet:
+    def test_resolution_equal_to_a_distance_of_the_cloud(self):
+        cloud = _argmax_cloud(make_spec([1.0, 0.5, 0.25, 0.125]), 3000, 1000)
+        for j in (1, 5, 2500):  # a row of the first chunk and one of the second
+            h = float(np.linalg.norm(cloud[j] - cloud[0]))
+            got, want = _snap_to_net(cloud, h), snap_to_net_reference(cloud, h)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_ties_go_to_the_earliest_center(self):
+        # the last row is at distance exactly h = 1 from two new centers
+        cloud = np.array([[0.0], [5.0], [3.0], [4.0]])
+        centers, counts = _snap_to_net(cloud, 1.0)
+        assert centers.tolist() == [[0.0], [5.0], [3.0]]
+        assert counts.tolist() == [1.0, 2.0, 1.0]
+        assert snap_to_net_reference(cloud, 1.0)[1].tolist() == counts.tolist()
+
+    def test_sums_that_round_to_both_sides_of_h(self):
+        # From 8 coordinates on, np.linalg.norm sums squares pairwise and the
+        # distance matrix sums them in order.  Put a row of a later chunk at
+        # a distance the matrix rounds above h and the norm rounds onto h:
+        # the reference snaps it to the first center.
+        rng = np.random.default_rng(0)
+        origin = np.zeros((1, 8))
+        for x in rng.standard_normal((10000, 8)):
+            in_order = ellipsoid.euclidean_distances(x[None], origin)[0, 0]
+            pairwise = np.linalg.norm(x[None], axis=1)[0]  # the reference's arithmetic
+            if in_order > pairwise:
+                break
+        else:
+            pytest.fail("no row whose two sums round apart")
+        cloud = np.vstack([np.zeros((ellipsoid.SNAP_CHUNK + 1, 8)), x])
+        centers, counts = _snap_to_net(cloud, pairwise)
+        want = snap_to_net_reference(cloud, pairwise)
+        assert centers.tobytes() == want[0].tobytes()
+        assert counts.tolist() == want[1].tolist() == [len(cloud)]
+
+    @given(axes=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=12),
+           samples=st.integers(min_value=1, max_value=600),
+           h_frac=st.floats(min_value=0.01, max_value=1.5),
+           chunk=st.sampled_from([1, 7, 64, 2048]),
+           seed=st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_by_row_reference(self, axes, samples, h_frac, chunk, seed):
+        spec = make_spec(sorted(axes, reverse=True))
+        cloud = _argmax_cloud(spec, samples, seed)
+        h = h_frac * spec.semi_axes[0]
+        with mock.patch.object(ellipsoid, "SNAP_CHUNK", chunk):
+            got = _snap_to_net(cloud, h)
+        want = snap_to_net_reference(cloud, h, chunk)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestSmallBall:

@@ -308,3 +308,70 @@ class TestBatchedKernels:
         sp = build_from_points([[0.0], [1.0]])
         with pytest.raises(ValueError, match="positive"):
             covering_table(sp, [0.5, 0.0])
+
+
+@st.composite
+def point_pairs(draw):
+    """Two point sets (or one set twice) with duplicate rows, signed zeros and
+    coordinates scaled near 1e-150, 1 or 1e150."""
+    dim = draw(st.integers(min_value=0, max_value=12))
+    n = draw(st.integers(min_value=0, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31)))
+    scale = 10.0 ** (draw(st.sampled_from([-150, 0, 150])) + rng.uniform(-3, 3))
+    A = scale * rng.standard_normal((n, dim))
+    if n and dim and draw(st.booleans()):  # signed zeros in some coordinates
+        A[rng.random((n, dim)) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    if n > 1 and draw(st.booleans()):  # duplicate rows
+        A[rng.integers(n, size=n // 2)] = A[rng.integers(n, size=n // 2)]
+    if draw(st.booleans()):
+        return A, A
+    m = draw(st.integers(min_value=0, max_value=60))
+    return A, scale * rng.standard_normal((m, dim))
+
+
+class TestEuclideanKernel:
+    @given(point_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_cdist(self, pair):
+        A, B = pair
+        got = metric_core.euclidean_distances(A, B)
+        want = cdist(A, B)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocks_do_not_change_the_bits(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A, B = rng.standard_normal((70, 5)), rng.standard_normal((9, 5))
+        monkeypatch.setattr(metric_core, "DISTANCE_BLOCK", 20)  # two rows per block
+        assert metric_core.euclidean_distances(A, B).tobytes() == cdist(A, B).tobytes()
+
+    def test_rejects_unequal_widths(self):
+        with pytest.raises(ValueError, match="equal width"):
+            metric_core.euclidean_distances(np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+@st.composite
+def built_spaces(draw):
+    """A space from each builder: points, a PSD covariance, or a metric matrix."""
+    kind = draw(st.sampled_from(["points", "covariance", "matrix"]))
+    if kind == "matrix":
+        return draw(st.one_of(integer_metrics(), l1_metrics()))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31)))
+    n = draw(st.integers(min_value=1, max_value=24))
+    if kind == "covariance":
+        scale = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+        return build_from_covariance(random_covariance(rng, n, scale))
+    dim = draw(st.integers(min_value=1, max_value=12))
+    pts = rng.standard_normal((n, dim)) * 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+    return build_from_points(pts[rng.integers(n, size=n)])  # repeated points too
+
+
+@given(built_spaces())
+@settings(max_examples=150, deadline=None)
+def test_every_builder_returns_a_metric(sp):
+    D = sp.dist
+    assert np.array_equal(D, D.T)
+    assert np.all(np.diag(D) == 0.0)
+    assert np.all(D >= 0.0)
+    # d(i, j) <= d(i, k) + d(k, j) for every k, all triples at once
+    assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + metric_core.TRIANGLE_TOL)
