@@ -16,9 +16,9 @@ from chainscope.io import covariance_from_instance
 
 
 def main():
-    space = build_from_points([[0.0], [1.0], [3.0]])
-    cov = covariance_from_instance(
-        {"metric": {"type": "points", "data": [[0.0], [1.0], [3.0]]}})
+    points = [[0.0], [1.0], [3.0]]
+    space = build_from_points(points)
+    cov = covariance_from_instance({"metric": {"type": "points", "data": points}}, space)
     model = build_model(cov)
 
     rep = duality_report(space, model, n_samples=200000, seed=1, restarts=8)

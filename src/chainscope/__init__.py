@@ -1,26 +1,32 @@
 """chainscope: majorizing-measure functionals and Gaussian supremum experiments
-on finite metric spaces."""
+on finite metric spaces.  The package exports what the command-line front
+end (``chainscope.cli``) and the scripts under ``demos/`` import."""
 
-from .metric_core import (FiniteMetricSpace, CoveringReport, MetricValidationError,
-                          build_from_distance_matrix, build_from_covariance,
-                          build_from_points, covering_number, entropy_integral,
+from .metric_core import (MetricValidationError, build_from_distance_matrix,
+                          build_from_points, covering_table, entropy_integral,
                           modulus_entropy_diagnostic)
-from .measures import (ProbabilityMeasure, YoungFunction, young_power, sigma,
-                       sigma_profile, functional_M, subadditivity_check,
-                       uniform_measure, point_mass, GAUSSIAN_LOG, YOUNG_INVERSE)
-from .gaussian_lab import (GaussianModel, build_model, sample_paths, estimate_sup,
-                           argmax_distribution, estimate_modulus, sudakov_bound,
-                           concentration_check, supremum_report, nested_net_experiment)
-from .partition import (PartitionTree, build_partition, common_sample_oracle,
-                        chained_functional, verify_tree_translation, audit_cell,
-                        lower_bound_report)
-from .search import (OptimizationResult, BalancedMeasure, DualityReport,
-                     maximize_M_self, minimize_sup_M, maximize_inf_M,
-                     balanced_measure, duality_report)
-from .ellipsoid import (EllipsoidSpec, make_spec, argmax_point, esup_check,
-                        empirical_measure, smallball_check, gap_lower_bound_check,
-                        ellipsoid_report)
-from .io import (InstanceError, load_instance, parse_instance, space_from_instance,
-                 covariance_from_instance, write_json, write_csv, dump_json)
+from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
+                       functional_M, sigma_profile, uniform_measure, young_power)
+from .gaussian_lab import (FactorizationError, build_model, estimate_modulus,
+                           sudakov_bound, supremum_report)
+from .partition import (audit_cell, build_partition, chained_functional,
+                        common_sample_oracle, lower_bound_report)
+from .search import duality_report, maximize_M_self
+from .ellipsoid import ellipsoid_report, esup_check, gap_lower_bound_check, make_spec
+from .io import (InstanceError, covariance_from_instance, load_instance, sha256_file,
+                 space_from_instance, write_csv, write_json)
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "MetricValidationError", "build_from_distance_matrix", "build_from_points",
+    "covering_table", "entropy_integral", "modulus_entropy_diagnostic",
+    "GAUSSIAN_LOG", "YOUNG_INVERSE", "MeasureError", "ProbabilityMeasure", "functional_M",
+    "sigma_profile", "uniform_measure", "young_power",
+    "FactorizationError", "build_model", "estimate_modulus", "sudakov_bound", "supremum_report",
+    "audit_cell", "build_partition", "chained_functional", "common_sample_oracle",
+    "lower_bound_report", "duality_report", "maximize_M_self",
+    "ellipsoid_report", "esup_check", "gap_lower_bound_check", "make_spec",
+    "InstanceError", "covariance_from_instance", "load_instance", "sha256_file",
+    "space_from_instance", "write_csv", "write_json",
+]

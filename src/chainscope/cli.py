@@ -163,6 +163,12 @@ def _space(inst):
         raise InstanceError(str(exc)) from None
 
 
+def _space_and_model(inst):
+    """The instance's metric space, validated once, and its Gaussian model."""
+    space = _space(inst)
+    return space, build_model(covariance_from_instance(inst, space), space)
+
+
 def _covering_rows(space):
     """One row per segment of the scale table: at half the smallest distance,
     then at each distinct distance."""
@@ -221,8 +227,7 @@ def _delta_grid(args, space):
 
 
 def cmd_bounds(args, inst, outputs):
-    space = _space(inst)
-    model = build_model(covariance_from_instance(inst), space)
+    space, model = _space_and_model(inst)
     payload = supremum_report(model, args.samples, args.seed, _delta_grid(args, space),
                               threads=args.threads)
     sud, witness = sudakov_bound(space)
@@ -236,8 +241,7 @@ def cmd_bounds(args, inst, outputs):
 
 
 def cmd_partition(args, inst, outputs):
-    space = _space(inst)
-    model = build_model(covariance_from_instance(inst), space)
+    space, model = _space_and_model(inst)
     oracle = common_sample_oracle(model, args.samples, args.seed)
     tree = build_partition(space, oracle, r=args.r)
     mu = uniform_measure(space)
@@ -268,8 +272,7 @@ def cmd_partition(args, inst, outputs):
 
 
 def cmd_duality(args, inst, outputs):
-    space = _space(inst)
-    model = build_model(covariance_from_instance(inst), space)
+    space, model = _space_and_model(inst)
     trace = []
     rep = duality_report(space, model, n_samples=args.samples, seed=args.seed,
                          restarts=args.restarts, threads=args.threads, trace=trace)
@@ -314,8 +317,7 @@ def cmd_ellipsoid(args, inst, outputs):
 
 
 def cmd_modulus(args, inst, outputs):
-    space = _space(inst)
-    model = build_model(covariance_from_instance(inst), space)
+    space, model = _space_and_model(inst)
     rows = []
     for i, d in enumerate(_delta_grid(args, space)):
         est = estimate_modulus(model, d, args.samples, args.seed + i, args.threads)

@@ -3,8 +3,8 @@
 For the linear process <x, g> on the ellipsoid sum x_i^2 / t_i^2 <= 1 the
 per-draw supremum has the closed form argmax x_i = g_i t_i^2 / ||gt|| with
 value ||gt||.  The module samples that argmax law, snaps it onto a finite
-net so the measure functionals apply, and probes the small-ball and
-norm-gap inequalities whose universal constants are reported empirically.
+net so the measure functionals apply, and probes the norm-gap inequality
+whose universal constant is reported empirically.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ class EllipsoidSpec:
     def truncation(self) -> int:
         return len(self.semi_axes)
 
-    def tail_norm(self, i: int) -> float:
-        """||t(i)|| = sqrt(sum_{j >= i} t_j^2), 1-based i."""
-        return float(self.tail_norms[i - 1])
-
-    def tail_sq_norm(self, i: int) -> float:
-        """||t^2(i)||, 1-based i."""
-        return float(self.tail_sq_norms[i - 1])
-
 
 def make_spec(semi_axes) -> EllipsoidSpec:
     t = np.array(semi_axes, dtype=float)
@@ -67,32 +59,9 @@ def make_spec(semi_axes) -> EllipsoidSpec:
                          tail_norms=np.sqrt(sq_sums), tail_sq_norms=np.sqrt(fourth_sums))
 
 
-@dataclass(frozen=True)
-class EllipsoidSample:
-    point: np.ndarray        # argmax on the ellipsoid boundary
-    sup_value: float         # <x, g> = ||gt||
-    tail_profile: np.ndarray  # a_i = ||x(i)||, 1-based, with a_0 = t_1 prepended
-
-
-def argmax_point(spec: EllipsoidSpec, g) -> EllipsoidSample:
-    """Closed-form supremum point x_i = g_i t_i^2 / ||gt|| for one draw."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != spec.semi_axes.shape:
-        raise ValueError("draw dimension must match the truncation")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("draw must be finite")
-    gt = g * spec.semi_axes
-    norm_gt = float(np.linalg.norm(gt))
-    if norm_gt == 0.0:
-        raise ValueError("zero draw has no argmax (measure-zero event)")
-    x = g * spec.semi_axes ** 2 / norm_gt
-    tails = np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])
-    profile = np.r_[spec.semi_axes[0], tails]
-    return EllipsoidSample(point=x, sup_value=norm_gt, tail_profile=profile)
-
-
 def _argmax_cloud(spec: EllipsoidSpec, n_samples: int, seed: int) -> np.ndarray:
-    """Matrix of argmax samples, one per row."""
+    """Matrix of argmax samples x_i = g_i t_i^2 / ||gt||, one per row; a zero
+    draw (a measure-zero event) gives the origin."""
     g = standard_normal_block(seed, 0, n_samples, spec.truncation)
     gt = g * spec.semi_axes
     norms = np.linalg.norm(gt, axis=1)
@@ -197,41 +166,6 @@ def _first_above(values: np.ndarray, start: int, h: float) -> int:
     return start + int(above[0]) if above.size else len(values)
 
 
-def smallball_check(spec: EllipsoidSpec, anchor: EllipsoidSample, i: int, eps_grid,
-                    n_samples: int, seed: int):
-    """Empirical argmax-law mass of balls around an anchor sample.
-
-    For eps in [a_{i+1}/sqrt2, a_i/sqrt2] the bound predicts
-    mass <= exp(-c ||t^2(i)||^2 / t_i^4) for a universal c; rows report the
-    implied c (a resolution-limited lower bound when no sample lands in
-    the ball).
-    """
-    if not 1 <= i < spec.truncation:
-        raise ValueError("need 1 <= i < truncation")
-    a = anchor.tail_profile  # a[0] = t_1, a[i] = ||x(i)||
-    lo, hi = a[i + 1] / math.sqrt(2.0), a[i] / math.sqrt(2.0)
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid:
-        raise ValueError("empty eps grid (a_{i+1} may equal a_i)")
-    for e in eps_grid:
-        if not (lo - 1e-12 <= e <= hi + 1e-12):
-            raise ValueError(f"eps {e} outside [{lo}, {hi}]")
-    cloud = _argmax_cloud(spec, n_samples, seed)
-    dist = np.linalg.norm(cloud - anchor.point, axis=1)
-    scale = spec.tail_sq_norm(i) ** 2 / spec.semi_axes[i - 1] ** 4
-    rows = []
-    for e in eps_grid:
-        mass = float(np.mean(dist <= e))
-        if mass > 0:
-            implied = -math.log(mass) / scale
-            bound_kind = "estimate"
-        else:
-            implied = -math.log(1.0 / n_samples) / scale
-            bound_kind = "lower-bound"
-        rows.append({"eps": e, "mass": mass, "implied_c": implied, "kind": bound_kind})
-    return rows
-
-
 def gap_lower_bound_check(spec: EllipsoidSpec, i: int, n_samples: int, seed: int):
     """E(||x(i)|| - ||x(i+1)||) against t_i^4 / (||t|| ||t^2(i)||).
 
@@ -246,7 +180,7 @@ def gap_lower_bound_check(spec: EllipsoidSpec, i: int, n_samples: int, seed: int
     gaps = tail_i - tail_next
     lhs = float(gaps.mean())
     se = float(gaps.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    rhs = spec.semi_axes[i - 1] ** 4 / (spec.norm_t * spec.tail_sq_norm(i))
+    rhs = spec.semi_axes[i - 1] ** 4 / (spec.norm_t * spec.tail_sq_norms[i - 1])  # ||t^2(i)||
     return {"i": i, "lhs_mc": lhs, "lhs_stderr": se, "rhs": float(rhs),
             "ratio": lhs / rhs if rhs > 0 else math.inf}
 

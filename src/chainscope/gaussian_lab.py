@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures
 from .measures import ProbabilityMeasure, functional_M
 from .metric_core import FiniteMetricSpace, build_from_covariance, cover_sizes, sqrt_log2
 
@@ -263,7 +262,7 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
 
 
 # ---------------------------------------------------------------------------
-# structural bounds and checks
+# structural bounds
 
 
 def sudakov_bound(space: FiniteMetricSpace):
@@ -282,39 +281,6 @@ def sudakov_bound(space: FiniteMetricSpace):
     vals = seps * sqrt_log2(sizes)
     i = int(np.argmax(vals))
     return float(vals[i]), (float(seps[i]), int(sizes[i]))
-
-
-def concentration_check(model: GaussianModel, u_grid, n_samples: int, seed: int,
-                        threads: int = 1):
-    """Empirical tails of |sup - mean sup| against 2 exp(-u^2 / 2 sigma^2).
-
-    sigma is the largest pointwise standard deviation (the Lipschitz
-    constant of the supremum in the underlying Gaussian); the canonical
-    diameter would undershoot it for strongly correlated coordinates.
-    Returns a list of rows (u, empirical, bound, stderr, flagged);
-    zero-variance models yield an empty table with a warning.
-    """
-    sigma = math.sqrt(float(np.max(np.diag(model.covariance))))
-    if sigma <= 0:
-        warnings.warn("degenerate model: zero variance, concentration check skipped")
-        return []
-    u_grid = [float(u) for u in u_grid]
-
-    def per_block(x):
-        m = x.max(axis=0)
-        return m.sum(), m
-
-    parts = _map_shards(model, n_samples, seed, threads, per_block)
-    mean = sum(p[0] for p in parts) / n_samples
-    sups = np.concatenate([p[1] for p in parts])
-    rows = []
-    for u in u_grid:
-        emp = float(np.mean(np.abs(sups - mean) >= u))
-        bound = 2.0 * math.exp(-u * u / (2.0 * sigma * sigma))
-        se = math.sqrt(max(emp * (1 - emp), 1.0 / n_samples) / n_samples)
-        rows.append({"u": u, "empirical": emp, "bound": bound,
-                     "stderr": se, "flagged": emp > bound + 3.0 * se})
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +336,3 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
     report["modulus"] = rows
     return report
 
-
-def submodel(model: GaussianModel, indices) -> GaussianModel:
-    idx = np.asarray(list(indices), dtype=int)
-    return build_model(model.covariance[np.ix_(idx, idx)])
-
-
-def nested_net_experiment(model: GaussianModel, nested_subsets, n_samples: int, seed: int,
-                          threads: int = 1):
-    """Per-level M(mu_F, mu_F) along a nested chain of index subsets.
-
-    A desk-scale stand-in for the weak-limit argument: reports the values
-    and successive differences as a convergence diagnostic, asserting
-    nothing.
-    """
-    prev = None
-    rows = []
-    for k, subset in enumerate(nested_subsets):
-        if prev is not None and not set(prev).issubset(set(subset)):
-            raise ValueError(f"subsets must be nested; level {k} drops points")
-        sub = submodel(model, subset)
-        amd = argmax_distribution(sub, n_samples, seed, threads)
-        val = functional_M(sub.space, amd.measure, amd.measure)
-        rows.append({"level": k, "size": len(subset), "m_self": val,
-                     "diff": None if not rows else val - rows[-1]["m_self"],
-                     "weights": [float(v) for v in amd.measure.weights]})
-        prev = subset
-    return rows

@@ -87,13 +87,15 @@ def space_from_instance(inst: dict) -> FiniteMetricSpace:
     return build_from_covariance(data)
 
 
-def covariance_from_instance(inst: dict) -> np.ndarray:
+def covariance_from_instance(inst: dict, space: FiniteMetricSpace | None = None) -> np.ndarray:
     """Covariance matrix realizing the instance's metric as a canonical distance.
 
     covariance input is used directly, points become the Gram matrix P P^T,
     and a raw distance matrix goes through classical multidimensional
-    scaling G = -1/2 J D^2 J.  A distance matrix whose Gram form has an
-    eigenvalue below -EMBED_TOL * scale admits no Gaussian model and raises
+    scaling G = -1/2 J D^2 J of ``space.dist``, the instance's validated
+    metric space, which a matrix instance must pass (the other two types
+    need none).  A distance matrix whose Gram form has an eigenvalue below
+    -EMBED_TOL * scale admits no Gaussian model and raises
     MetricValidationError.
     """
     mtype = inst["metric"]["type"]
@@ -103,7 +105,7 @@ def covariance_from_instance(inst: dict) -> np.ndarray:
     if mtype == "points":
         P = np.atleast_2d(data)
         return P @ P.T
-    D = np.asarray(build_from_distance_matrix(data).dist)
+    D = np.asarray(space.dist)
     n = D.shape[0]
     J = np.eye(n) - np.ones((n, n)) / n
     G = -0.5 * J @ (D ** 2) @ J

@@ -59,18 +59,9 @@ class ProbabilityMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def mass(self, t: int, radius: float) -> float:
-        return float(self.weights[self.space.dist[t] <= radius].sum())
-
 
 def uniform_measure(space: FiniteMetricSpace) -> ProbabilityMeasure:
     return ProbabilityMeasure(space, np.full(space.n, 1.0 / space.n))
-
-
-def point_mass(space: FiniteMetricSpace, t: int) -> ProbabilityMeasure:
-    w = np.zeros(space.n)
-    w[t] = 1.0
-    return ProbabilityMeasure(space, w)
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +215,10 @@ def nu_average(prof: np.ndarray, nu_w: np.ndarray) -> float:
 # public operations
 
 
-def sigma(space: FiniteMetricSpace, mu: ProbabilityMeasure, t: int, delta: float,
-          mode: str = GAUSSIAN_LOG, young: YoungFunction | None = None) -> float:
-    """Exact truncated majorizing integral at one point; +inf is a value.
-
-    +inf signals an interval of positive length whose ball carries no mass;
-    optimizers treat it as an infeasible objective, not an error.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta == 0 or space.n == 0:
-        return 0.0
-    ev = SigmaEvaluator(space, delta, mode, young)
-    return float(ev.profile(mu.weights)[t])
-
-
 def sigma_profile(space: FiniteMetricSpace, mu: ProbabilityMeasure, delta: float,
                   mode: str = GAUSSIAN_LOG, young: YoungFunction | None = None) -> np.ndarray:
+    """Exact sigma(mu, t, delta) at every point t; +inf, a value, marks an
+    interval of positive length whose ball carries no mass."""
     if delta <= 0:
         return np.zeros(space.n)
     ev = SigmaEvaluator(space, delta, mode, young)
@@ -262,11 +240,3 @@ def functional_M(space: FiniteMetricSpace, mu: ProbabilityMeasure, nu: Probabili
     ev = SigmaEvaluator(mu.space, d, mode, young)
     return nu_average(ev.profile(mu.weights), nu.weights)
 
-
-def subadditivity_check(x: float, y: float) -> bool:
-    """sqrt(log2(x*y)) <= sqrt(log2 x) + sqrt(log2 y) for x, y >= 1."""
-    if x < 1 or y < 1:
-        raise ValueError("subadditivity_check requires x, y >= 1")
-    lhs = math.sqrt(math.log2(x * y))
-    rhs = math.sqrt(math.log2(x)) + math.sqrt(math.log2(y))
-    return lhs <= rhs + 1e-12

@@ -8,14 +8,13 @@ trees, Monte Carlo labs) operates on these spaces.  Balls are closed:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 TRIANGLE_TOL = 1e-9
-EXACT_COVER_MAX_N = 12
+ENTRY_LIMIT = np.finfo(float).max / 2  # d(i, j) + d(j, i) of larger entries overflows
 DISTANCE_BLOCK = 1 << 15  # output entries per pass of euclidean_distances
 
 
@@ -46,10 +45,6 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         self.dist.setflags(write=False)
-
-    def ball_members(self, t: int, radius: float) -> np.ndarray:
-        """Indices of the closed ball around point ``t``."""
-        return np.flatnonzero(self.dist[t] <= radius)
 
     @cached_property
     def breaks(self) -> np.ndarray:
@@ -94,18 +89,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def build_from_distance_matrix(matrix, *, _check_triangle: bool = True) -> FiniteMetricSpace:
+def _check_entries(D: np.ndarray) -> None:
+    # NaN fails the comparison too
+    if not np.all(np.abs(D) <= ENTRY_LIMIT):
+        raise MetricValidationError(
+            f"matrix entries must be finite and at most {ENTRY_LIMIT:.6g} in magnitude")
+
+
+def _wrap(D: np.ndarray) -> FiniteMetricSpace:
+    return FiniteMetricSpace(dist=D, diam=float(D.max()) if D.shape[0] else 0.0)
+
+
+def build_from_distance_matrix(matrix) -> FiniteMetricSpace:
     """Validate a raw square matrix and wrap it as a metric space.
 
     Raises :class:`MetricValidationError` naming the offending entry or
     triple on asymmetry, negative entries, a nonzero diagonal or a triangle
-    violation beyond ``TRIANGLE_TOL``.
+    violation beyond ``TRIANGLE_TOL``, and on entries that are not finite or
+    exceed ``ENTRY_LIMIT``.
     """
     D = np.array(matrix, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise MetricValidationError(f"matrix must be square, got shape {D.shape}")
-    if not np.all(np.isfinite(D)):
-        raise MetricValidationError("matrix entries must be finite")
+    _check_entries(D)
     n = D.shape[0]
     diag = np.flatnonzero(np.abs(np.diag(D)) > 1e-12)
     if diag.size:
@@ -121,14 +127,13 @@ def build_from_distance_matrix(matrix, *, _check_triangle: bool = True) -> Finit
         raise MetricValidationError(f"negative entry at ({i},{j}): {D[i, j]}")
     D = (D + D.T) / 2.0
     np.fill_diagonal(D, 0.0)
-    if _check_triangle:
-        # triangle: d(i,j) <= d(i,k) + d(k,j) for every intermediate k
-        for k in range(n):
-            viol = D > D[:, [k]] + D[[k], :] + TRIANGLE_TOL
-            if viol.any():
-                i, j = (int(v) for v in np.argwhere(viol)[0])
-                raise MetricValidationError(f"triangle violated ({i},{j}) via {k}")
-    return FiniteMetricSpace(dist=D, diam=float(D.max()) if n else 0.0)
+    # triangle: d(i,j) <= d(i,k) + d(k,j) for every intermediate k
+    for k in range(n):
+        viol = D > D[:, [k]] + D[[k], :] + TRIANGLE_TOL
+        if viol.any():
+            i, j = (int(v) for v in np.argwhere(viol)[0])
+            raise MetricValidationError(f"triangle violated ({i},{j}) via {k}")
+    return _wrap(D)
 
 
 def build_from_covariance(cov) -> FiniteMetricSpace:
@@ -155,8 +160,10 @@ def build_from_covariance(cov) -> FiniteMetricSpace:
         raise MetricValidationError(f"negative squared distance {sq.min()} beyond tolerance")
     D = np.sqrt(np.clip(sq, 0.0, None))
     np.fill_diagonal(D, 0.0)
-    # the canonical distance is an L2 norm distance, so the triangle holds
-    return build_from_distance_matrix(D, _check_triangle=False)
+    # C is exactly symmetric, so D is too, with a zero diagonal; the canonical
+    # distance is an L2 norm distance, so the triangle holds
+    _check_entries(D)
+    return _wrap(D)
 
 
 def build_from_points(points) -> FiniteMetricSpace:
@@ -165,8 +172,10 @@ def build_from_points(points) -> FiniteMetricSpace:
     if P.ndim != 2:
         raise MetricValidationError("points must form a 2-d array")
     D = euclidean_distances(P, P)
-    # Euclidean distances satisfy the triangle inequality by construction
-    return build_from_distance_matrix(D, _check_triangle=False)
+    # (a - b)**2 == (b - a)**2, so D is exactly symmetric with a zero
+    # diagonal, and Euclidean distances satisfy the triangle inequality
+    _check_entries(D)
+    return _wrap(D)
 
 
 def euclidean_distances(A, B) -> np.ndarray:
@@ -233,10 +242,6 @@ def cover_sizes(space: FiniteMetricSpace, radii) -> np.ndarray:
     return space.covers[space.segment(radii)]
 
 
-def greedy_cover_size(space: FiniteMetricSpace, radius: float) -> int:
-    return int(cover_sizes(space, [radius])[0])
-
-
 def packings(space: FiniteMetricSpace, separations) -> np.ndarray:
     """Greedy maximal packings at several separations, scanned in index order.
 
@@ -260,32 +265,6 @@ def packings(space: FiniteMetricSpace, separations) -> np.ndarray:
 def greedy_packing(space: FiniteMetricSpace, separation: float) -> list[int]:
     """Greedy maximal packing at one separation; see :func:`packings`."""
     return np.flatnonzero(packings(space, [separation])[0]).tolist()
-
-
-def exact_covering_number(space: FiniteMetricSpace, radius: float) -> int:
-    """Exhaustive minimal set cover; only feasible for n <= EXACT_COVER_MAX_N."""
-    n = space.n
-    if n > EXACT_COVER_MAX_N:
-        raise ValueError(f"exact cover limited to n <= {EXACT_COVER_MAX_N}")
-    if n == 0:
-        return 0
-    masks = []
-    for t in range(n):
-        m = 0
-        for x in space.ball_members(t, radius):
-            m |= 1 << int(x)
-        masks.append(m)
-    full = (1 << n) - 1
-    at_r, at_2r = space.segment([radius, 2.0 * radius])
-    lo, hi = int(space.packs[at_2r]), int(space.covers[at_r])
-    for k in range(max(lo, 1), hi + 1):
-        for combo in itertools.combinations(range(n), k):
-            acc = 0
-            for t in combo:
-                acc |= masks[t]
-            if acc == full:
-                return k
-    return hi
 
 
 @dataclass(frozen=True)

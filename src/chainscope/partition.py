@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian_lab import sample_paths
-from .measures import GAUSSIAN_LOG, ProbabilityMeasure, SigmaEvaluator
+from .measures import ProbabilityMeasure
 from .metric_core import FiniteMetricSpace
 
 
@@ -43,20 +43,6 @@ class PartitionTree:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-    def radius(self, k: int) -> float:
-        """Carving radius at level k: diam * r^-k / 2."""
-        return self.space.diam * self.r ** (-k) / 2.0
-
-    def chain(self, t: int) -> list:
-        """Cells A_0(t) .. A_depth(t) containing point t."""
-        out = []
-        for cells in self.levels:
-            for c in cells:
-                if t in c.members:
-                    out.append(c)
-                    break
-        return out
 
 
 def common_sample_oracle(model, n_samples: int, seed: int):
@@ -200,27 +186,6 @@ def chained_functional(tree: PartitionTree, mu: ProbabilityMeasure,
     return total
 
 
-def verify_tree_translation(tree: PartitionTree, mu: ProbabilityMeasure, t: int, delta: float,
-                  mode: str = GAUSSIAN_LOG):
-    """Point-chain translation: sigma(mu, t, delta) against the tree sum.
-
-    Returns (lhs, rhs, ok) with ok = lhs <= rhs + 1e-9; a zero-mass cell on
-    the chain makes rhs infinite and the check trivially true.
-    """
-    ev = SigmaEvaluator(tree.space, delta, mode)
-    lhs = float(ev.profile(mu.weights)[t])
-    chain = tree.chain(t)
-    D = tree.space.diam
-    rhs = 0.0
-    for k in range(1, len(chain)):
-        term = _log_ratio_term(_cell_mass(mu, chain[k - 1]), _cell_mass(mu, chain[k]))
-        if math.isinf(term):
-            rhs = math.inf
-            break
-        rhs += tree.r * D * tree.r ** (-k) * term
-    return lhs, rhs, bool(lhs <= rhs + 1e-9)
-
-
 # ---------------------------------------------------------------------------
 # audits
 
@@ -237,22 +202,12 @@ class CellAudit:
     low_confidence: bool
 
 
-def grouping_block_sizes(m_cells: int):
-    """Block sizes m_l = 2^(2^l) capped at the cell count, and l0."""
-    if m_cells < 1:
-        return [], 0
+def _grouping_level(m_cells: int) -> int:
+    """l0: the first l whose block 2^(2^l) reaches the cell count (0 for m <= 2)."""
     l0 = 0
     while 2 ** (2 ** l0) < m_cells:
         l0 += 1
-    bounds = [0]
-    for l in range(l0 + 1):
-        bounds.append(min(2 ** (2 ** l), m_cells))
-    return [bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1)], l0
-
-
-def grouping_bound(l0: int) -> float:
-    """1 + sum_{l<=l0} (2^(l/2)+1)/2^(2^l); stays below 4 for every l0."""
-    return 1.0 + sum((2.0 ** (l / 2.0) + 1.0) / 2.0 ** (2 ** l) for l in range(l0 + 1))
+    return l0
 
 
 def audit_cell(tree: PartitionTree, mu: ProbabilityMeasure, cell: Cell) -> CellAudit:
@@ -287,7 +242,7 @@ def audit_cell(tree: PartitionTree, mu: ProbabilityMeasure, cell: Cell) -> CellA
         emp_l = math.inf
     return CellAudit(level=cell.level, center=cell.center, lhs=float(lhs),
                      rhs_core=float(core), children_term=float(grand),
-                     empirical_L=float(emp_l), l0=grouping_block_sizes(len(cell.children))[1],
+                     empirical_L=float(emp_l), l0=_grouping_level(len(cell.children)),
                      low_confidence=bool(worst_se > 0.1 * scale))
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian_lab import argmax_distribution, estimate_sup
-from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure, SigmaEvaluator,
-                       WEIGHT_FLOOR, YoungFunction, nu_average, young_power)
+from .measures import (YOUNG_INVERSE, ProbabilityMeasure, SigmaEvaluator, WEIGHT_FLOOR,
+                       nu_average)
 from .metric_core import FiniteMetricSpace
 
 # balanced_measure: fixed-point iteration cap, first step exponent, and the
@@ -195,8 +195,8 @@ def _best_of_restarts(problem, name, init_measures, restarts, max_iter, seed, tr
                               converged=best[2])
 
 
-def maximize_M_self(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG,
-                    delta: float | None = None, init_measures=None, restarts: int = 8,
+def maximize_M_self(space: FiniteMetricSpace, delta: float | None = None,
+                    init_measures=None, restarts: int = 8,
                     max_iter: int = 300, seed: int = 0,
                     trace: list | None = None) -> OptimizationResult:
     """Best-found measure for sup_mu M(mu, mu, delta).
@@ -205,11 +205,11 @@ def maximize_M_self(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG,
     Dirichlet restarts; the returned objective is the exact functional at
     the returned measure.
     """
-    return _best_of_restarts(_SelfM(SigmaEvaluator(space, delta, mode)), "sup_self",
+    return _best_of_restarts(_SelfM(SigmaEvaluator(space, delta)), "sup_self",
                              init_measures, restarts, max_iter, seed, trace)
 
 
-def minimize_sup_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts: int = 8,
+def minimize_sup_M(space: FiniteMetricSpace, restarts: int = 8,
                    max_iter: int = 400, seed: int = 0,
                    trace: list | None = None) -> OptimizationResult:
     """Best-found measure for inf_mu sup_t M(mu, delta_t).
@@ -217,21 +217,21 @@ def minimize_sup_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts:
     The reported objective is an upper bound for the true infimum
     (feasible-point semantics).
     """
-    return _best_of_restarts(_Soft(SigmaEvaluator(space, None, mode), -1.0), "inf_sup", None,
+    return _best_of_restarts(_Soft(SigmaEvaluator(space), -1.0), "inf_sup", None,
                              restarts, max_iter, seed, trace)
 
 
-def maximize_inf_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts: int = 8,
+def maximize_inf_M(space: FiniteMetricSpace, restarts: int = 8,
                    max_iter: int = 400, seed: int = 0,
-                   extra_inits=None, trace: list | None = None) -> OptimizationResult:
+                   trace: list | None = None) -> OptimizationResult:
     """Best-found measure for sup_mu inf_t M(mu, delta_t).
 
     The balanced measure is always tried as an initializer: equalized
     integrals keep the inner infimum non-degenerate over the support.
     Without one (coincident points) the search warns and goes on without it.
     """
-    problem = _Soft(SigmaEvaluator(space, None, mode), 1.0)
-    inits = list(extra_inits or [])
+    problem = _Soft(SigmaEvaluator(space), 1.0)
+    inits = []
     try:
         inits.append(balanced_measure(space).measure)
     except ValueError as exc:
@@ -239,9 +239,11 @@ def maximize_inf_M(space: FiniteMetricSpace, mode: str = GAUSSIAN_LOG, restarts:
     return _best_of_restarts(problem, "sup_inf", inits, restarts, max_iter, seed, trace)
 
 
-def balanced_measure(space: FiniteMetricSpace, young: YoungFunction | None = None,
+def balanced_measure(space: FiniteMetricSpace,
                      init: ProbabilityMeasure | None = None) -> BalancedMeasure:
     """The measure equalizing the young-inverse integrals over all points.
+
+    The integrals use the built-in Young function phi_2(x) = 2^(x^2) - 1.
 
     Damped multiplicative fixed-point iteration with a line search on the
     exponent, so the spread max Phi - min Phi decreases at every accepted
@@ -252,13 +254,12 @@ def balanced_measure(space: FiniteMetricSpace, young: YoungFunction | None = Non
         raise ValueError("empty space")
     if space.n == 1:
         w = np.ones(1)
-        ev = SigmaEvaluator(space, None, YOUNG_INVERSE, young or young_power(2.0))
-        phi = ev.profile(w)
+        phi = SigmaEvaluator(space, None, YOUNG_INVERSE).profile(w)
         return BalancedMeasure(ProbabilityMeasure(space, w), phi, 0.0, 0, True)
     off = space.dist[np.triu_indices(space.n, k=1)]
     if np.any(off == 0):
         raise ValueError("balanced measure requires all points distinct")
-    ev = SigmaEvaluator(space, None, YOUNG_INVERSE, young or young_power(2.0))
+    ev = SigmaEvaluator(space, None, YOUNG_INVERSE)
     w = init.weights.copy() if init is not None else np.full(space.n, 1.0 / space.n)
     w = _project(w)
     phi = ev.profile(w)

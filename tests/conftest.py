@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainscope import build_from_covariance, build_from_distance_matrix, build_from_points
+from chainscope.metric_core import build_from_covariance, build_from_distance_matrix, build_from_points
 
 
 def random_covariance(rng, n, scale=1.0):

@@ -28,10 +28,14 @@ and ``csv_reference``, a ``csv.DictWriter`` fed one converted value at a
 time, are the byte references for the column-wise writers of ``io``.
 ``snap_to_net_reference``, one norm over all centers per unsnapped row, is
 the reference for the incremental net snapping of ``ellipsoid``.
+``exact_covering_number``, an exhaustive set cover for n <=
+``EXACT_COVER_MAX_N``, is the truth the certified covering sandwich of
+``metric_core.covering_table`` must contain.
 """
 
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
@@ -115,6 +119,9 @@ def balanced_oracle_013(resolution=1e-3):
     return float(spread[best]), W[best]
 
 
+EXACT_COVER_MAX_N = 12
+
+
 def greedy_packing_reference(space, separation, strict=True):
     """Sequential index-order greedy packing at one separation.
 
@@ -148,6 +155,19 @@ def cover_size_reference(space, radius):
         inserted.append(mind[j])
         np.minimum(mind, D[j], out=mind)
     return 1 + sum(1 for r in inserted if r > radius)
+
+
+def exact_covering_number(space, radius):
+    """Fewest closed balls of ``radius`` covering the space, by exhaustive
+    search over sets of centers; only feasible for n <= EXACT_COVER_MAX_N."""
+    if space.n > EXACT_COVER_MAX_N:
+        raise ValueError(f"exact cover limited to n <= {EXACT_COVER_MAX_N}")
+    balls = [set(np.flatnonzero(row <= radius).tolist()) for row in space.dist]
+    for k in range(1, space.n + 1):
+        if any(len(set().union(*centers)) == space.n
+               for centers in itertools.combinations(balls, k)):
+            return k
+    return 0
 
 
 class SigmaReference:

@@ -7,26 +7,25 @@ desk-scale runtime budget.
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
-from chainscope import (ProbabilityMeasure, argmax_distribution, balanced_measure,
-                        build_from_points, build_model, build_partition,
-                        chained_functional, common_sample_oracle,
-                        concentration_check, duality_report, estimate_sup,
-                        functional_M, maximize_M_self, sample_paths,
-                        sigma, uniform_measure, verify_tree_translation)
+from chainscope import (ProbabilityMeasure, build_from_points, build_model, build_partition,
+                        chained_functional, common_sample_oracle, duality_report,
+                        functional_M, maximize_M_self, sigma_profile, uniform_measure)
 from chainscope.cli import data_instance_path, main, replay_manifest
-from chainscope.ellipsoid import (argmax_point, esup_check,
-                                  gap_lower_bound_check, make_spec)
-from chainscope.gaussian_lab import standard_normal_block, supremum_report
+from chainscope.ellipsoid import _argmax_cloud, esup_check, gap_lower_bound_check, make_spec
+from chainscope.gaussian_lab import (argmax_distribution, estimate_sup, sample_paths,
+                                     supremum_report)
 from chainscope.measures import SigmaEvaluator
+from chainscope.search import balanced_measure
 
 from conftest import random_covariance, random_space, random_weights
 from oracles import balanced_oracle_013
+from test_gaussian_lab import concentration_check
 from test_measures import riemann_bracket
+from test_partition import verify_tree_translation
 
 THREADS = 4
 
@@ -87,7 +86,7 @@ def test_functional_matches_riemann_oracle():
         nu = ProbabilityMeasure(sp, nu_w)
         delta = float(rng.uniform(0.3, 1.1)) * sp.diam
         t = int(rng.integers(n))
-        val = sigma(sp, mu, t, delta)
+        val = sigma_profile(sp, mu, delta)[t]
         lo, hi = riemann_bracket(sp, w, t, delta)
         assert abs(val - (lo + hi) / 2.0) <= 1e-4 * (1.0 + val)
         m_val = functional_M(sp, mu, nu, delta)
@@ -236,10 +235,8 @@ def test_modulus_sandwich():
 
 def test_ellipsoid_boundary_identity():
     spec = make_spec([1.0 / (i + 1) for i in range(16)])
-    g = standard_normal_block(1010, 0, 2000, 16)
-    for row in g:
-        s = argmax_point(spec, row)
-        assert abs(float(np.sum(s.point ** 2 / spec.semi_axes ** 2)) - 1.0) <= 1e-9
+    for x in _argmax_cloud(spec, 2000, 1010):
+        assert abs(float(np.sum(x ** 2 / spec.semi_axes ** 2)) - 1.0) <= 1e-9
 
 
 def test_ellipsoid_esup_ratio():

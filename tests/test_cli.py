@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import cli
+from chainscope import io as chainscope_io
 from chainscope.cli import data_instance_path, main, replay_manifest, validate_envelope
 
 
@@ -53,6 +54,15 @@ class TestInputErrors:
         code, _ = run(tmp_path, "analyze", "--instance", path)
         assert code == 2
         assert "asymmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", [
+        {"type": "matrix", "data": [[0, 1.5e308], [1.5e308, 0]]},  # d + d overflows
+        {"type": "points", "data": [[0], [1e200]]},  # the squared distance overflows
+    ], ids=["matrix", "points"])
+    def test_entries_beyond_the_float_range_exit_2(self, tmp_path, capsys, metric):
+        path = write_instance(tmp_path, {"name": "x", "metric": metric})
+        assert run(tmp_path, "analyze", "--instance", path)[0] == 2
+        assert capsys.readouterr().err.startswith("error: matrix entries must be finite")
 
     def test_missing_file_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "analyze", "--instance", str(tmp_path / "nope.json"))
@@ -318,6 +328,34 @@ class TestModulus:
             assert code == 0
             values.append(read_report(out, "modulus")["payload"]["rows"][0]["s_delta"])
         assert values[0] == values[1]
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("command", ["bounds", "modulus"])
+    def test_matrix_instance_is_validated_once(self, tmp_path, monkeypatch, command):
+        D = [[0, 1, 3, 6], [1, 0, 2, 5], [3, 2, 0, 3], [6, 5, 3, 0]]  # points 0, 1, 3, 6
+        argv = (command, "--samples", "2000", "--instance", write_instance(
+            tmp_path, {"name": "four", "metric": {"type": "matrix", "data": D}}))
+        calls = []
+        real = chainscope_io.build_from_distance_matrix
+        monkeypatch.setattr(chainscope_io, "build_from_distance_matrix",
+                            lambda matrix: calls.append(1) or real(matrix))
+        assert run(tmp_path, *argv, sub="once")[0] == 0
+        assert len(calls) == 1
+
+        def validate_twice(inst):  # the prelude the commands had before
+            space = cli._space(inst)
+            again = chainscope_io.build_from_distance_matrix(inst["metric"]["data"])
+            return space, cli.build_model(chainscope_io.covariance_from_instance(inst, again),
+                                          space)
+
+        monkeypatch.setattr(cli, "_space_and_model", validate_twice)
+        assert run(tmp_path, *argv, sub="twice")[0] == 0
+        assert len(calls) == 3
+        for name in os.listdir(tmp_path / "once"):
+            if not name.endswith("_manifest.json"):  # manifests hold wall time
+                assert ((tmp_path / "once" / name).read_bytes()
+                        == (tmp_path / "twice" / name).read_bytes()), name
 
 
 class TestManifestReplay:

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from chainscope import (argmax_point, ellipsoid, ellipsoid_report, empirical_measure,
-                        esup_check, gap_lower_bound_check, make_spec,
-                        smallball_check)
-from chainscope.ellipsoid import _argmax_cloud, _snap_to_net
+from chainscope import ellipsoid, ellipsoid_report, esup_check, gap_lower_bound_check, make_spec
+from chainscope.ellipsoid import _argmax_cloud, _snap_to_net, empirical_measure
 from chainscope.gaussian_lab import standard_normal_block
 
 from oracles import snap_to_net_reference
@@ -19,13 +17,39 @@ from oracles import snap_to_net_reference
 BENCH_ELLIPSOIDS = [((1.0, 0.5, 0.25, 0.125), 3000), ((1.0, 0.5, 0.25), 2000)]
 
 
+def tail_profile(spec, x):
+    """a_0 = t_1, then a_i = ||x(i)|| = sqrt(sum_{j >= i} x_j^2), 1-based i."""
+    return np.r_[spec.semi_axes[0], np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])]
+
+
+def smallball_check(spec, anchor, i, eps_grid, n_samples, seed):
+    """Argmax-law mass of balls of radius eps in [a_{i+1}/sqrt2, a_i/sqrt2]
+    around an argmax point, and the c implied by the bound mass <=
+    exp(-c ||t^2(i)||^2 / t_i^4) (a lower bound when no sample lands)."""
+    a = tail_profile(spec, anchor)
+    lo, hi = a[i + 1] / math.sqrt(2.0), a[i] / math.sqrt(2.0)
+    eps_grid = [float(e) for e in eps_grid]
+    for e in eps_grid:
+        if not (lo - 1e-12 <= e <= hi + 1e-12):
+            raise ValueError(f"eps {e} outside [{lo}, {hi}]")
+    cloud = _argmax_cloud(spec, n_samples, seed)
+    dist = np.linalg.norm(cloud - anchor, axis=1)
+    scale = spec.tail_sq_norms[i - 1] ** 2 / spec.semi_axes[i - 1] ** 4
+    rows = []
+    for e in eps_grid:
+        mass = float(np.mean(dist <= e))
+        rows.append({"eps": e, "mass": mass, "kind": "estimate" if mass > 0 else "lower-bound",
+                     "implied_c": -math.log(mass if mass > 0 else 1.0 / n_samples) / scale})
+    return rows
+
+
 class TestSpec:
     def test_tail_norms(self):
         spec = make_spec([2.0, 1.0, 1.0])
         assert spec.norm_t == pytest.approx(math.sqrt(6.0))
-        assert spec.tail_norm(1) == pytest.approx(math.sqrt(6.0))
-        assert spec.tail_norm(3) == pytest.approx(1.0)
-        assert spec.tail_sq_norm(2) == pytest.approx(math.sqrt(2.0))
+        assert spec.tail_norms[0] == pytest.approx(math.sqrt(6.0))  # ||t(1)||
+        assert spec.tail_norms[2] == pytest.approx(1.0)  # ||t(3)||
+        assert spec.tail_sq_norms[1] == pytest.approx(math.sqrt(2.0))  # ||t^2(2)||
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -36,32 +60,40 @@ class TestSpec:
             make_spec([1.0, 2.0])
 
 
+def _cloud_of(spec, draws):
+    """``_argmax_cloud`` rows for the given draws in place of the sampler's."""
+    with mock.patch.object(ellipsoid, "standard_normal_block",
+                           lambda seed, start, stop, n: np.asarray(draws, dtype=float)):
+        return _argmax_cloud(spec, len(draws), 0)
+
+
 class TestArgmax:
     def test_boundary_identity(self):
         spec = make_spec([1.0, 0.5, 0.25])
         g = standard_normal_block(3, 0, 500, 3)
-        for row in g:
-            s = argmax_point(spec, row)
-            assert np.sum(s.point ** 2 / spec.semi_axes ** 2) == pytest.approx(1.0, abs=1e-9)
-            assert s.sup_value == pytest.approx(float(s.point @ row), rel=1e-9)
+        for x, row in zip(_argmax_cloud(spec, 500, 3), g):
+            assert np.sum(x ** 2 / spec.semi_axes ** 2) == pytest.approx(1.0, abs=1e-9)
+            # the supremum <x, g> is ||gt||
+            assert np.linalg.norm(row * spec.semi_axes) == pytest.approx(float(x @ row),
+                                                                         rel=1e-9)
 
     def test_sup_value_is_norm_gt(self):
         spec = make_spec([2.0, 1.0])
         g = np.array([3.0, 4.0])
-        s = argmax_point(spec, g)
-        assert s.sup_value == pytest.approx(math.hypot(6.0, 4.0))
+        x = _cloud_of(spec, [g])[0]
+        assert float(x @ g) == pytest.approx(math.hypot(6.0, 4.0))
 
     def test_tail_profile_prefixed(self):
         spec = make_spec([1.0, 1.0])
-        s = argmax_point(spec, np.array([1.0, 1.0]))
-        assert s.tail_profile[0] == 1.0  # a_0 = t_1
-        assert s.tail_profile[1] == pytest.approx(1.0)  # whole point on boundary
-        assert s.tail_profile[2] == pytest.approx(1.0 / math.sqrt(2.0))
+        a = tail_profile(spec, _cloud_of(spec, [[1.0, 1.0]])[0])
+        assert a[0] == 1.0  # a_0 = t_1
+        assert a[1] == pytest.approx(1.0)  # whole point on boundary
+        assert a[2] == pytest.approx(1.0 / math.sqrt(2.0))
 
-    def test_zero_draw_rejected(self):
-        spec = make_spec([1.0])
-        with pytest.raises(ValueError, match="zero draw"):
-            argmax_point(spec, np.array([0.0]))
+    def test_zero_draw_gives_the_origin(self):
+        # a zero draw, which has no argmax, becomes the origin without a 0/0
+        cloud = _cloud_of(make_spec([1.0, 0.5]), [[0.0, 0.0], [1.0, 0.0]])
+        assert cloud.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 class TestEsup:
@@ -186,8 +218,8 @@ class TestSnapToNet:
 class TestSmallBall:
     def test_rows_and_grid_validation(self):
         spec = make_spec([1.0 / (i + 1) for i in range(8)])
-        anchor = argmax_point(spec, standard_normal_block(99, 0, 1, 8)[0])
-        a = anchor.tail_profile
+        anchor = _argmax_cloud(spec, 1, 99)[0]
+        a = tail_profile(spec, anchor)
         i = 2
         grid = np.linspace(a[i + 1] / math.sqrt(2), a[i] / math.sqrt(2), 3)
         rows = smallball_check(spec, anchor, i, grid, 20000, 21)
@@ -200,7 +232,7 @@ class TestSmallBall:
 
     def test_out_of_range_eps_rejected(self):
         spec = make_spec([1.0, 0.5, 0.25])
-        anchor = argmax_point(spec, np.array([1.0, 1.0, 1.0]))
+        anchor = _cloud_of(spec, [[1.0, 1.0, 1.0]])[0]
         with pytest.raises(ValueError, match="outside"):
             smallball_check(spec, anchor, 1, [10.0], 100, 0)
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainscope import (build_model, argmax_distribution, concentration_check,
-                        estimate_modulus, estimate_sup, gaussian_lab, nested_net_experiment,
-                        sample_paths, sudakov_bound, supremum_report)
+from chainscope import functional_M, gaussian_lab
 from chainscope.cli import data_instance_path
-from chainscope.gaussian_lab import (FactorizationError, _default_shard,
-                                     standard_normal_block, submodel)
+from chainscope.gaussian_lab import (FactorizationError, _default_shard, _map_shards,
+                                     argmax_distribution, build_model, estimate_modulus,
+                                     estimate_sup, sample_paths, standard_normal_block,
+                                     sudakov_bound, supremum_report)
 from chainscope.io import covariance_from_instance, load_instance
 
 from conftest import random_covariance
@@ -20,6 +20,33 @@ from oracles import modulus_reference
 
 # two points at distance 1 realized as correlated unit-variance Gaussians
 COV_PAIR_D1 = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+def concentration_check(model, u_grid, n_samples, seed, threads=1):
+    """Rows (u, empirical, bound, stderr, flagged) of the tails of |sup - mean
+    sup| against 2 exp(-u^2 / 2 sigma^2), sigma the largest pointwise standard
+    deviation; zero-variance models yield an empty table with a warning."""
+    sigma = math.sqrt(float(np.max(np.diag(model.covariance))))
+    if sigma <= 0:
+        warnings.warn("degenerate model: zero variance, concentration check skipped")
+        return []
+    u_grid = [float(u) for u in u_grid]
+
+    def per_block(x):
+        m = x.max(axis=0)
+        return m.sum(), m
+
+    parts = _map_shards(model, n_samples, seed, threads, per_block)
+    mean = sum(p[0] for p in parts) / n_samples
+    sups = np.concatenate([p[1] for p in parts])
+    rows = []
+    for u in u_grid:
+        emp = float(np.mean(np.abs(sups - mean) >= u))
+        bound = 2.0 * math.exp(-u * u / (2.0 * sigma * sigma))
+        se = math.sqrt(max(emp * (1 - emp), 1.0 / n_samples) / n_samples)
+        rows.append({"u": u, "empirical": emp, "bound": bound,
+                     "stderr": se, "flagged": emp > bound + 3.0 * se})
+    return rows
 
 
 class TestModel:
@@ -324,7 +351,7 @@ class TestArgmax:
 
 class TestBounds:
     def test_sudakov_collinear(self):
-        from chainscope import build_from_points
+        from chainscope.metric_core import build_from_points
 
         sp = build_from_points([[0.0], [1.0], [3.0]])
         value, (radius, m) = sudakov_bound(sp)
@@ -378,24 +405,22 @@ class TestBounds:
             for i in range(m_clusters)])
         model = build_model(pts @ pts.T)
         whole = estimate_sup(model, 40000, 3).mean
-        cluster_sups = [
-            estimate_sup(submodel(model, range(i * per, (i + 1) * per)), 40000, 3).mean
-            for i in range(m_clusters)]
+        blocks = [np.arange(i * per, (i + 1) * per) for i in range(m_clusters)]
+        cluster_sups = [estimate_sup(build_model(model.covariance[np.ix_(b, b)]), 40000, 3).mean
+                        for b in blocks]
         gain = whole - min(cluster_sups)
         assert gain >= 0.2 * a * math.sqrt(math.log2(m_clusters))
 
 
 class TestNestedNets:
     def test_nested_table_shape(self):
+        # M(mu_F, mu_F) along the nested subsets {0, 1} of {0, 1, 2, 3} of an
+        # iid model: equidistant at distance sqrt(2), so M = sqrt(2) sqrt(log2 m)
         model = build_model(np.eye(4))
-        rows = nested_net_experiment(model, [[0, 1], [0, 1, 2, 3]], 50000, 5)
-        assert [r["size"] for r in rows] == [2, 4]
-        assert rows[0]["diff"] is None
-        # equidistant iid at distance sqrt(2): M = sqrt(2) sqrt(log2 m)
-        assert rows[0]["m_self"] == pytest.approx(math.sqrt(2.0), abs=0.02)
-        assert rows[1]["m_self"] == pytest.approx(2.0, abs=0.03)
-
-    def test_non_nested_rejected(self):
-        model = build_model(np.eye(4))
-        with pytest.raises(ValueError, match="nested"):
-            nested_net_experiment(model, [[0, 1], [2, 3]], 100, 5)
+        m_self = []
+        for subset in ([0, 1], [0, 1, 2, 3]):
+            sub = build_model(model.covariance[np.ix_(subset, subset)])
+            mu_f = argmax_distribution(sub, 50000, 5).measure
+            m_self.append(functional_M(sub.space, mu_f, mu_f))
+        assert m_self[0] == pytest.approx(math.sqrt(2.0), abs=0.02)
+        assert m_self[1] == pytest.approx(2.0, abs=0.03)

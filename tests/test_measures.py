@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainscope import (GAUSSIAN_LOG, YOUNG_INVERSE, ProbabilityMeasure,
-                        build_from_covariance, build_from_distance_matrix, build_from_points,
-                        functional_M, point_mass, sigma, sigma_profile,
-                        subadditivity_check, uniform_measure, young_power)
-from chainscope.measures import MeasureError, SigmaEvaluator
+from chainscope import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
+                        build_from_distance_matrix, build_from_points, functional_M,
+                        sigma_profile, uniform_measure, young_power)
+from chainscope.measures import SigmaEvaluator
+from chainscope.metric_core import build_from_covariance
 
 from conftest import integer_l1_space, random_covariance, random_space, random_weights
 from oracles import SigmaReference
@@ -56,12 +56,6 @@ class TestProbabilityMeasure:
         with pytest.raises(MeasureError, match="negative"):
             ProbabilityMeasure(sp, [1.2, -0.2])
 
-    def test_ball_mass_closed_ball(self):
-        sp = build_from_points([[0.0], [1.0], [3.0]])
-        mu = uniform_measure(sp)
-        assert mu.mass(0, 1.0) == pytest.approx(2.0 / 3.0)
-        assert mu.mass(0, 0.999) == pytest.approx(1.0 / 3.0)
-
 
 class TestYoungFamily:
     def test_zero_and_one(self):
@@ -103,7 +97,7 @@ class TestSigmaClosedForms:
     def test_two_point_uniform_gaussian(self):
         sp = build_from_distance_matrix([[0, 1], [1, 0]])
         mu = uniform_measure(sp)
-        assert sigma(sp, mu, 0, sp.diam) == pytest.approx(1.0, abs=1e-12)
+        assert sigma_profile(sp, mu, sp.diam)[0] == pytest.approx(1.0, abs=1e-12)
         assert functional_M(sp, mu, mu) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_scales_with_distance(self):
@@ -141,17 +135,18 @@ class TestSigmaClosedForms:
 
     def test_point_mass_sigma_at_owner(self):
         sp = build_from_points([[0.0], [1.0], [3.0]])
-        mu = point_mass(sp, 0)
+        mu = ProbabilityMeasure(sp, [1.0, 0.0, 0.0])  # the point mass at 0
+        prof = sigma_profile(sp, mu, sp.diam)
         # ball around 0 has mass 1 at every radius: integrand 0
-        assert sigma(sp, mu, 0, sp.diam) == 0.0
+        assert prof[0] == 0.0
         # ball around 2 (point 3.0) has mass 0 until eps = 3
-        assert sigma(sp, mu, 2, sp.diam) == math.inf
+        assert prof[2] == math.inf
 
     def test_infinity_propagates_only_when_charged(self):
         sp = build_from_points([[0.0], [1.0], [3.0]])
-        mu = point_mass(sp, 0)
+        mu = ProbabilityMeasure(sp, [1.0, 0.0, 0.0])  # the point mass at 0
         # sigma is infinite away from the atom, but nu there carries no mass
-        assert math.isfinite(functional_M(sp, mu, point_mass(sp, 0)))
+        assert math.isfinite(functional_M(sp, mu, mu))
         nu = ProbabilityMeasure(sp, [0.5, 0.5, 0.0])
         assert functional_M(sp, mu, nu) == math.inf
 
@@ -169,7 +164,7 @@ class TestSigmaClosedForms:
             mu = ProbabilityMeasure(sp, w)
             t = int(session_rng.integers(12))
             delta = float(session_rng.uniform(0.2, 1.2)) * sp.diam
-            val = sigma(sp, mu, t, delta)
+            val = sigma_profile(sp, mu, delta)[t]
             lo, hi = riemann_bracket(sp, w, t, delta)
             assert lo - 1e-9 <= val <= hi + 1e-9
             assert hi - lo <= 1e-4 * (1.0 + val)
@@ -212,6 +207,15 @@ class TestGradients:
             assert float(g @ d) == pytest.approx(fd, abs=1e-3)
 
 
+def subadditivity_check(x, y):
+    """sqrt(log2(x*y)) <= sqrt(log2 x) + sqrt(log2 y) for x, y >= 1."""
+    if x < 1 or y < 1:
+        raise ValueError("subadditivity_check requires x, y >= 1")
+    lhs = math.sqrt(math.log2(x * y))
+    rhs = math.sqrt(math.log2(x)) + math.sqrt(math.log2(y))
+    return lhs <= rhs + 1e-12
+
+
 class TestSubadditivity:
     @given(st.floats(min_value=1.0, max_value=1e6),
            st.floats(min_value=1.0, max_value=1e6))
@@ -233,7 +237,7 @@ def test_sigma_monotone_in_delta(n, seed):
     mu = ProbabilityMeasure(sp, w)
     deltas = np.sort(rng.uniform(0, 1.5 * sp.diam, size=4))
     t = int(rng.integers(n))
-    vals = [sigma(sp, mu, t, float(d)) for d in deltas]
+    vals = [sigma_profile(sp, mu, float(d))[t] for d in deltas]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -257,7 +261,8 @@ def test_profile_matches_pointwise(session_rng):
     mu = ProbabilityMeasure(sp, random_weights(session_rng, 9))
     prof = sigma_profile(sp, mu, sp.diam)
     for t in range(sp.n):
-        assert prof[t] == pytest.approx(sigma(sp, mu, t, sp.diam), rel=1e-12)
+        one_point = SigmaReference(SigmaEvaluator(sp, sp.diam)).sigma_one(mu.weights, t)
+        assert prof[t] == pytest.approx(one_point, rel=1e-12)
 
 
 def _evaluator_pair(space, mode, delta):

@@ -2,24 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import cdist
 
-from chainscope import (MetricValidationError, build_from_covariance,
-                        build_from_distance_matrix, build_from_points,
-                        covering_number, entropy_integral,
-                        modulus_entropy_diagnostic, sudakov_bound)
+from chainscope import (MetricValidationError, build_from_distance_matrix, build_from_points,
+                        entropy_integral, modulus_entropy_diagnostic, sudakov_bound)
 from chainscope import metric_core
-from chainscope.metric_core import (cover_sizes, covering_table, exact_covering_number,
-                                    greedy_cover_size, greedy_packing, greedy_permutation,
+from chainscope.metric_core import (build_from_covariance, cover_sizes, covering_number,
+                                    covering_table, greedy_packing, greedy_permutation,
                                     packings)
 
 from conftest import integer_l1_space, random_covariance, random_space
 from oracles import (cover_size_reference, distinct_distances_reference,
-                     entropy_integral_reference, greedy_packing_reference,
-                     modulus_entropy_diagnostic_reference, sudakov_bound_reference)
+                     entropy_integral_reference, exact_covering_number,
+                     greedy_packing_reference, modulus_entropy_diagnostic_reference,
+                     sudakov_bound_reference)
 
 
 @st.composite
@@ -88,6 +87,17 @@ class TestValidation:
         with pytest.raises(MetricValidationError, match=r"triangle violated \(0,2\) via 1"):
             build_from_distance_matrix(D)
 
+    @pytest.mark.parametrize("big", [1.5e308, np.finfo(float).max])
+    def test_entries_whose_sum_overflows(self, big):
+        # d(i, j) + d(j, i), which the symmetrization adds, would overflow
+        with pytest.raises(MetricValidationError, match="finite"):
+            build_from_distance_matrix([[0, big], [big, 0]])
+
+    def test_largest_entry_accepted(self):
+        big = metric_core.ENTRY_LIMIT
+        sp = build_from_distance_matrix([[0, big], [big, 0]])
+        assert sp.dist[0, 1] == sp.diam == big
+
     def test_non_square(self):
         with pytest.raises(MetricValidationError, match="square"):
             build_from_distance_matrix([[0, 1, 2], [1, 0, 1]])
@@ -116,18 +126,18 @@ class TestValidation:
 class TestCovering:
     def test_radius_at_diam_is_one(self, session_rng):
         sp = random_space(session_rng, 9)
-        assert greedy_cover_size(sp, sp.diam) == 1
+        assert cover_sizes(sp, [sp.diam])[0] == 1
 
     def test_radius_below_min_distance_is_n(self, session_rng):
         sp = random_space(session_rng, 9)
         d_min = float(sp.breaks[1])
-        assert greedy_cover_size(sp, d_min * 0.49) == sp.n
+        assert cover_sizes(sp, [d_min * 0.49])[0] == sp.n
 
     def test_cover_size_monotone_in_radius(self, session_rng):
         for _ in range(10):
             sp = random_space(session_rng, 12)
             radii = np.linspace(0, sp.diam, 13)
-            sizes = [greedy_cover_size(sp, r) for r in radii]
+            sizes = cover_sizes(sp, radii).tolist()
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_certified_sandwich_contains_exact(self, session_rng):
@@ -352,26 +362,52 @@ class TestEuclideanKernel:
 
 @st.composite
 def built_spaces(draw):
-    """A space from each builder: points, a PSD covariance, or a metric matrix."""
+    """A builder and its input: a metric matrix, or points or a PSD covariance
+    with one point or several, some coincident, at scales 1e-150 to 1e150,
+    or a full-rank random covariance at scales 1e-6 to 1e6.  From scale 1e7
+    on, one rounding of a collinear triple's distances can exceed the
+    absolute TRIANGLE_TOL, so there points have two or more coordinates and
+    covariances rank two or more."""
     kind = draw(st.sampled_from(["points", "covariance", "matrix"]))
     if kind == "matrix":
-        return draw(st.one_of(integer_metrics(), l1_metrics()))
+        return build_from_distance_matrix, draw(st.one_of(integer_metrics(), l1_metrics())).dist
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31)))
-    n = draw(st.integers(min_value=1, max_value=24))
-    if kind == "covariance":
-        scale = 10.0 ** draw(st.integers(min_value=-6, max_value=6))
-        return build_from_covariance(random_covariance(rng, n, scale))
-    dim = draw(st.integers(min_value=1, max_value=12))
-    pts = rng.standard_normal((n, dim)) * 10.0 ** draw(st.integers(min_value=-6, max_value=6))
-    return build_from_points(pts[rng.integers(n, size=n)])  # repeated points too
+    n, e = draw(st.integers(min_value=1, max_value=24)), draw(st.integers(-150, 150))
+    if kind == "covariance" and abs(e) <= 6 and draw(st.booleans()):
+        return build_from_covariance, random_covariance(rng, n, 10.0 ** e)
+    A = rng.standard_normal((n, draw(st.integers(min_value=1 if e < 7 else 2, max_value=12))))
+    copies = rng.integers(n, size=(draw(st.integers(min_value=0, max_value=n - 1)), 2))
+    if kind == "points":
+        for k, i in copies:
+            A[k] = A[i]
+        return build_from_points, 10.0 ** e * A
+    C = 10.0 ** e * (A @ A.T)
+    for k, i in copies:  # equal rows and columns of C: coincident points
+        C[k, :], C[:, k] = C[i, :], C[:, i]
+    return build_from_covariance, C
 
 
 @given(built_spaces())
-@settings(max_examples=150, deadline=None)
-def test_every_builder_returns_a_metric(sp):
+@example((build_from_points, np.array([[0.0], [1e200]])))  # distances overflow
+@settings(max_examples=200, deadline=None)
+def test_every_builder_returns_a_metric(case):
+    build, data = case
+    with np.errstate(over="ignore"):
+        try:
+            sp = build(data)
+        except MetricValidationError as exc:  # only points whose distances overflow
+            assert build is build_from_points and "finite" in str(exc)
+            with pytest.raises(MetricValidationError, match="finite"):
+                build_from_distance_matrix(metric_core.euclidean_distances(data, data))
+            return
     D = sp.dist
     assert np.array_equal(D, D.T)
     assert np.all(np.diag(D) == 0.0)
     assert np.all(D >= 0.0)
     # d(i, j) <= d(i, k) + d(k, j) for every k, all triples at once
     assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + metric_core.TRIANGLE_TOL)
+    # the validator, run with all its checks on the matrix that the points and
+    # covariance builders wrap without it, returns that matrix unchanged
+    full = build_from_distance_matrix(D)
+    assert full.dist.tobytes() == D.tobytes()
+    assert full.diam == sp.diam

@@ -6,16 +6,31 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_from_points,
-                        build_model, build_partition, chained_functional,
-                        common_sample_oracle, functional_M, lower_bound_report,
-                        audit_cell, uniform_measure, verify_tree_translation)
-from chainscope.partition import grouping_block_sizes, grouping_bound
+from chainscope import (ProbabilityMeasure, audit_cell, build_from_points, build_model,
+                        build_partition, chained_functional, common_sample_oracle,
+                        functional_M, lower_bound_report, sigma_profile, uniform_measure)
+from chainscope.partition import _cell_mass, _grouping_level, _log_ratio_term
 
 from conftest import integer_l1_space, random_covariance, random_weights
 from oracles import build_partition_reference, common_sample_oracle_reference
 
 COV_PAIR_D1 = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+def verify_tree_translation(tree, mu, t, delta):
+    """(sigma(mu, t, delta), the tree sum over the cells A_k(t) holding t, and
+    whether sigma <= sum + 1e-9); a zero-mass cell makes the sum infinite."""
+    lhs = float(sigma_profile(tree.space, mu, delta)[t])
+    chain = [next(c for c in cells if t in c.members) for cells in tree.levels]
+    D = tree.space.diam
+    rhs = 0.0
+    for k in range(1, len(chain)):
+        term = _log_ratio_term(_cell_mass(mu, chain[k - 1]), _cell_mass(mu, chain[k]))
+        if math.isinf(term):
+            rhs = math.inf
+            break
+        rhs += tree.r * D * tree.r ** (-k) * term
+    return lhs, rhs, bool(lhs <= rhs + 1e-9)
 
 
 def pair_tree(n_samples=20000, seed=0):
@@ -36,7 +51,6 @@ class TestConstruction:
         _, tree = pair_tree()
         assert tree.depth == 1
         assert [len(level) for level in tree.levels] == [1, 2]
-        assert tree.radius(1) == 0.125  # diam r^-1 / 2
 
     def test_singleton_depth_zero(self):
         model = build_model([[1.0]])
@@ -83,7 +97,7 @@ class TestConstruction:
         for k, cells in enumerate(tree.levels):
             if k == 0:
                 continue  # the root is the whole space by construction
-            rad = tree.radius(k)
+            rad = tree.space.diam * tree.r ** (-k) / 2.0  # the carving radius
             for c in cells:
                 assert all(D[c.center, m] <= rad + 1e-12 for m in c.members)
 
@@ -218,19 +232,23 @@ class TestChainedFunctional:
 
 class TestGrouping:
     def test_block_sizes_pattern(self):
-        sizes, l0 = grouping_block_sizes(10)
-        # cumulative cuts at 2, 4, 16 capped at 10
-        assert sizes == [2, 2, 6]
-        assert l0 == 2
+        # cumulative block cuts 2, 4, 16, 256: 10 cells need blocks up to l0 = 2
+        assert _grouping_level(10) == 2
+        assert [_grouping_level(m) for m in (0, 1, 2, 3, 4, 5, 16, 17, 256, 257)] == \
+            [0, 0, 0, 1, 1, 2, 2, 3, 3, 4]
 
     def test_block_sizes_cover_count(self):
+        # the blocks up to l0 cover the cells, the blocks before it do not
         for m in range(1, 40):
-            sizes, _ = grouping_block_sizes(m)
-            assert sum(sizes) == m
+            l0 = _grouping_level(m)
+            assert 2 ** (2 ** l0) >= m
+            assert l0 == 0 or 2 ** (2 ** (l0 - 1)) < m
 
     def test_bound_stays_below_four(self):
+        # the grouping bound 1 + sum_{l<=l0} (2^(l/2)+1)/2^(2^l)
         for l0 in range(8):
-            assert grouping_bound(l0) < 4.0
+            assert 1.0 + sum((2.0 ** (l / 2.0) + 1.0) / 2.0 ** (2 ** l)
+                             for l in range(l0 + 1)) < 4.0
 
 
 class TestAudits:

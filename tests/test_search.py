@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainscope import (ProbabilityMeasure, balanced_measure, build_from_covariance,
-                        build_from_distance_matrix, build_from_points, build_model,
-                        duality_report, maximize_M_self, maximize_inf_M, minimize_sup_M)
+from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_from_points,
+                        build_model, duality_report, maximize_M_self)
 from chainscope.measures import SigmaEvaluator
+from chainscope.metric_core import build_from_covariance
+from chainscope.search import balanced_measure, maximize_inf_M, minimize_sup_M
 
 from conftest import integer_l1_space, random_covariance, random_space
 from oracles import (balanced_oracle_013, inf_sup_oracle_013, search_reference,
@@ -114,11 +115,9 @@ def _run_both(problem, space, init, **kwargs):
     trace = []
     if problem == "sup_self":
         res = maximize_M_self(space, init_measures=init, trace=trace, **kwargs)
-    elif problem == "sup_inf":
-        res = maximize_inf_M(space, extra_inits=init, trace=trace, **kwargs)
     else:
-        init = []
-        res = minimize_sup_M(space, trace=trace, **kwargs)
+        init = []  # the soft searches take no initializers from the caller
+        res = SEARCHES[problem](space, trace=trace, **kwargs)
     return res, trace, search_reference(problem, space, init_measures=init, **kwargs)
 
 
@@ -184,8 +183,6 @@ class TestBalancedMeasure:
 
     def test_init_independence(self, session_rng):
         sp = random_space(session_rng, 6)
-        from chainscope import ProbabilityMeasure
-
         base = balanced_measure(sp).measure.weights
         for _ in range(5):
             w0 = session_rng.dirichlet(np.ones(6))
