@@ -25,7 +25,7 @@ from .gaussian_lab import (FactorizationError, build_model, estimate_modulus,
 from .io import (InstanceError, covariance_from_instance, load_instance, sha256_file,
                  space_from_instance, write_csv, write_json)
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
-                       functional_M, sigma_profile, uniform_measure, young_power)
+                       nu_average, sigma_profile, uniform_measure, young_power)
 from .metric_core import (MetricValidationError, covering_table, entropy_integral,
                           modulus_entropy_diagnostic)
 from .partition import (audit_cell, build_partition, chained_functional,
@@ -208,7 +208,7 @@ def cmd_analyze(args, inst, outputs):
             "mode": args.mode,
             "weights": mu.weights,
             "sigma_profile": prof,
-            "m_self": functional_M(space, mu, mu, space.diam, args.mode, young),
+            "m_self": nu_average(prof, mu.weights),
         }
     outputs.csv("analyze_covering.csv",
                 ["radius", "greedy_cover_size", "packing_size",

@@ -49,7 +49,7 @@ def parse_instance(obj) -> dict:
     data = metric.get("data")
     try:
         arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int beyond float
         raise InstanceError(f"metric.data is not a numeric array: {exc}") from None
     if arr.ndim != 2 or arr.size == 0:
         raise InstanceError(f"metric.data must be a nonempty 2-d array, got shape {arr.shape}")
@@ -57,7 +57,7 @@ def parse_instance(obj) -> dict:
     if "weights" in obj:
         try:
             w = np.array(obj["weights"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InstanceError(f"weights is not a numeric vector: {exc}") from None
         n = arr.shape[0]
         if w.ndim != 1 or w.shape[0] != n:

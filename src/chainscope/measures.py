@@ -49,6 +49,8 @@ class ProbabilityMeasure:
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.space.n,):
             raise MeasureError(f"expected {self.space.n} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise MeasureError(f"weight at index {int(np.argmin(np.isfinite(w)))} is not finite")
         w[(w < 0) & (w >= -WEIGHT_FLOOR)] = 0.0
         if np.any(w < 0):
             raise MeasureError(f"negative weight at index {int(np.argmin(w))}")
@@ -130,9 +132,12 @@ class SigmaEvaluator:
 
     Dense row layout: row t of the n x n arrays ``order`` (stable argsort of
     ``dist[t]``) and ``gaps`` (the length of [r_j, r_{j+1}) clipped to
-    delta, r_j the j-th sorted distance) describe the balls around t.  A gap
-    is 0 inside a block of tied distances, so a cumulative weight counts as
-    a ball mass only at the end of its block.
+    delta, r_j the j-th sorted distance) describe the balls around t, and
+    ``live`` marks the intervals of positive length.  A gap is 0 inside a
+    block of tied distances, so a cumulative weight counts as a ball mass
+    only at the end of its block.  The first ``jacobian`` call also keeps
+    ``_gather``, the flat index that reads each row's suffix sums back in
+    point order; evaluators that never differentiate do not build it.
     Memory is O(n^2) per evaluator and per call.  ``delta`` is truncated at
     the diameter: the functionals treat delta >= diam and delta = infinity
     as identical.
@@ -150,18 +155,20 @@ class SigmaEvaluator:
         sd = np.take_along_axis(space.dist, self.order, axis=1)
         nxt = np.minimum(np.c_[sd[:, 1:], np.full(n, np.inf)], self.delta)
         self.gaps = np.clip(nxt - sd, 0.0, None)
+        self.live = self.gaps > 0
+        self._gather = None
 
     def profile(self, w: np.ndarray) -> np.ndarray:
         """sigma(mu, t) for every t; +inf where a live interval has no mass."""
-        p = np.cumsum(w[self.order], axis=1)
-        live = self.gaps > 0
-        massive = live & (p > 0)
-        vals = np.zeros_like(p)
+        p = w.take(self.order).cumsum(axis=1)
+        massive = self.live & (p > 0)
+        vals = np.zeros(p.shape)
         vals[massive] = self.f(p[massive])
         # matmul reduces each row with the BLAS dot of a 1-D np.dot; einsum
         # would add in another order and move the searched objectives' last bits
         out = np.matmul(self.gaps[:, None, :], vals[:, :, None])[:, 0, 0]
-        out[np.any(live & ~massive, axis=1)] = np.inf
+        if not w.min() > 0:  # only a zero (or NaN) weight can leave a live interval massless
+            out[(self.live & ~massive).any(axis=1)] = np.inf
         return out
 
     def m_self(self, w: np.ndarray) -> float:
@@ -186,14 +193,18 @@ class SigmaEvaluator:
         directions its mass cannot move.  A zero-mass block (sigma = +inf)
         contributes nothing.
         """
-        p = np.cumsum(w[self.order], axis=1)
-        moving = (self.gaps > 0) & (p > 0) & (p < 1.0 - 1e-15)
-        term = np.zeros_like(p)
+        if self._gather is None:
+            # J[t, order[t, j]] is the suffix sum from j, which the reversed
+            # row's running sum holds at n - 1 - j
+            n = self.space.n
+            rows = np.arange(n)[:, None]
+            self._gather = np.empty((n, n), dtype=np.intp)
+            self._gather[rows, self.order] = rows * n + np.arange(n - 1, -1, -1)
+        p = w.take(self.order).cumsum(axis=1)
+        moving = self.live & (p > 0) & (p < 1.0 - 1e-15)
+        term = np.zeros(p.shape)
         term[moving] = self.gaps[moving] * self._fprime(p[moving])
-        suffix = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
-        J = np.empty_like(suffix)
-        np.put_along_axis(J, self.order, suffix, axis=1)
-        return J
+        return term[:, ::-1].cumsum(axis=1).take(self._gather)
 
     def m_self_grad(self, w: np.ndarray, prof: np.ndarray) -> np.ndarray:
         """Gradient of M(mu, mu) at w, given ``prof = profile(w)``."""
@@ -203,12 +214,12 @@ class SigmaEvaluator:
 def nu_average(prof: np.ndarray, nu_w: np.ndarray) -> float:
     """Sum of nu_w[t] * prof[t] over the charged t, added in index order.
 
-    +inf propagates only through points that nu actually charges.
+    +inf propagates only through points that nu actually charges: an
+    uncharged point adds +0.0, which leaves the non-negative running sum as
+    it is, and its product is never formed, so 0 * inf makes no NaN.
     """
-    charged = nu_w > 0
-    if not np.any(charged):
-        return 0.0
-    return float(np.cumsum(nu_w[charged] * prof[charged])[-1])
+    terms = np.multiply(nu_w, prof, out=np.zeros(prof.shape), where=nu_w > 0)
+    return float(terms.cumsum()[-1]) if terms.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-TRIANGLE_TOL = 1e-9
+TRIANGLE_TOL = 1e-9  # relative to the compared distance, absolute below 1
 ENTRY_LIMIT = np.finfo(float).max / 2  # d(i, j) + d(j, i) of larger entries overflows
 DISTANCE_BLOCK = 1 << 15  # output entries per pass of euclidean_distances
 
@@ -27,8 +27,8 @@ class FiniteMetricSpace:
     """Validated n-point metric space.
 
     ``dist`` is an n x n symmetric matrix with zero diagonal that satisfies
-    the triangle inequality within :data:`TRIANGLE_TOL`.  Instances are
-    immutable; every operation on them is pure.
+    the triangle inequality within ``TRIANGLE_TOL * max(1, d(i, j))``.
+    Instances are immutable; every operation on them is pure.
 
     Cover and packing counts are step functions of the scale that change
     only at pairwise distances, so the scale table, one row per segment
@@ -105,8 +105,10 @@ def build_from_distance_matrix(matrix) -> FiniteMetricSpace:
 
     Raises :class:`MetricValidationError` naming the offending entry or
     triple on asymmetry, negative entries, a nonzero diagonal or a triangle
-    violation beyond ``TRIANGLE_TOL``, and on entries that are not finite or
-    exceed ``ENTRY_LIMIT``.
+    violation beyond ``TRIANGLE_TOL * max(1, d(i, j))``, and on entries that
+    are not finite or exceed ``ENTRY_LIMIT``.  The tolerance scales with the
+    compared distance because rounding does: at 1e150 one rounding of a
+    collinear triple's distances is far above any absolute tolerance.
     """
     D = np.array(matrix, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -128,8 +130,9 @@ def build_from_distance_matrix(matrix) -> FiniteMetricSpace:
     D = (D + D.T) / 2.0
     np.fill_diagonal(D, 0.0)
     # triangle: d(i,j) <= d(i,k) + d(k,j) for every intermediate k
+    tol = TRIANGLE_TOL * np.maximum(D, 1.0)
     for k in range(n):
-        viol = D > D[:, [k]] + D[[k], :] + TRIANGLE_TOL
+        viol = D > D[:, [k]] + D[[k], :] + tol
         if viol.any():
             i, j = (int(v) for v in np.argwhere(viol)[0])
             raise MetricValidationError(f"triangle violated ({i},{j}) via {k}")
@@ -146,6 +149,7 @@ def build_from_covariance(cov) -> FiniteMetricSpace:
     C = np.array(cov, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise MetricValidationError(f"covariance must be square, got shape {C.shape}")
+    _check_entries(C)  # a NaN passes the symmetry check and fails the eigensolver
     scale = float(np.abs(C).max()) if C.size else 0.0
     if np.abs(C - C.T).max(initial=0.0) > 1e-8 * max(1.0, scale):
         raise MetricValidationError("covariance must be symmetric")

@@ -77,8 +77,8 @@ class _SelfM:
 
     exact = value
 
-    def gradient(self, prof, w):
-        return self.ev.m_self_grad(w, prof)
+    def value_and_gradient(self, prof, w):
+        return nu_average(prof, w), self.ev.m_self_grad(w, prof)
 
 
 class _Soft:
@@ -113,21 +113,23 @@ class _Soft:
 
     def value(self, prof, w):
         m, e = self._tilt(prof)
-        return m - self.sign * self.tau * math.log(np.sum(e))
+        return m - self.sign * self.tau * math.log(e.sum())
 
-    def gradient(self, prof, w):
-        sm = self._tilt(prof)[1]
-        sm /= sm.sum()
-        return self.ev.jacobian(w).T @ sm
+    def value_and_gradient(self, prof, w):
+        # one tilt gives the soft value and, normalized, the gradient weights
+        m, e = self._tilt(prof)
+        s = e.sum()
+        return m - self.sign * self.tau * math.log(s), self.ev.jacobian(w).T @ (e / s)
 
 
 def _mirror_ascent(problem, w, max_iter):
     """Multiplicative-weights local search with a backtracking step size.
 
-    Steps follow ``problem.value`` along ``problem.gradient`` (``sign`` +1
-    ascends, -1 descends) when they move it by more than ``slack * (1 +
-    |value|)``; the best iterate by ``problem.exact`` is kept up to a relative
-    ``SEARCH_TOL``.  Each accepted point's profile is computed once.  Returns
+    Steps follow ``problem.value`` along its gradient (``sign`` +1 ascends,
+    -1 descends) when they move it by more than ``slack * (1 + |value|)``;
+    the best iterate by ``problem.exact`` is kept up to a relative
+    ``SEARCH_TOL``.  Each accepted point's profile is computed once, and its
+    value and gradient come from one ``problem.value_and_gradient``.  Returns
     (best_w, best_exact, iterations, converged); converged means a stop
     before ``max_iter``.
     """
@@ -140,13 +142,12 @@ def _mirror_ascent(problem, w, max_iter):
     while it < max_iter:
         it += 1
         problem.cool(it, stalled=False)
-        g = problem.gradient(prof, w)
+        val, g = problem.value_and_gradient(prof, w)
         g = g - np.dot(g, w)  # remove the direction normal to the simplex
         norm = np.abs(g).max()
         if norm <= 1e-14:
             return best_w, best, it, True
         g = g / norm
-        val = problem.value(prof, w)
         while eta > 1e-12:
             cand = _project(w * np.exp(sign * eta * g))
             cprof = ev.profile(cand)

@@ -6,7 +6,10 @@ simplex grid search with hand-derived closed forms: for weights
 gaps seen from each point.  The sequential greedy scans at the end, one
 separation or radius at a time, are the references for the batched cover
 and packing kernels of ``metric_core``, ``SigmaReference``, one distance
-row at a time, is the reference for the dense ``SigmaEvaluator``, and
+row at a time, is the reference for the dense ``SigmaEvaluator``;
+``sigma_profile_reference``, ``jacobian_reference`` and
+``nu_average_reference``, the dense kernels as first written (boolean
+gathers and a ``put_along_axis`` scatter), are its bit-for-bit references;
 ``search_reference``, an exact-objective ascent and a separate annealed
 soft-extremum loop, is the reference for the one mirror-ascent loop of
 ``search``.  ``modulus_reference``, a fancy-indexed (shard x pairs) block
@@ -240,6 +243,49 @@ class SigmaReference:
             suffix = np.cumsum(term[::-1])[::-1]
             J[t] = suffix[rank]
         return J
+
+
+def _rows_reference(ev):
+    order = np.argsort(ev.space.dist, axis=1, kind="stable")
+    sd = np.take_along_axis(ev.space.dist, order, axis=1)
+    nxt = np.minimum(np.c_[sd[:, 1:], np.full(ev.space.n, np.inf)], ev.delta)
+    return order, np.clip(nxt - sd, 0.0, None)
+
+
+def sigma_profile_reference(ev, w):
+    """The dense profile as first written: boolean gathers, a fresh ``gaps
+    > 0`` per call and the dead-interval ``inf`` on every call."""
+    order, gaps = _rows_reference(ev)
+    p = np.cumsum(w[order], axis=1)
+    live = gaps > 0
+    massive = live & (p > 0)
+    vals = np.zeros_like(p)
+    vals[massive] = ev.f(p[massive])
+    out = np.matmul(gaps[:, None, :], vals[:, :, None])[:, 0, 0]
+    out[np.any(live & ~massive, axis=1)] = np.inf
+    return out
+
+
+def jacobian_reference(ev, w):
+    """The dense Jacobian as first written: suffix sums scattered back to
+    point order by ``np.put_along_axis``."""
+    order, gaps = _rows_reference(ev)
+    p = np.cumsum(w[order], axis=1)
+    moving = (gaps > 0) & (p > 0) & (p < 1.0 - 1e-15)
+    term = np.zeros_like(p)
+    term[moving] = gaps[moving] * ev._fprime(p[moving])
+    suffix = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
+    J = np.empty_like(suffix)
+    np.put_along_axis(J, order, suffix, axis=1)
+    return J
+
+
+def nu_average_reference(prof, nu_w):
+    """Running sum of nu_w[t] * prof[t] over the charged t only."""
+    charged = nu_w > 0
+    if not np.any(charged):
+        return 0.0
+    return float(np.cumsum(nu_w[charged] * prof[charged])[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainscope import cli
@@ -58,11 +58,24 @@ class TestInputErrors:
     @pytest.mark.parametrize("metric", [
         {"type": "matrix", "data": [[0, 1.5e308], [1.5e308, 0]]},  # d + d overflows
         {"type": "points", "data": [[0], [1e200]]},  # the squared distance overflows
-    ], ids=["matrix", "points"])
+        {"type": "covariance", "data": [[None, 1], [1, 2]]},  # NaN, once an eigensolver error
+    ], ids=["matrix", "points", "covariance"])
     def test_entries_beyond_the_float_range_exit_2(self, tmp_path, capsys, metric):
         path = write_instance(tmp_path, {"name": "x", "metric": metric})
         assert run(tmp_path, "analyze", "--instance", path)[0] == 2
         assert capsys.readouterr().err.startswith("error: matrix entries must be finite")
+
+    @pytest.mark.parametrize("stretch,code", [(1.0, 0), (1 + 1e-6, 2)])
+    def test_triangle_tolerance_is_relative(self, tmp_path, capsys, stretch, code):
+        rng = np.random.default_rng(3)
+        P = 1e150 * rng.standard_normal((12, 1))
+        D = np.abs(P - P.T)  # collinear: many triangles are tight to one rounding
+        i, j = np.unravel_index(np.argmax(D), D.shape)
+        D[i, j] = D[j, i] = D[i, j] * stretch
+        path = write_instance(tmp_path, {"name": "x", "metric": {"type": "matrix",
+                                                                 "data": D.tolist()}})
+        assert run(tmp_path, "analyze", "--instance", path)[0] == code
+        assert ("triangle violated" in capsys.readouterr().err) == (code == 2)
 
     def test_missing_file_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "analyze", "--instance", str(tmp_path / "nope.json"))
@@ -107,6 +120,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("weights, message", [
         ([1.5, -0.5], "negative weight at index 1"),
         ([0.5, 0.25], "weights sum to 0.75"),
+        ([float("nan"), 1.0], "weight at index 0 is not finite"),  # NaN sums pass the sum check
     ])
     def test_weights_off_the_simplex_exit_2(self, tmp_path, capsys, weights, message):
         path = write_instance(tmp_path, {
@@ -540,3 +554,82 @@ def test_fuzzed_argv_exits_0_2_or_3_without_traceback(instance, argv):
                 code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed instance documents
+
+# values that no metric entry or weight should be
+BAD_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                        st.sampled_from([1e308, -1e308, 1.5e308, 1e200, -1.0, 10 ** 400,
+                                         -(10 ** 400), float("inf"), float("nan")]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+GOOD_DATA = {"matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+             "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
+             "covariance": [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]}
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A well-formed three-point instance with at most one fault: a bad
+    entry (null, boolean, string, huge finite, infinite or integer beyond
+    the float range), ragged, empty or non-list data, weights of the wrong
+    length, sign or type, or a missing or malformed metric or name."""
+    mtype = draw(st.sampled_from(sorted(GOOD_DATA)))
+    data = [list(row) for row in GOOD_DATA[mtype]]
+    doc = {"name": "fuzz", "metric": {"type": mtype, "data": data}}
+    if draw(st.booleans()):
+        doc["weights"] = [1 / 3] * 3
+    fault = draw(st.sampled_from(["none", "entry", "every entry", "ragged", "data",
+                                  "weights", "weight entry", "metric", "name"]))
+    if fault == "entry":
+        data[draw(st.integers(0, 2))][draw(st.integers(0, len(data[0]) - 1))] = draw(BAD_SCALARS)
+    elif fault == "every entry":
+        value = draw(BAD_SCALARS)
+        doc["metric"]["data"] = [[value] * len(row) for row in data]
+    elif fault == "ragged":  # ragged, empty or with empty rows
+        doc["metric"]["data"] = draw(st.lists(st.lists(st.integers(-2, 3), max_size=4),
+                                              max_size=4))
+    elif fault == "data":
+        doc["metric"]["data"] = draw(st.one_of(
+            st.sampled_from([[], [[]], [[[0.0]]], "matrix", {"a": 1}]), BAD_SCALARS))
+    elif fault == "weights":
+        doc["weights"] = draw(st.one_of(
+            st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=5),
+            st.just([[1 / 3] * 3]), BAD_SCALARS))
+    elif fault == "weight entry":
+        doc["weights"] = [1 / 3] * 3
+        doc["weights"][draw(st.integers(0, 2))] = draw(BAD_SCALARS)
+    elif fault == "metric":
+        doc["metric"] = draw(st.sampled_from(
+            [None, [1, 2], "matrix", True, {"data": data}, {"type": "other", "data": data}]))
+        if doc["metric"] is None:
+            del doc["metric"]
+    elif fault == "name":
+        doc["name"] = draw(st.sampled_from(["", None, 3]))
+    return doc
+
+
+FUZZ_COMMANDS = [
+    ["analyze"], ["bounds", "--samples", "50"], ["partition", "--samples", "50"],
+    ["duality", "--samples", "50", "--restarts", "0"],
+    ["ellipsoid", "--axes", "1,0.5", "--samples", "50"], ["modulus", "--samples", "50"],
+]
+
+
+@given(fuzzed_documents())
+@example({"name": "fuzz", "metric": {"type": "matrix", "data": [[0, 10 ** 400], [10 ** 400, 0]]}})
+@example({"name": "fuzz", "metric": {"type": "matrix", "data": [[0, 1], [1, 0]]},
+          "weights": [10 ** 400, 1]})
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_instance_exits_0_2_or_3_without_traceback(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in FUZZ_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--instance", path, "--out", os.path.join(tmp, argv[0])])
+            assert code in (0, 2, 3), (argv, doc, err.getvalue())
+            assert "Traceback" not in err.getvalue()

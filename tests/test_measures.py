@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from chainscope import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
                         build_from_distance_matrix, build_from_points, functional_M,
                         sigma_profile, uniform_measure, young_power)
-from chainscope.measures import SigmaEvaluator
+from chainscope.measures import SigmaEvaluator, nu_average
 from chainscope.metric_core import build_from_covariance
 
 from conftest import integer_l1_space, random_covariance, random_space, random_weights
-from oracles import SigmaReference
+from oracles import (SigmaReference, jacobian_reference, nu_average_reference,
+                     sigma_profile_reference)
 
 
 def riemann_bracket(space, weights, t, delta, mode=GAUSSIAN_LOG, young=None,
@@ -327,6 +328,52 @@ def test_infinity_only_where_nu_charges_a_zero_mass_ball(n, seed, mode, delta_fr
     nu = ProbabilityMeasure(space, nu / nu.sum())
     assert functional_M(space, mu, nu, delta, mode, young) == math.inf
     assert ref.nu_average(mu.weights, nu.weights) == math.inf
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A space with or without tied distances, a delta below the smallest
+    distance, inside the range or at and beyond the diameter, and weights
+    with some zeros, so that empty balls of positive length occur."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31)))
+    kind = draw(st.sampled_from(["covariance", "integer", "equilateral"]))
+    if kind == "covariance":
+        space = build_from_covariance(random_covariance(rng, n))
+    elif kind == "integer":
+        space = integer_l1_space(rng, n)
+    else:
+        space = build_from_distance_matrix(rng.uniform(0.5, 2.0) * (1.0 - np.eye(n)))
+    assume(space.n >= 2)
+    off = space.dist[np.triu_indices(space.n, k=1)]
+    delta = draw(st.one_of(
+        st.floats(min_value=0.05, max_value=0.95).map(lambda f: f * off[off > 0].min()),
+        st.floats(min_value=0.05, max_value=0.95).map(lambda f: f * space.diam),
+        st.sampled_from([1.0, 2.0]).map(lambda f: f * space.diam)))
+    w = random_weights(rng, space.n)
+    w[rng.permutation(space.n)[:draw(st.integers(min_value=0, max_value=space.n - 1))]] = 0.0
+    mu = ProbabilityMeasure(space, w / w.sum())
+    nu = ProbabilityMeasure(space, random_weights(rng, space.n))
+    return space, delta, mu, nu
+
+
+@given(_kernel_cases(), st.sampled_from([GAUSSIAN_LOG, YOUNG_INVERSE]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_dense_kernels_bit_identical_to_their_first_form(case, mode, jacobian_first):
+    space, delta, mu, nu = case
+    young = young_power(2.0) if mode == YOUNG_INVERSE else None
+    ev = SigmaEvaluator(space, delta, mode, young)
+    w = mu.weights
+    # the gather index is built by the first jacobian call, either before or
+    # after a profile; array_equal also requires +inf in the same places
+    calls = ["jacobian", "profile", "jacobian"] if jacobian_first else ["profile", "jacobian"]
+    refs = {"profile": sigma_profile_reference(ev, w), "jacobian": jacobian_reference(ev, w)}
+    for name in calls:
+        assert np.array_equal(getattr(ev, name)(w), refs[name])
+    prof = refs["profile"]
+    assert np.array_equal(ev.m_self_grad(w, prof), prof + refs["jacobian"].T @ w)
+    for nu_w in (w, nu.weights, np.zeros(space.n)):
+        assert nu_average(prof, nu_w) == nu_average_reference(prof, nu_w)
 
 
 @pytest.mark.parametrize("mode", [GAUSSIAN_LOG, YOUNG_INVERSE])

@@ -83,9 +83,11 @@ class TestValidation:
             build_from_distance_matrix([[0, -1], [-1, 0]])
 
     def test_triangle_violation(self):
-        D = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
-        with pytest.raises(MetricValidationError, match=r"triangle violated \(0,2\) via 1"):
-            build_from_distance_matrix(D)
+        for D in ([[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+                  # 1e-6 relative at 1e150: far above one rounding, still a violation
+                  1e150 * np.array([[0, 1, 3 + 3e-6], [1, 0, 2], [3 + 3e-6, 2, 0]])):
+            with pytest.raises(MetricValidationError, match=r"triangle violated \(0,2\) via 1"):
+                build_from_distance_matrix(D)
 
     @pytest.mark.parametrize("big", [1.5e308, np.finfo(float).max])
     def test_entries_whose_sum_overflows(self, big):
@@ -363,11 +365,9 @@ class TestEuclideanKernel:
 @st.composite
 def built_spaces(draw):
     """A builder and its input: a metric matrix, or points or a PSD covariance
-    with one point or several, some coincident, at scales 1e-150 to 1e150,
-    or a full-rank random covariance at scales 1e-6 to 1e6.  From scale 1e7
-    on, one rounding of a collinear triple's distances can exceed the
-    absolute TRIANGLE_TOL, so there points have two or more coordinates and
-    covariances rank two or more."""
+    of any rank with one point or several, some coincident, at scales
+    1e-150 to 1e150, or a full-rank random covariance at scales 1e-6 to
+    1e6."""
     kind = draw(st.sampled_from(["points", "covariance", "matrix"]))
     if kind == "matrix":
         return build_from_distance_matrix, draw(st.one_of(integer_metrics(), l1_metrics())).dist
@@ -375,7 +375,7 @@ def built_spaces(draw):
     n, e = draw(st.integers(min_value=1, max_value=24)), draw(st.integers(-150, 150))
     if kind == "covariance" and abs(e) <= 6 and draw(st.booleans()):
         return build_from_covariance, random_covariance(rng, n, 10.0 ** e)
-    A = rng.standard_normal((n, draw(st.integers(min_value=1 if e < 7 else 2, max_value=12))))
+    A = rng.standard_normal((n, draw(st.integers(min_value=1, max_value=12))))
     copies = rng.integers(n, size=(draw(st.integers(min_value=0, max_value=n - 1)), 2))
     if kind == "points":
         for k, i in copies:
@@ -387,8 +387,15 @@ def built_spaces(draw):
     return build_from_covariance, C
 
 
+# collinear points at 1e150: one rounding of d(i, k) + d(k, j) is far above
+# 1e-9, so only a tolerance relative to d(i, j) accepts them
+_LINE = 1e150 * np.random.default_rng(0).standard_normal((12, 1))
+
+
 @given(built_spaces())
 @example((build_from_points, np.array([[0.0], [1e200]])))  # distances overflow
+@example((build_from_points, _LINE))
+@example((build_from_covariance, _LINE @ _LINE.T / 1e150))  # rank 1 at 1e150
 @settings(max_examples=200, deadline=None)
 def test_every_builder_returns_a_metric(case):
     build, data = case
@@ -404,8 +411,10 @@ def test_every_builder_returns_a_metric(case):
     assert np.array_equal(D, D.T)
     assert np.all(np.diag(D) == 0.0)
     assert np.all(D >= 0.0)
-    # d(i, j) <= d(i, k) + d(k, j) for every k, all triples at once
-    assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + metric_core.TRIANGLE_TOL)
+    # d(i, j) <= d(i, k) + d(k, j) for every k, all triples at once, within
+    # the tolerance relative to d(i, j)
+    tol = metric_core.TRIANGLE_TOL * np.maximum(D, 1.0)
+    assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + tol[:, None, :])
     # the validator, run with all its checks on the matrix that the points and
     # covariance builders wrap without it, returns that matrix unchanged
     full = build_from_distance_matrix(D)
