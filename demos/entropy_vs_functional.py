@@ -19,7 +19,7 @@ def show(title, space):
     print(f"\n== {title} (n={space.n}, diam={space.diam:g}) ==")
     dudley = entropy_integral(space, space.diam)
     mu = uniform_measure(space)
-    m_uniform = functional_M(space, mu, mu)
+    m_uniform = functional_M(mu, mu)
     best = maximize_M_self(space, restarts=6)
     print(f"  entropy integral        : {dudley:.6f}")
     print(f"  functional at uniform   : {m_uniform:.6f}")

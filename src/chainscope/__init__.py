@@ -6,8 +6,7 @@ from .metric_core import (MetricValidationError, build_from_distance_matrix,
                           build_from_points, covering_table, entropy_integral,
                           modulus_entropy_diagnostic)
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
-                       functional_M, nu_average, sigma_profile, uniform_measure,
-                       young_power)
+                       functional_M, nu_average, sigma_profile, uniform_measure)
 from .gaussian_lab import (FactorizationError, build_model, estimate_modulus,
                            sudakov_bound, supremum_report)
 from .partition import (audit_cell, build_partition, chained_functional,
@@ -23,7 +22,7 @@ __all__ = [
     "MetricValidationError", "build_from_distance_matrix", "build_from_points",
     "covering_table", "entropy_integral", "modulus_entropy_diagnostic",
     "GAUSSIAN_LOG", "YOUNG_INVERSE", "MeasureError", "ProbabilityMeasure", "functional_M",
-    "nu_average", "sigma_profile", "uniform_measure", "young_power",
+    "nu_average", "sigma_profile", "uniform_measure",
     "FactorizationError", "build_model", "estimate_modulus", "sudakov_bound", "supremum_report",
     "audit_cell", "build_partition", "chained_functional", "common_sample_oracle",
     "lower_bound_report", "duality_report", "maximize_M_self",

@@ -25,7 +25,7 @@ from .gaussian_lab import (FactorizationError, build_model, estimate_modulus,
 from .io import (InstanceError, covariance_from_instance, load_instance, sha256_file,
                  space_from_instance, write_csv, write_json)
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
-                       nu_average, sigma_profile, uniform_measure, young_power)
+                       nu_average, sigma_profile, uniform_measure)
 from .metric_core import (MetricValidationError, covering_table, entropy_integral,
                           modulus_entropy_diagnostic)
 from .partition import (audit_cell, build_partition, chained_functional,
@@ -106,45 +106,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance_required=True, samples=True):
-        p.add_argument("--instance", required=instance_required,
-                       help="instance JSON file")
+    def command(name, text, samples=True):
+        p = sub.add_parser(name, help=text)
+        if name != "ellipsoid":  # which samples its own space
+            p.add_argument("--instance", required=True, help="instance JSON file")
         p.add_argument("--seed", type=_at_least(int, 0, below=SEED_LIMIT), default=0)
         if samples:
             p.add_argument("--samples", type=_at_least(int, 2), default=20000)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=_at_least(int, 1), default=1,
                        help="worker threads")
+        return p
 
-    p = sub.add_parser("analyze", help="diameter, covering table, entropy integral")
-    common(p, samples=False)
+    p = command("analyze", "diameter, covering table, entropy integral", samples=False)
     p.add_argument("--mode", choices=[GAUSSIAN_LOG, YOUNG_INVERSE], default=GAUSSIAN_LOG)
     p.add_argument("--young", type=_at_least(float, 1), default=2.0,
                    help="exponent q of the built-in Young family")
 
-    p = sub.add_parser("bounds", help="E sup, argmax measure, sandwich per delta")
-    common(p)
+    p = command("bounds", "E sup, argmax measure, sandwich per delta")
     p.add_argument("--delta-grid", default=None,
                    help="comma-separated deltas (default fractions of the diameter)")
 
-    p = sub.add_parser("partition", help="greedy partition tree and audits")
-    common(p)
+    p = command("partition", "greedy partition tree and audits")
     p.add_argument("--r", type=_at_least(float, 1, strict=True), default=4.0,
                    help="scale ratio between levels")
 
-    p = sub.add_parser("duality", help="three extremal searches plus E sup")
-    common(p)
+    p = command("duality", "three extremal searches plus E sup")
     p.add_argument("--restarts", type=_at_least(int, 0), default=8)
 
-    p = sub.add_parser("ellipsoid", help="truncated ellipsoid case study")
-    common(p, instance_required=False)
+    p = command("ellipsoid", "truncated ellipsoid case study")
     p.add_argument("--axes", required=True,
                    help="comma-separated nonincreasing positive semi-axes")
     p.add_argument("--net", type=_at_least(float, 0, strict=True), default=None,
                    help="net resolution h (default 0.05 * largest axis)")
 
-    p = sub.add_parser("modulus", help="continuity modulus S(delta) table")
-    common(p)
+    p = command("modulus", "continuity modulus S(delta) table")
     p.add_argument("--delta-grid", default=None,
                    help="comma-separated deltas (default fractions of the diameter)")
 
@@ -202,8 +198,7 @@ def cmd_analyze(args, inst, outputs):
             mu = ProbabilityMeasure(space, inst["weights"])
         except MeasureError as exc:  # weights off the simplex are bad input
             raise InstanceError(str(exc)) from None
-        young = young_power(args.young) if args.mode == YOUNG_INVERSE else None
-        prof = sigma_profile(space, mu, space.diam, args.mode, young)
+        prof = sigma_profile(mu, space.diam, args.mode, args.young)
         payload["measure"] = {
             "mode": args.mode,
             "weights": mu.weights,
@@ -372,7 +367,7 @@ def run_command(args) -> int:
 
     inst = None
     instance_hash = None
-    if args.instance is not None:
+    if "instance" in args:
         inst = load_instance(args.instance)
         instance_hash = sha256_file(args.instance)
     instance_name = inst["name"] if inst is not None else "none"

@@ -189,7 +189,7 @@ def ellipsoid_report(spec: EllipsoidSpec, n_samples: int, seed: int,
                      net_resolution: float | None = None):
     """M(mu, mu) of the snapped empirical argmax measure against ||t||."""
     emp = empirical_measure(spec, n_samples, seed, net_resolution)
-    m_self = functional_M(emp.space, emp.measure, emp.measure)
+    m_self = functional_M(emp.measure, emp.measure)
     return {"m_self": m_self, "norm_t": spec.norm_t,
             "ratio": m_self / spec.norm_t if spec.norm_t > 0 else math.inf,
             "support_size": emp.space.n, "empirical": emp}

@@ -308,12 +308,10 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
     if space.n < 2 or space.diam == 0:
         report.update({"m_self_muF": 0.0, "ratio": 0.0, "flag": "degenerate", "modulus": []})
         return report
-    m_mu_f = functional_M(space, amd.measure, amd.measure)
-    if math.isinf(m_mu_f):
-        report.update({"m_self_muF": math.inf, "ratio": 0.0, "flag": "infinite functional"})
-    else:
-        report.update({"m_self_muF": m_mu_f, "ratio": est.mean / m_mu_f if m_mu_f > 0 else 0.0,
-                       "flag": None})
+    # finite: every charged point carries its own mass in each ball around it
+    m_mu_f = functional_M(amd.measure, amd.measure)
+    report.update({"m_self_muF": m_mu_f, "ratio": est.mean / m_mu_f if m_mu_f > 0 else 0.0,
+                   "flag": None})
     report["mu_F"] = [float(v) for v in amd.measure.weights]
     report["tie_count"] = amd.tie_count
 

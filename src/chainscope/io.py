@@ -33,6 +33,13 @@ class InstanceError(ValueError):
     """Malformed instance file; the message names the offending field."""
 
 
+def _reject_strings_and_booleans(field: str, entries) -> None:
+    """Reject JSON strings and booleans: numpy would read "1" and true as 1.0."""
+    kinds = set(map(type, entries))
+    if str in kinds or bool in kinds:
+        raise InstanceError(f"{field} entries must be numbers, not strings or booleans")
+
+
 def parse_instance(obj) -> dict:
     """Validate a decoded instance object and return it normalized."""
     if not isinstance(obj, dict):
@@ -53,6 +60,7 @@ def parse_instance(obj) -> dict:
         raise InstanceError(f"metric.data is not a numeric array: {exc}") from None
     if arr.ndim != 2 or arr.size == 0:
         raise InstanceError(f"metric.data must be a nonempty 2-d array, got shape {arr.shape}")
+    _reject_strings_and_booleans("metric.data", itertools.chain.from_iterable(data))
     out = {"name": name, "metric": {"type": mtype, "data": arr}}
     if "weights" in obj:
         try:
@@ -62,6 +70,7 @@ def parse_instance(obj) -> dict:
         n = arr.shape[0]
         if w.ndim != 1 or w.shape[0] != n:
             raise InstanceError(f"weights must have length {n}, got shape {w.shape}")
+        _reject_strings_and_booleans("weights", obj["weights"])
         out["weights"] = w
     return out
 

@@ -1,17 +1,17 @@
-"""Probability measures, Young functions and the truncated majorizing functionals.
+"""Probability measures and the truncated majorizing functionals.
 
 The central quantity is
 
     sigma(mu, t, delta) = integral over (0, delta] of  f(mu(B(t, eps))) d eps
 
 with integrand ``f(p) = sqrt(log2(1/p))`` in gaussian-log mode and
-``f(p) = phi^{-1}(1/p)`` in young-inverse mode.  On a finite space the ball
-mass is a step function of eps, so the integral is an exact finite sum.
-``functional_M(mu, nu, delta)`` is the nu-average of sigma.
+``f(p) = phi_q^{-1}(1/p)`` in young-inverse mode, for the Young function
+``phi_q(x) = 2^(x^q) - 1``.  On a finite space the ball mass is a step
+function of eps, so the integral is an exact finite sum.
+``functional_M(mu, nu)`` is the nu-average of sigma at the full diameter.
 
-The two integrand modes coincide for the Gaussian Young function
-``phi(x) = 2^(x^2) - 1`` only up to the additive 1 inside the log; they are
-kept separate and never mixed inside one computation.
+The two integrand modes coincide for q = 2 only up to the additive 1 inside
+the log; they are kept separate and never mixed inside one computation.
 """
 
 from __future__ import annotations
@@ -66,60 +66,17 @@ def uniform_measure(space: FiniteMetricSpace) -> ProbabilityMeasure:
     return ProbabilityMeasure(space, np.full(space.n, 1.0 / space.n))
 
 
-# ---------------------------------------------------------------------------
-# Young functions
-
-
-@dataclass(frozen=True)
-class YoungFunction:
-    """Convex increasing phi with phi(0) = 0, together with its inverse.
-
-    ``doubling_constant`` is the C of phi(2x) >= 2*C*phi(x) on
-    ``doubling_range``; the built-in power family records it explicitly.
-    """
-
-    evaluate: callable
-    inverse: callable
-    doubling_constant: float | None = None
-    doubling_range: tuple | None = None
-
-
-def young_power(q: float = 2.0) -> YoungFunction:
-    """The built-in family phi_q(x) = 2^(x^q) - 1, q >= 1.
-
-    phi_q(1) = 1, so the point mass delta_t has sigma(delta_t, t) = diam in
-    young-inverse mode.  For q > 1 the small-x doubling constant is 2^(q-1).
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-
-    def ev(x):
-        # expm1 keeps precision near 0, where 2^(x^q) - 1 cancels
-        return np.expm1(math.log(2.0) * np.power(x, q))
-
-    def inv(y):
-        return np.power(np.log1p(y) / math.log(2.0), 1.0 / q)
-
-    return YoungFunction(
-        evaluate=ev,
-        inverse=inv,
-        doubling_constant=2.0 ** (q - 1.0) if q > 1 else None,
-        doubling_range=(0.0, 1.0) if q > 1 else None,
-    )
-
-
-def _integrand(mode: str, young: YoungFunction | None):
+def _integrand(mode: str, q: float):
+    """The integrand f(p): sqrt(log2(1/p)) in gaussian-log mode, and in
+    young-inverse mode phi_q^{-1}(1/p) = log2(1 + 1/p)^(1/q) for the Young
+    function phi_q(x) = 2^(x^q) - 1, q >= 1.  As phi_q(1) = 1, a point mass
+    at t has sigma = diam at t in young-inverse mode."""
     if mode == GAUSSIAN_LOG:
-        def f(p):
-            p = np.asarray(p, dtype=float)
-            return np.sqrt(np.maximum(-np.log2(p), 0.0))
-        return f
+        return lambda p: np.sqrt(np.maximum(-np.log2(p), 0.0))
     if mode == YOUNG_INVERSE:
-        yf = young if young is not None else young_power(2.0)
-        def f(p):
-            p = np.asarray(p, dtype=float)
-            return yf.inverse(1.0 / p)
-        return f
+        if q < 1:
+            raise ValueError("q must be >= 1")
+        return lambda p: np.power(np.log1p(1.0 / p) / math.log(2.0), 1.0 / q)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -128,7 +85,8 @@ def _integrand(mode: str, young: YoungFunction | None):
 
 
 class SigmaEvaluator:
-    """Exact sigma profiles and their gradients for one (space, delta, mode).
+    """Exact sigma profiles for one (space, delta, mode, q), and their
+    gradients in gaussian-log mode.
 
     Dense row layout: row t of the n x n arrays ``order`` (stable argsort of
     ``dist[t]``) and ``gaps`` (the length of [r_j, r_{j+1}) clipped to
@@ -144,10 +102,10 @@ class SigmaEvaluator:
     """
 
     def __init__(self, space: FiniteMetricSpace, delta: float | None = None,
-                 mode: str = GAUSSIAN_LOG, young: YoungFunction | None = None):
+                 mode: str = GAUSSIAN_LOG, q: float = 2.0):
         self.space = space
         self.mode = mode
-        self.f = _integrand(mode, young)
+        self.f = _integrand(mode, q)
         d = space.diam if delta is None else min(delta, space.diam)
         self.delta = max(float(d), 0.0)
         n = space.n
@@ -177,14 +135,10 @@ class SigmaEvaluator:
     # -- analytic gradients (weights assumed strictly positive) ------------
 
     def _fprime(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        if self.mode == GAUSSIAN_LOG:
-            fv = np.maximum(self.f(p), 1e-8)  # clamp the p -> 1 singularity
-            return -1.0 / (2.0 * math.log(2.0) * p * fv)
-        # young-inverse, built-in family handled generically via finite diff
-        h = 1e-7
-        return (self.f(np.minimum(p + h, 1.0)) - self.f(np.maximum(p - h, WEIGHT_FLOOR))) / (
-            np.minimum(p + h, 1.0) - np.maximum(p - h, WEIGHT_FLOOR))
+        if self.mode != GAUSSIAN_LOG:
+            raise ValueError("the jacobian is analytic in gaussian-log mode only")
+        fv = np.maximum(self.f(p), 1e-8)  # clamp the p -> 1 singularity
+        return -1.0 / (2.0 * math.log(2.0) * p * fv)
 
     def jacobian(self, w: np.ndarray) -> np.ndarray:
         """J[t, u] = d sigma(mu, t) / d w_u, ignoring the simplex constraint.
@@ -226,28 +180,20 @@ def nu_average(prof: np.ndarray, nu_w: np.ndarray) -> float:
 # public operations
 
 
-def sigma_profile(space: FiniteMetricSpace, mu: ProbabilityMeasure, delta: float,
-                  mode: str = GAUSSIAN_LOG, young: YoungFunction | None = None) -> np.ndarray:
+def sigma_profile(mu: ProbabilityMeasure, delta: float, mode: str = GAUSSIAN_LOG,
+                  q: float = 2.0) -> np.ndarray:
     """Exact sigma(mu, t, delta) at every point t; +inf, a value, marks an
-    interval of positive length whose ball carries no mass."""
-    if delta <= 0:
-        return np.zeros(space.n)
-    ev = SigmaEvaluator(space, delta, mode, young)
-    return ev.profile(mu.weights)
+    interval of positive length whose ball carries no mass.  A delta <= 0
+    gives an all-zero profile."""
+    return SigmaEvaluator(mu.space, delta, mode, q).profile(mu.weights)
 
 
-def functional_M(space: FiniteMetricSpace, mu: ProbabilityMeasure, nu: ProbabilityMeasure,
-                 delta: float | None = None, mode: str = GAUSSIAN_LOG,
-                 young: YoungFunction | None = None) -> float:
-    """M(mu, nu, delta) = integral of sigma(mu, t, delta) d nu(t).
+def functional_M(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> float:
+    """M(mu, nu) = integral of sigma(mu, t) d nu(t) at the full diameter, in
+    gaussian-log mode.
 
     +inf propagates only through points that nu actually charges.
     """
     if mu.space is not nu.space and not np.array_equal(mu.space.dist, nu.space.dist):
         raise MeasureError("mu and nu must live on the same space")
-    d = delta if delta is not None else mu.space.diam
-    if d <= 0:
-        return 0.0
-    ev = SigmaEvaluator(mu.space, d, mode, young)
-    return nu_average(ev.profile(mu.weights), nu.weights)
-
+    return nu_average(SigmaEvaluator(mu.space).profile(mu.weights), nu.weights)

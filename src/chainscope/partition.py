@@ -69,8 +69,7 @@ def _one_center(space: FiniteMetricSpace, members) -> int:
     return int(idx[int(np.argmin(sub.max(axis=1)))])
 
 
-def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
-                    max_levels: int | None = None) -> PartitionTree:
+def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0) -> PartitionTree:
     """Carve the leveled partition tree down to singleton cells.
 
     The maximization of F over candidate centers is exact over the finite
@@ -80,9 +79,9 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
     after a carve takes one of its members, takes the first maximum in
     member order as center, and calls F once per carved cell, unless the
     cell is exactly the center's probe ball, whose (F, se) pair it already
-    holds.  Carving stops after ``max_levels + 2`` levels (by default
-    enough for the smallest distance) with a warning that names the largest
-    leaf left.
+    holds.  Carving stops after ceil(log_r(diam / smallest distance)) + 4
+    levels (3 if all points coincide), by which only coincident points can
+    still share a cell, with a warning that names the largest leaf left.
     """
     if r <= 1.0:
         raise ValueError("r must be > 1")
@@ -95,16 +94,15 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0,
     if space.n <= 1:
         return PartitionTree(space=space, r=float(r), levels=levels)
 
-    if max_levels is None:
-        if space.breaks.size > 1:  # breaks[1] is the smallest positive distance
-            max_levels = int(math.ceil(math.log(space.diam / float(space.breaks[1]), r))) + 2
-        else:
-            max_levels = 1
+    if space.breaks.size > 1:  # breaks[1] is the smallest positive distance
+        last_level = int(math.ceil(math.log(space.diam / float(space.breaks[1]), r))) + 4
+    else:
+        last_level = 3
 
     D = space.dist
     k = 1
     while any(len(c.members) > 1 for c in levels[-1]):
-        if k > max_levels + 2:
+        if k > last_level:
             largest = max(len(c.members) for c in levels[-1])
             warnings.warn(f"partition depth cut-off at level {k - 1}: "
                           f"largest leaf has {largest} points")

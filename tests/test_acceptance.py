@@ -18,7 +18,7 @@ from chainscope.cli import data_instance_path, main, replay_manifest
 from chainscope.ellipsoid import _argmax_cloud, esup_check, gap_lower_bound_check, make_spec
 from chainscope.gaussian_lab import (argmax_distribution, estimate_sup, sample_paths,
                                      supremum_report)
-from chainscope.measures import SigmaEvaluator
+from chainscope.measures import SigmaEvaluator, nu_average
 from chainscope.search import balanced_measure
 
 from conftest import random_covariance, random_space, random_weights
@@ -86,10 +86,10 @@ def test_functional_matches_riemann_oracle():
         nu = ProbabilityMeasure(sp, nu_w)
         delta = float(rng.uniform(0.3, 1.1)) * sp.diam
         t = int(rng.integers(n))
-        val = sigma_profile(sp, mu, delta)[t]
+        val = sigma_profile(mu, delta)[t]
         lo, hi = riemann_bracket(sp, w, t, delta)
         assert abs(val - (lo + hi) / 2.0) <= 1e-4 * (1.0 + val)
-        m_val = functional_M(sp, mu, nu, delta)
+        m_val = nu_average(sigma_profile(mu, delta), nu.weights)
         brackets = [riemann_bracket(sp, w, s, delta) for s in range(n)]
         m_oracle = sum(nu_w[s] * (b[0] + b[1]) / 2.0 for s, b in enumerate(brackets))
         assert abs(m_val - m_oracle) <= 1e-4 * (1.0 + m_val)
@@ -112,7 +112,7 @@ def test_two_point_closed_forms():
     assert abs(diffs.mean() - d * math.sqrt(2 / math.pi)) <= 3 * se
 
     mu = uniform_measure(model.space)
-    assert functional_M(model.space, mu, mu) == pytest.approx(d, abs=1e-12)
+    assert functional_M(mu, mu) == pytest.approx(d, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_tree_translation_holds_on_full_suite(partition_suite):
 def test_chained_domination_holds_on_full_suite(partition_suite):
     for tree, mu, nu, _, _ in partition_suite:
         chained = chained_functional(tree, mu, nu)
-        assert functional_M(tree.space, mu, nu) <= chained + 1e-9
+        assert functional_M(mu, nu) <= chained + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_chained_domination_holds_on_full_suite(partition_suite):
 
 def test_esup_over_argmax_functional_in_envelope(model_family):
     for entry in model_family:
-        m_self = functional_M(entry["model"].space, entry["mu_F"], entry["mu_F"])
+        m_self = functional_M(entry["mu_F"], entry["mu_F"])
         ratio = entry["esup"] / m_self
         assert 0.05 <= ratio <= 1.5, (entry["name"], ratio)
 

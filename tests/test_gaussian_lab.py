@@ -421,6 +421,6 @@ class TestNestedNets:
         for subset in ([0, 1], [0, 1, 2, 3]):
             sub = build_model(model.covariance[np.ix_(subset, subset)])
             mu_f = argmax_distribution(sub, 50000, 5).measure
-            m_self.append(functional_M(sub.space, mu_f, mu_f))
+            m_self.append(functional_M(mu_f, mu_f))
         assert m_self[0] == pytest.approx(math.sqrt(2.0), abs=0.02)
         assert m_self[1] == pytest.approx(2.0, abs=0.03)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chainscope import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
                         build_from_distance_matrix, build_from_points, functional_M,
-                        sigma_profile, uniform_measure, young_power)
+                        sigma_profile, uniform_measure)
 from chainscope.measures import SigmaEvaluator, nu_average
 from chainscope.metric_core import build_from_covariance
 
@@ -17,10 +17,19 @@ from oracles import (SigmaReference, jacobian_reference, nu_average_reference,
                      sigma_profile_reference)
 
 
-def riemann_bracket(space, weights, t, delta, mode=GAUSSIAN_LOG, young=None,
-                    step_frac=1e-5):
-    """Left/right endpoint Riemann sums bracketing sigma (nonincreasing
-    integrand)."""
+def phi(x, q):
+    """The Young function phi_q(x) = 2^(x^q) - 1; expm1 keeps precision near
+    0, where the difference cancels."""
+    return np.expm1(math.log(2.0) * np.power(x, q))
+
+
+def phi_inverse(y, q):
+    return np.power(np.log2(1.0 + y), 1.0 / q)
+
+
+def riemann_bracket(space, weights, t, delta, step_frac=1e-5):
+    """Left/right endpoint Riemann sums bracketing sigma in gaussian-log mode
+    (nonincreasing integrand)."""
     delta = min(delta, space.diam)
     h = space.diam * step_frac
     k = int(math.ceil(delta / h))
@@ -31,10 +40,7 @@ def riemann_bracket(space, weights, t, delta, mode=GAUSSIAN_LOG, young=None,
     mass = cumw[np.searchsorted(ends, grid, side="right") - 1]
     if np.any(mass <= 0):
         return math.inf, math.inf
-    if mode == GAUSSIAN_LOG:
-        f = np.sqrt(np.log2(np.maximum(1.0 / mass, 1.0)))
-    else:
-        f = young.inverse(1.0 / mass)
+    f = np.sqrt(np.log2(np.maximum(1.0 / mass, 1.0)))
     widths = np.diff(grid)
     left = float(np.sum(widths * f[:-1]))
     right = float(np.sum(widths * f[1:]))
@@ -60,61 +66,64 @@ class TestProbabilityMeasure:
 
 class TestYoungFamily:
     def test_zero_and_one(self):
-        phi = young_power(2.0)
-        assert phi.evaluate(0.0) == 0.0
-        assert phi.evaluate(1.0) == 1.0
+        assert phi(0.0, 2.0) == 0.0
+        assert phi(1.0, 2.0) == 1.0
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
     def test_inverse_roundtrip(self, q):
-        phi = young_power(q)
         xs = np.linspace(0.01, 3.0, 40)
-        assert np.allclose(phi.inverse(phi.evaluate(xs)), xs, atol=1e-10)
+        assert np.allclose(phi_inverse(phi(xs, q), q), xs, atol=1e-10)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    def test_integrand_is_the_inverse_at_one_over_p(self, q):
+        p = np.linspace(0.01, 1.0, 40)
+        f = SigmaEvaluator(build_from_points([[0.0], [1.0]]), None, YOUNG_INVERSE, q).f
+        assert np.allclose(f(p), np.log2(1.0 + 1.0 / p) ** (1.0 / q), rtol=1e-14, atol=0)
+        assert f(np.array([1.0]))[0] == 1.0  # phi_q(1) = 1
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
     def test_midpoint_convexity(self, q):
-        phi = young_power(q)
         xs = np.linspace(0.0, 2.5, 26)
         for a in xs:
             for b in xs:
-                mid = phi.evaluate((a + b) / 2.0)
-                assert mid <= (phi.evaluate(a) + phi.evaluate(b)) / 2.0 + 1e-9
+                mid = phi((a + b) / 2.0, q)
+                assert mid <= (phi(a, q) + phi(b, q)) / 2.0 + 1e-9
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_growth_constant_on_range(self, q):
-        # phi(2x) >= 2 C phi(x) on the declared range
-        phi = young_power(q)
-        lo, hi = phi.doubling_range
-        xs = np.linspace(lo + 1e-6, hi, 50)
-        lhs = phi.evaluate(2 * xs)
-        rhs = 2.0 * phi.doubling_constant * phi.evaluate(xs)
-        assert np.all(lhs >= rhs * (1 - 1e-9))
+        # phi(2x) >= 2 C phi(x) on (0, 1] with C = 2^(q - 1)
+        xs = np.linspace(1e-6, 1.0, 50)
+        assert np.all(phi(2 * xs, q) >= 2.0 * 2.0 ** (q - 1.0) * phi(xs, q) * (1 - 1e-9))
 
     def test_q_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            young_power(0.5)
+        sp = build_from_points([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            SigmaEvaluator(sp, None, YOUNG_INVERSE, 0.5)
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            sigma_profile(uniform_measure(sp), sp.diam, YOUNG_INVERSE, 0.5)
 
 
 class TestSigmaClosedForms:
     def test_two_point_uniform_gaussian(self):
         sp = build_from_distance_matrix([[0, 1], [1, 0]])
         mu = uniform_measure(sp)
-        assert sigma_profile(sp, mu, sp.diam)[0] == pytest.approx(1.0, abs=1e-12)
-        assert functional_M(sp, mu, mu) == pytest.approx(1.0, abs=1e-12)
+        assert sigma_profile(mu, sp.diam)[0] == pytest.approx(1.0, abs=1e-12)
+        assert functional_M(mu, mu) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_scales_with_distance(self):
         d = 2.75
         sp = build_from_distance_matrix([[0, d], [d, 0]])
         mu = uniform_measure(sp)
-        assert functional_M(sp, mu, mu) == pytest.approx(d, abs=1e-12)
+        assert functional_M(mu, mu) == pytest.approx(d, abs=1e-12)
 
     def test_measures_on_different_spaces_rejected(self):
         sp = build_from_distance_matrix([[0, 1], [1, 0]])
         other = build_from_distance_matrix([[0, 2], [2, 0]])
         twin = build_from_distance_matrix([[0, 1], [1, 0]])
         with pytest.raises(MeasureError, match="same space"):
-            functional_M(sp, uniform_measure(sp), uniform_measure(other))
+            functional_M(uniform_measure(sp), uniform_measure(other))
         # an equal distance matrix is the same space
-        assert functional_M(sp, uniform_measure(sp), uniform_measure(twin)) == \
+        assert functional_M(uniform_measure(sp), uniform_measure(twin)) == \
             pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
@@ -123,21 +132,20 @@ class TestSigmaClosedForms:
         D = a * (np.ones((m, m)) - np.eye(m))
         sp = build_from_distance_matrix(D)
         mu = uniform_measure(sp)
-        assert functional_M(sp, mu, mu) == pytest.approx(a * math.sqrt(math.log2(m)), rel=1e-12)
+        assert functional_M(mu, mu) == pytest.approx(a * math.sqrt(math.log2(m)), rel=1e-12)
 
     def test_two_point_young_inverse(self):
         sp = build_from_distance_matrix([[0, 1], [1, 0]])
         mu = uniform_measure(sp)
-        phi = young_power(2.0)
         # integrand is phi^-1(2) = sqrt(log2 3) on (0, 1)
         expected = math.sqrt(math.log2(3.0))
-        assert functional_M(sp, mu, mu, mode=YOUNG_INVERSE, young=phi) == \
-            pytest.approx(expected, rel=1e-12)
+        prof = SigmaEvaluator(sp, None, YOUNG_INVERSE).profile(mu.weights)
+        assert nu_average(prof, mu.weights) == pytest.approx(expected, rel=1e-12)
 
     def test_point_mass_sigma_at_owner(self):
         sp = build_from_points([[0.0], [1.0], [3.0]])
         mu = ProbabilityMeasure(sp, [1.0, 0.0, 0.0])  # the point mass at 0
-        prof = sigma_profile(sp, mu, sp.diam)
+        prof = sigma_profile(mu, sp.diam)
         # ball around 0 has mass 1 at every radius: integrand 0
         assert prof[0] == 0.0
         # ball around 2 (point 3.0) has mass 0 until eps = 3
@@ -147,16 +155,16 @@ class TestSigmaClosedForms:
         sp = build_from_points([[0.0], [1.0], [3.0]])
         mu = ProbabilityMeasure(sp, [1.0, 0.0, 0.0])  # the point mass at 0
         # sigma is infinite away from the atom, but nu there carries no mass
-        assert math.isfinite(functional_M(sp, mu, mu))
+        assert math.isfinite(functional_M(mu, mu))
         nu = ProbabilityMeasure(sp, [0.5, 0.5, 0.0])
-        assert functional_M(sp, mu, nu) == math.inf
+        assert functional_M(mu, nu) == math.inf
 
     def test_delta_beyond_diam_saturates(self, session_rng):
         sp = random_space(session_rng, 8)
         mu = ProbabilityMeasure(sp, random_weights(session_rng, 8))
-        a = functional_M(sp, mu, mu, delta=sp.diam)
-        b = functional_M(sp, mu, mu, delta=5 * sp.diam)
-        assert a == pytest.approx(b, rel=1e-12)
+        a = nu_average(sigma_profile(mu, sp.diam), mu.weights)
+        b = nu_average(sigma_profile(mu, 5 * sp.diam), mu.weights)
+        assert a == b == functional_M(mu, mu)
 
     def test_riemann_bracket_random(self, session_rng):
         for _ in range(8):
@@ -165,7 +173,7 @@ class TestSigmaClosedForms:
             mu = ProbabilityMeasure(sp, w)
             t = int(session_rng.integers(12))
             delta = float(session_rng.uniform(0.2, 1.2)) * sp.diam
-            val = sigma_profile(sp, mu, delta)[t]
+            val = sigma_profile(mu, delta)[t]
             lo, hi = riemann_bracket(sp, w, t, delta)
             assert lo - 1e-9 <= val <= hi + 1e-9
             assert hi - lo <= 1e-4 * (1.0 + val)
@@ -176,21 +184,22 @@ class TestGradients:
     # simplex-tangent directions, so finite differences use e_u - e_v moves
 
     def test_jacobian_matches_finite_differences(self, session_rng):
-        for mode in (GAUSSIAN_LOG, YOUNG_INVERSE):
-            sp = random_space(session_rng, 7)
-            young = young_power(2.0) if mode == YOUNG_INVERSE else None
-            ev = SigmaEvaluator(sp, None, mode, young)
-            w = random_weights(session_rng, 7)
-            w = np.maximum(w, 1e-3)
-            w /= w.sum()
-            J = ev.jacobian(w)
-            h = 1e-5
-            for u in range(sp.n):
-                v = (u + 1) % sp.n
-                d = np.zeros(sp.n)
-                d[u], d[v] = 1.0, -1.0
-                fd = (ev.profile(w + h * d) - ev.profile(w - h * d)) / (2 * h)
-                assert np.allclose(J @ d, fd, atol=1e-3), (mode, u)
+        sp = random_space(session_rng, 7)
+        ev = SigmaEvaluator(sp)
+        w = random_weights(session_rng, 7)
+        w = np.maximum(w, 1e-3)
+        w /= w.sum()
+        J = ev.jacobian(w)
+        h = 1e-5
+        for u in range(sp.n):
+            v = (u + 1) % sp.n
+            d = np.zeros(sp.n)
+            d[u], d[v] = 1.0, -1.0
+            fd = (ev.profile(w + h * d) - ev.profile(w - h * d)) / (2 * h)
+            assert np.allclose(J @ d, fd, atol=1e-3), u
+        # no search differentiates a young-inverse evaluator
+        with pytest.raises(ValueError, match="gaussian-log mode only"):
+            SigmaEvaluator(sp, None, YOUNG_INVERSE).jacobian(w)
 
     def test_m_self_grad_matches_finite_differences(self, session_rng):
         sp = random_space(session_rng, 6)
@@ -238,7 +247,7 @@ def test_sigma_monotone_in_delta(n, seed):
     mu = ProbabilityMeasure(sp, w)
     deltas = np.sort(rng.uniform(0, 1.5 * sp.diam, size=4))
     t = int(rng.integers(n))
-    vals = [sigma_profile(sp, mu, float(d))[t] for d in deltas]
+    vals = [sigma_profile(mu, float(d))[t] for d in deltas]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -252,24 +261,23 @@ def test_functional_linear_in_nu(seed):
     nu2 = ProbabilityMeasure(sp, random_weights(rng, 6))
     lam = float(rng.uniform())
     mix = ProbabilityMeasure(sp, lam * nu1.weights + (1 - lam) * nu2.weights)
-    lhs = functional_M(sp, mu, mix)
-    rhs = lam * functional_M(sp, mu, nu1) + (1 - lam) * functional_M(sp, mu, nu2)
+    lhs = functional_M(mu, mix)
+    rhs = lam * functional_M(mu, nu1) + (1 - lam) * functional_M(mu, nu2)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
 def test_profile_matches_pointwise(session_rng):
     sp = random_space(session_rng, 9)
     mu = ProbabilityMeasure(sp, random_weights(session_rng, 9))
-    prof = sigma_profile(sp, mu, sp.diam)
+    prof = sigma_profile(mu, sp.diam)
     for t in range(sp.n):
         one_point = SigmaReference(SigmaEvaluator(sp, sp.diam)).sigma_one(mu.weights, t)
         assert prof[t] == pytest.approx(one_point, rel=1e-12)
 
 
 def _evaluator_pair(space, mode, delta):
-    young = young_power(2.0) if mode == YOUNG_INVERSE else None
-    ev = SigmaEvaluator(space, delta, mode, young)
-    return ev, SigmaReference(ev), young
+    ev = SigmaEvaluator(space, delta, mode)
+    return ev, SigmaReference(ev)
 
 
 _delta_fracs = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=0.95))
@@ -284,13 +292,14 @@ def test_dense_evaluator_bit_identical_on_distinct_distances(n, seed, mode, delt
     off = space.dist[np.triu_indices(n, k=1)]
     assert np.unique(off).size == off.size
     delta = delta_frac * space.diam
-    ev, ref, young = _evaluator_pair(space, mode, delta)
+    ev, ref = _evaluator_pair(space, mode, delta)
     mu = ProbabilityMeasure(space, random_weights(rng, n))
     nu = ProbabilityMeasure(space, random_weights(rng, n))
     assert np.array_equal(ev.profile(mu.weights), ref.profile(mu.weights))
-    assert np.array_equal(ev.jacobian(mu.weights), ref.jacobian(mu.weights))
+    if mode == GAUSSIAN_LOG:
+        assert np.array_equal(ev.jacobian(mu.weights), ref.jacobian(mu.weights))
     assert ev.m_self(mu.weights) == ref.m_self(mu.weights)
-    assert functional_M(space, mu, nu, delta, mode, young) == \
+    assert nu_average(ev.profile(mu.weights), nu.weights) == \
         ref.nu_average(mu.weights, nu.weights)
 
 
@@ -301,11 +310,12 @@ def test_dense_evaluator_matches_reference_on_tied_distances(n, seed, mode, delt
     rng = np.random.default_rng(seed)
     space = integer_l1_space(rng, n)
     assume(space.n >= 2)
-    ev, ref, _ = _evaluator_pair(space, mode, delta_frac * space.diam)
+    ev, ref = _evaluator_pair(space, mode, delta_frac * space.diam)
     w = random_weights(rng, space.n)
     # zero gaps inside tied blocks change the dot product's partial sums
     np.testing.assert_allclose(ev.profile(w), ref.profile(w), rtol=1e-15, atol=0)
-    assert np.array_equal(ev.jacobian(w), ref.jacobian(w))
+    if mode == GAUSSIAN_LOG:
+        assert np.array_equal(ev.jacobian(w), ref.jacobian(w))
 
 
 @given(st.integers(min_value=3, max_value=12), st.integers(min_value=0, max_value=2 ** 31),
@@ -315,18 +325,19 @@ def test_infinity_only_where_nu_charges_a_zero_mass_ball(n, seed, mode, delta_fr
     rng = np.random.default_rng(seed)
     space = build_from_covariance(random_covariance(rng, n))
     delta = delta_frac * space.diam
-    ev, ref, young = _evaluator_pair(space, mode, delta)
+    ev, ref = _evaluator_pair(space, mode, delta)
     w = random_weights(rng, n)
     empty = int(rng.integers(n))
     w[empty] = 0.0
     mu = ProbabilityMeasure(space, w / w.sum())
     # the ball around the uncharged point is empty below its nearest distance
-    assert ev.profile(mu.weights)[empty] == math.inf
-    assert math.isfinite(functional_M(space, mu, mu, delta, mode, young))
+    prof = ev.profile(mu.weights)
+    assert prof[empty] == math.inf
+    assert math.isfinite(nu_average(prof, mu.weights))
     nu = random_weights(rng, n)
     nu[empty] = max(nu[empty], 0.1)
     nu = ProbabilityMeasure(space, nu / nu.sum())
-    assert functional_M(space, mu, nu, delta, mode, young) == math.inf
+    assert nu_average(prof, nu.weights) == math.inf
     assert ref.nu_average(mu.weights, nu.weights) == math.inf
 
 
@@ -361,17 +372,21 @@ def _kernel_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_dense_kernels_bit_identical_to_their_first_form(case, mode, jacobian_first):
     space, delta, mu, nu = case
-    young = young_power(2.0) if mode == YOUNG_INVERSE else None
-    ev = SigmaEvaluator(space, delta, mode, young)
+    ev = SigmaEvaluator(space, delta, mode)
     w = mu.weights
     # the gather index is built by the first jacobian call, either before or
     # after a profile; array_equal also requires +inf in the same places
     calls = ["jacobian", "profile", "jacobian"] if jacobian_first else ["profile", "jacobian"]
-    refs = {"profile": sigma_profile_reference(ev, w), "jacobian": jacobian_reference(ev, w)}
+    refs = {"profile": sigma_profile_reference(ev, w)}
+    if mode == GAUSSIAN_LOG:
+        refs["jacobian"] = jacobian_reference(ev, w)
+    else:  # the jacobian is analytic in gaussian-log mode only
+        calls = ["profile"]
     for name in calls:
         assert np.array_equal(getattr(ev, name)(w), refs[name])
     prof = refs["profile"]
-    assert np.array_equal(ev.m_self_grad(w, prof), prof + refs["jacobian"].T @ w)
+    if mode == GAUSSIAN_LOG:
+        assert np.array_equal(ev.m_self_grad(w, prof), prof + refs["jacobian"].T @ w)
     for nu_w in (w, nu.weights, np.zeros(space.n)):
         assert nu_average(prof, nu_w) == nu_average_reference(prof, nu_w)
 
@@ -379,13 +394,13 @@ def test_dense_kernels_bit_identical_to_their_first_form(case, mode, jacobian_fi
 @pytest.mark.parametrize("mode", [GAUSSIAN_LOG, YOUNG_INVERSE])
 def test_zero_mass_ball_raises_no_floating_point_warning(mode):
     sp = build_from_points([[0.0], [1.0], [3.0], [3.5]])
-    young = young_power(2.0) if mode == YOUNG_INVERSE else None
     mu = ProbabilityMeasure(sp, [0.5, 0.5, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev = SigmaEvaluator(sp, None, mode, young)
+        ev = SigmaEvaluator(sp, None, mode)
         prof = ev.profile(mu.weights)
         assert np.isinf(prof[2:]).all() and np.isfinite(prof[:2]).all()
-        assert np.isfinite(ev.jacobian(mu.weights)).all()
-        assert functional_M(sp, mu, mu, mode=mode, young=young) < math.inf
-        assert functional_M(sp, mu, uniform_measure(sp), mode=mode, young=young) == math.inf
+        if mode == GAUSSIAN_LOG:
+            assert np.isfinite(ev.jacobian(mu.weights)).all()
+        assert nu_average(prof, mu.weights) < math.inf
+        assert nu_average(prof, uniform_measure(sp).weights) == math.inf

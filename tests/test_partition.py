@@ -20,7 +20,7 @@ COV_PAIR_D1 = np.array([[1.0, 0.5], [0.5, 1.0]])
 def verify_tree_translation(tree, mu, t, delta):
     """(sigma(mu, t, delta), the tree sum over the cells A_k(t) holding t, and
     whether sigma <= sum + 1e-9); a zero-mass cell makes the sum infinite."""
-    lhs = float(sigma_profile(tree.space, mu, delta)[t])
+    lhs = float(sigma_profile(mu, delta)[t])
     chain = [next(c for c in cells if t in c.members) for cells in tree.levels]
     D = tree.space.diam
     rhs = 0.0
@@ -65,17 +65,19 @@ class TestConstruction:
             build_partition(model.space, oracle, r=1.0)
 
     def test_depth_cut_off_warns(self):
-        # a close pair survives two levels of carving at r = 4
-        pts = np.r_[np.arange(15.0), 14.001][:, None]
-        space = build_from_points(pts)
+        # coincident points are never carved apart, so carving runs into the
+        # depth bound: ceil(log_4(diam / smallest distance)) + 4 = 4 levels
         size_oracle = lambda subset: (float(len(subset)), 0.0)  # noqa: E731
-        with pytest.warns(UserWarning, match="cut-off at level 2: largest leaf has 2 points"):
-            tree = build_partition(space, size_oracle, r=4.0, max_levels=0)
-        assert tree.depth == 2
-        assert max(len(c.members) for c in tree.levels[-1]) == 2
+        space = build_from_points([[0.0], [0.0], [1.0]])
+        with pytest.warns(UserWarning, match="cut-off at level 4: largest leaf has 2 points"):
+            tree = build_partition(space, size_oracle, r=4.0)
+        assert tree.depth == 4
+        assert sorted(len(c.members) for c in tree.levels[-1]) == [1, 2]
+        # a close pair is carved apart before the bound, with no warning
+        pts = np.r_[np.arange(15.0), 14.001][:, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert build_partition(space, size_oracle, r=4.0).depth > 2
+            assert build_partition(build_from_points(pts), size_oracle, r=4.0).depth > 2
 
     def test_levels_partition_space(self, session_rng):
         _, tree = random_tree(session_rng, 10)
@@ -227,7 +229,7 @@ class TestChainedFunctional:
             lhs, rhs, ok = verify_tree_translation(tree, mu, t, delta)
             assert ok, (lhs, rhs)
             chained = chained_functional(tree, mu, nu)
-            assert functional_M(tree.space, mu, nu) <= chained + 1e-9
+            assert functional_M(mu, nu) <= chained + 1e-9
 
 
 class TestGrouping:
