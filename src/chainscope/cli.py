@@ -120,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("analyze", "diameter, covering table, entropy integral", samples=False)
     p.add_argument("--mode", choices=[GAUSSIAN_LOG, YOUNG_INVERSE], default=GAUSSIAN_LOG)
-    p.add_argument("--young", type=_at_least(float, 1), default=2.0,
-                   help="exponent q of the built-in Young family")
+    p.add_argument("--young", type=_at_least(float, 1), default=None,
+                   help="exponent q of the built-in Young family (default 2); "
+                        "young-inverse mode only")
 
     p = command("bounds", "E sup, argmax measure, sandwich per delta")
     p.add_argument("--delta-grid", default=None,
@@ -198,7 +199,8 @@ def cmd_analyze(args, inst, outputs):
             mu = ProbabilityMeasure(space, inst["weights"])
         except MeasureError as exc:  # weights off the simplex are bad input
             raise InstanceError(str(exc)) from None
-        prof = sigma_profile(mu, space.diam, args.mode, args.young)
+        q = 2.0 if args.young is None else args.young
+        prof = sigma_profile(mu, space.diam, args.mode, q)
         payload["measure"] = {
             "mode": args.mode,
             "weights": mu.weights,
@@ -409,6 +411,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.command == "analyze" and args.young is not None and args.mode != YOUNG_INVERSE:
+        _parser().error("argument --young: needs --mode young-inverse")
     try:
         return run_command(args)
     except InstanceError as exc:

@@ -91,7 +91,11 @@ class SigmaEvaluator:
     Dense row layout: row t of the n x n arrays ``order`` (stable argsort of
     ``dist[t]``) and ``gaps`` (the length of [r_j, r_{j+1}) clipped to
     delta, r_j the j-th sorted distance) describe the balls around t, and
-    ``live`` marks the intervals of positive length.  A gap is 0 inside a
+    ``live`` marks the intervals of positive length.  ``order`` comes from
+    numpy's default (SIMD) argsort, and the rows with two equal distances
+    are sorted again with ``kind="stable"``, so tied points stay in index
+    order; ``gaps`` are read off ``np.sort`` of the rows, which does not
+    depend on how ties are ordered.  A gap is 0 inside a
     block of tied distances, so a cumulative weight counts as a ball mass
     only at the end of its block.  The first ``jacobian`` call also keeps
     ``_gather``, the flat index that reads each row's suffix sums back in
@@ -108,11 +112,19 @@ class SigmaEvaluator:
         self.f = _integrand(mode, q)
         d = space.diam if delta is None else min(delta, space.diam)
         self.delta = max(float(d), 0.0)
-        n = space.n
-        self.order = np.argsort(space.dist, axis=1, kind="stable")
-        sd = np.take_along_axis(space.dist, self.order, axis=1)
-        nxt = np.minimum(np.c_[sd[:, 1:], np.full(n, np.inf)], self.delta)
-        self.gaps = np.clip(nxt - sd, 0.0, None)
+        dist = space.dist
+        self.order = np.argsort(dist, axis=1)
+        sd = np.sort(dist, axis=1)
+        # only a row with two equal distances can come out of the unstable
+        # sort in another order than the stable one
+        tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
+        if tied.size:
+            self.order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        self.gaps = np.empty_like(sd)
+        np.minimum(sd[:, 1:], self.delta, out=self.gaps[:, :-1])
+        self.gaps[:, -1] = self.delta
+        self.gaps -= sd
+        np.maximum(self.gaps, 0.0, out=self.gaps)
         self.live = self.gaps > 0
         self._gather = None
 

@@ -134,6 +134,15 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: {argv[-1]!r} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [(), ("--mode", "gaussian-log")])
+    def test_young_without_young_inverse_mode_exits_2(self, tmp_path, capsys, mode):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "analyze", "--instance", data_instance_path("collinear_013.json"),
+                "--young", "3", *mode)
+        assert exc.value.code == 2
+        assert "argument --young: needs --mode young-inverse" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("weights, message", [
         ([1.5, -0.5], "negative weight at index 1"),
         ([0.5, 0.25], "weights sum to 0.75"),
@@ -228,6 +237,30 @@ class TestAnalyze:
         assert code == 0
         env = read_report(out, "analyze")
         assert env["payload"]["measure"]["m_self"] == pytest.approx(1.0)
+
+    def test_young_inverse_mode_defaults_to_q_2(self, tmp_path):
+        instance = ("--instance", write_instance(tmp_path, {
+            "name": "w", "metric": {"type": "points", "data": [[0], [1], [3]]},
+            "weights": [0.2, 0.3, 0.5]}))
+        assert run(tmp_path, "analyze", *instance, "--mode", "young-inverse", sub="default")[0] == 0
+        assert run(tmp_path, "analyze", *instance, "--mode", "young-inverse", "--young", "2",
+                   sub="two")[0] == 0
+        assert run(tmp_path, "analyze", *instance, "--mode", "young-inverse", "--young", "3",
+                   sub="three")[0] == 0
+        for name in ("analyze_report.json", "analyze_covering.csv"):
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "two" / name).read_bytes()
+        m_self = [read_report(tmp_path / sub, "analyze")["payload"]["measure"]["m_self"]
+                  for sub in ("two", "three")]
+        assert m_self[0] != m_self[1]
+        flags = [json.loads((tmp_path / sub / "analyze_manifest.json").read_text())["flags"]
+                 for sub in ("default", "two")]
+        assert flags[0]["young"] is None and flags[1]["young"] == 2.0
+        # replay skips the null flag and reruns in young-inverse mode at q = 2
+        assert replay_manifest(str(tmp_path / "default" / "analyze_manifest.json"),
+                               str(tmp_path / "replay")) == 0
+        assert (tmp_path / "replay" / "analyze_report.json").read_bytes() == \
+            (tmp_path / "default" / "analyze_report.json").read_bytes()
 
 
 class TestBounds:

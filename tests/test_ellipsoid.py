@@ -10,8 +10,9 @@ from scipy.spatial.distance import cdist
 from chainscope import ellipsoid, ellipsoid_report, esup_check, gap_lower_bound_check, make_spec
 from chainscope.ellipsoid import _argmax_cloud, _snap_to_net, empirical_measure
 from chainscope.gaussian_lab import standard_normal_block
+from chainscope.measures import SigmaEvaluator, functional_M
 
-from oracles import snap_to_net_reference
+from oracles import nu_average_reference, sigma_profile_reference, snap_to_net_reference
 
 # (axes, samples) of the ellipsoid op and probe of the monte-carlo benchmark
 BENCH_ELLIPSOIDS = [((1.0, 0.5, 0.25, 0.125), 3000), ((1.0, 0.5, 0.25), 2000)]
@@ -162,6 +163,13 @@ class TestEmpiricalMeasure:
         assert emp.counts.tobytes() == counts.tobytes()
         assert emp.space.dist.tobytes() == cdist(points, points).tobytes()
 
+    def test_bench_net_functional_matches_the_reference_profile(self):
+        axes, samples = BENCH_ELLIPSOIDS[0]
+        emp = empirical_measure(make_spec(axes), samples, 1000)
+        w = emp.measure.weights
+        want = nu_average_reference(sigma_profile_reference(SigmaEvaluator(emp.space), w), w)
+        assert functional_M(emp.measure, emp.measure) == want
+
 
 class TestSnapToNet:
     def test_resolution_equal_to_a_distance_of_the_cloud(self):
@@ -198,6 +206,46 @@ class TestSnapToNet:
         want = snap_to_net_reference(cloud, pairwise)
         assert centers.tobytes() == want[0].tobytes()
         assert counts.tolist() == want[1].tolist() == [len(cloud)]
+
+    def test_distances_sum_squares_as_the_norm_does(self):
+        # np.linalg.norm sums in order below 8 coordinates, with eight running
+        # sums up to 128 (the rest after the last multiple of 8 in order), and
+        # by halves above 128
+        rng = np.random.default_rng(3)
+        sq = np.empty((513, 50))
+        for dim in [*range(1, 140), *range(200, 514)]:
+            # the norm sums a C-contiguous row pairwise, as _snap_to_net's
+            # reference does
+            points = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10.0, dim)
+            x = rng.standard_normal(dim)
+            got = ellipsoid._distances_to(points.T, x, sq[:dim])
+            assert got.tobytes() == np.linalg.norm(points - x, axis=1).tobytes(), dim
+
+    @pytest.mark.parametrize("dim", [8, 9, 16, 130, 139, 300])
+    @pytest.mark.parametrize("chunk", [50, 2048])
+    def test_wide_clouds_match_row_by_row_reference(self, dim, chunk):
+        # the property below stops at 12 axes
+        rng = np.random.default_rng(dim)
+        # h is the norm of a difference x that an in-order sum of squares
+        # rounds above h: rows 1 and 2, far from row 0, make a new center and
+        # a row that snaps to it at distance exactly h
+        scale = 0.3 * math.sqrt(2.0 / dim)
+        while True:
+            x = scale * rng.standard_normal(dim)
+            h = float(np.linalg.norm(x[None], axis=1)[0])  # the reference's arithmetic
+            if math.sqrt(sum(float(v) ** 2 for v in x)) > h:
+                break
+        # then 30 clusters whose members lie up to about h apart, so that rows
+        # snap to centers of earlier chunks, to new centers, and make new ones
+        sites = rng.standard_normal((30, dim))
+        spread = rng.uniform(0.2, 1.0, (400, 1)) * scale
+        clusters = sites[rng.integers(30, size=400)] + spread * rng.standard_normal((400, dim))
+        cloud = np.vstack([np.full((1, dim), 100.0), np.zeros((1, dim)), x[None], clusters])
+        with mock.patch.object(ellipsoid, "SNAP_CHUNK", chunk):
+            got = _snap_to_net(cloud, h)
+        want = snap_to_net_reference(cloud, h, chunk)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert got[1][1] >= 2 and 30 < len(got[0]) < 300
 
     @given(axes=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=12),
            samples=st.integers(min_value=1, max_value=600),

@@ -13,7 +13,7 @@ from chainscope.measures import SigmaEvaluator, nu_average
 from chainscope.metric_core import build_from_covariance
 
 from conftest import integer_l1_space, random_covariance, random_space, random_weights
-from oracles import (SigmaReference, jacobian_reference, nu_average_reference,
+from oracles import (SigmaReference, _rows_reference, jacobian_reference, nu_average_reference,
                      sigma_profile_reference)
 
 
@@ -404,3 +404,52 @@ def test_zero_mass_ball_raises_no_floating_point_warning(mode):
             assert np.isfinite(ev.jacobian(mu.weights)).all()
         assert nu_average(prof, mu.weights) < math.inf
         assert nu_average(prof, uniform_measure(sp).weights) == math.inf
+
+
+def _ordering_spaces():
+    """Spaces of 40 and 300 points (SIMD sorts may treat rows longer than
+    256 entries another way) with no tied distances, with ties in some rows
+    only, with ties in every row, and with coincident points."""
+    rng = np.random.default_rng(7)
+    spaces = {}
+    for n in (40, 300):
+        grid = np.arange(1.0, n + 1)  # integer times: Brownian distances tie exactly
+        spaces[f"distinct-{n}"] = build_from_points(rng.standard_normal((n, 3)))
+        spaces[f"brownian-{n}"] = build_from_covariance(np.minimum.outer(grid, grid))
+        spaces[f"equilateral-{n}"] = build_from_distance_matrix(1.0 - np.eye(n))
+        pts = rng.standard_normal((n, 2))
+        pts[n // 2:] = pts[rng.integers(n // 2, size=n - n // 2)]
+        spaces[f"coincident-{n}"] = build_from_points(pts)
+    spaces["integer-l1"] = integer_l1_space(rng, 16)
+    # coincident points at -0.0 and 0.0, which compare equal
+    spaces["signed-zeros"] = build_from_distance_matrix(
+        [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    return spaces
+
+
+ORDERING_SPACES = _ordering_spaces()
+
+
+def test_ordering_spaces_cover_untied_partly_tied_and_tied_rows():
+    def tied_rows(space):
+        sd = np.sort(space.dist, axis=1)
+        return int((sd[:, 1:] == sd[:, :-1]).any(axis=1).sum())
+
+    counts = {name: tied_rows(sp) for name, sp in ORDERING_SPACES.items()}
+    for n in (40, 300):
+        assert counts[f"distinct-{n}"] == 0
+        assert 0 < counts[f"brownian-{n}"] < n
+        assert counts[f"equilateral-{n}"] == counts[f"coincident-{n}"] == n
+    assert 0 < counts["integer-l1"] and counts["signed-zeros"] == 3
+    assert np.signbit(ORDERING_SPACES["signed-zeros"].dist).any()
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_SPACES))
+@pytest.mark.parametrize("delta_frac", [None, 0.5, 1e-9])
+def test_evaluator_rows_are_the_stable_order(name, delta_frac):
+    space = ORDERING_SPACES[name]
+    ev = SigmaEvaluator(space, None if delta_frac is None else delta_frac * space.diam)
+    order, gaps = _rows_reference(ev)  # the stable argsort and the gaps it gives
+    assert ev.order.tobytes() == order.tobytes()
+    assert ev.gaps.tobytes() == gaps.tobytes()
+    assert np.array_equal(ev.live, gaps > 0)
