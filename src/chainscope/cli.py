@@ -441,6 +441,10 @@ def replay_manifest(manifest_path: str, out_dir: str, threads: int | None = None
         manifest = json.load(fh)
     argv = [manifest["command"]]
     flags = dict(manifest["flags"])
+    if manifest["command"] == "analyze" and flags["mode"] != YOUNG_INVERSE:
+        # older analyze manifests record the then-default young = 2.0 in every
+        # mode; outside young-inverse mode it never had an effect
+        flags.pop("young", None)
     flags["out"] = out_dir
     for key, value in sorted(flags.items()):
         if value is None:

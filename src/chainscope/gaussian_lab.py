@@ -4,16 +4,19 @@ Sampling uses a counter-based generator (Philox) keyed by (seed, sample
 index): sample i always occupies the same slice of the word stream, so the
 standard normal draws are the same however the work is sharded.  Path
 values are not: the product ``z @ factor.T`` of a range shorter than about
-70 samples rounds differently from the same samples inside a long range,
-and at n >= 256 its bits depend on the OpenBLAS thread count (tile-aligned
-sampling, ROADMAP item 3, is the plan for the first).  At a fixed shard
-size and BLAS thread count, estimates are bit-reproducible for a fixed seed
-at any number of worker threads, because reductions run in shard order.
+70 samples rounds differently from the same samples inside a long range
+(tiles aligned to the absolute sample index, ROADMAP item 6, would fix
+that), and from n of about 190 its bits depend on the OpenBLAS thread
+count.  At a fixed shard size and BLAS thread count, estimates are
+bit-reproducible for a fixed seed at any number of worker threads, because
+reductions run in shard order.
 
 Paths are laid out coordinates by samples: ``sample_paths`` returns an
 n x samples C-contiguous array whose row t is X(t) over the samples, so
 every estimator reduces across coordinates along axis 0, reading whole
-contiguous rows.
+contiguous rows.  Paths are drawn and reduced one tile of ``SAMPLE_TILE``
+samples at a time, so a shard never exists whole: an estimator holds one
+per-sample vector per shard and a tile's buffers per worker thread.
 """
 
 from __future__ import annotations
@@ -30,8 +33,17 @@ from .metric_core import FiniteMetricSpace, build_from_covariance, cover_sizes, 
 
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
-TRANSPOSE_BLOCK = 1 << 15  # path values per block when sample_paths transposes a product
-MODULUS_BLOCK = 16384   # samples per column block of the modulus pair loop
+# Samples per tile.  Under single-threaded OpenBLAS, the product of a tile
+# that starts a multiple of 1536 samples into a range is bit for bit those
+# rows of the whole range's product (2048 or 4096 is not, at n >= 194 with
+# n mod 8 != 0), so tiling keeps every path value of a range's product.
+# Each tile costs a fixed number of numpy calls, and worker threads hand
+# the GIL over at each one: with 3072-sample tiles a two-thread modulus at
+# n = 16 ran about 12% slower than on whole shards, with these level.
+SAMPLE_TILE = 6144
+# Path values per block when a tile's product is transposed: a whole tile
+# at once copies 1.5x slower at n = 64 and 5x slower at n = 256.
+TRANSPOSE_BLOCK = 1 << 15
 
 
 class FactorizationError(RuntimeError):
@@ -105,44 +117,95 @@ def standard_normal_block(seed: int, start: int, stop: int, n: int) -> np.ndarra
 
     w = _words_per_sample(n)
     bg = Philox(key=seed, counter=start * (w // 4))
-    u = Generator(bg).random((stop - start, w))
-    u = np.maximum(u[:, :n], 2.0 ** -53)
-    return ndtri(u)
+    z = np.ascontiguousarray(Generator(bg).random((stop - start, w))[:, :n])
+    np.maximum(z, 2.0 ** -53, out=z)
+    return ndtri(z, out=z)
+
+
+def _tiles(start, stop):
+    """Bounds of the tiles of samples ``start..stop-1``: ``SAMPLE_TILE``
+    samples each from ``start``, the last one also taking a remainder
+    shorter than a tile, whose short product would round differently."""
+    cuts = list(range(start, stop, SAMPLE_TILE))
+    if len(cuts) > 1 and stop - cuts[-1] < SAMPLE_TILE:
+        cuts.pop()
+    return zip(cuts, cuts[1:] + [stop])
+
+
+def _draw_tile(model, start, stop, seed, out):
+    """Paths of samples ``start..stop-1`` into the n x (stop - start) ``out``.
+
+    The product is formed sample-major, as ``z @ factor.T``, and copied out
+    in cache-sized blocks of samples.  ``factor @ z.T`` is not the same
+    arithmetic: OpenBLAS rounds the last (count mod 8) samples of a long
+    range differently in that orientation.
+    """
+    rows = standard_normal_block(seed, start, stop, model.n) @ model.factor.T
+    step = max(1, TRANSPOSE_BLOCK // max(model.n, 1))
+    for s in range(0, rows.shape[0], step):
+        out[:, s:s + step] = rows[s:s + step].T
 
 
 def sample_paths(model: GaussianModel, start: int, stop: int, seed: int) -> np.ndarray:
     """Process samples ``start..stop-1`` as columns: row t holds X(t).
 
-    The product is formed sample-major, as ``z @ factor.T``, and copied out
-    in cache-sized blocks of samples.  ``factor @ z.T`` is not the same
-    arithmetic: OpenBLAS rounds the last (count mod 8) samples of a long
-    range differently in that orientation.  So every path value is bit for
-    bit the sample-major product, for any range.
+    Filled one tile at a time; under single-threaded OpenBLAS every path
+    value is bit for bit that of the sample-major product ``z @ factor.T``
+    of the whole range (see ``SAMPLE_TILE``).
     """
-    rows = standard_normal_block(seed, start, stop, model.n) @ model.factor.T
-    out = np.empty(rows.shape[::-1])
-    step = max(1, TRANSPOSE_BLOCK // max(model.n, 1))
-    for s in range(0, rows.shape[0], step):
-        out[:, s:s + step] = rows[s:s + step].T
+    out = np.empty((model.n, max(stop - start, 0)))
+    for a, b in _tiles(start, stop):
+        _draw_tile(model, a, b, seed, out[:, a - start:b - start])
     return out
+
+
+def _path_tiles(model, start, stop, seed):
+    """(offset, paths) for each tile of samples ``start..stop-1``.
+
+    The paths live in one n x tile buffer that the next tile overwrites.
+    """
+    buf = np.empty((model.n, min(stop - start, 2 * SAMPLE_TILE - 1)))
+    for a, b in _tiles(start, stop):
+        x = buf[:, :b - a]
+        _draw_tile(model, a, b, seed, x)
+        yield a - start, x
 
 
 def _default_shard(n: int) -> int:
     return max(256, (1 << 21) // _words_per_sample(n))
 
 
-def _map_shards(model, n_samples, seed, threads, per_block):
-    """Apply per_block to each shard; return results in shard order."""
+def _map_shards(model, n_samples, seed, threads, per_shard):
+    """Return ``per_shard(tiles, size)`` of each shard, in shard order.
+
+    ``tiles`` yields the shard's path tiles as ``_path_tiles`` does, with
+    offsets into the shard's ``size`` samples.
+    """
     shard = _default_shard(model.n)
     bounds = [(s, min(s + shard, n_samples)) for s in range(0, n_samples, shard)]
 
     def work(b):
-        return per_block(sample_paths(model, b[0], b[1], seed))
+        return per_shard(_path_tiles(model, b[0], b[1], seed), b[1] - b[0])
 
     if threads and threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(work, bounds))
     return [work(b) for b in bounds]
+
+
+def _statistic_sums(model, n_samples, seed, threads, stat):
+    """Per-shard ``_sum_and_squares`` of a per-sample statistic.
+
+    ``stat(x, out)`` writes the statistic of each column of the path tile
+    ``x`` into ``out``, that tile's slice of one shard-length vector.
+    """
+    def per_shard(tiles, size):
+        m = np.empty(size)
+        for s, x in tiles:
+            stat(x, m[s:s + x.shape[1]])
+        return _sum_and_squares(m)
+
+    return _map_shards(model, n_samples, seed, threads, per_shard)
 
 
 def _sum_and_squares(m):
@@ -174,8 +237,8 @@ def estimate_sup(model: GaussianModel, n_samples: int, seed: int,
     """Monte Carlo E sup_t X(t): mean of the per-sample max coordinate."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    parts = _map_shards(model, n_samples, seed, threads,
-                        lambda x: _sum_and_squares(x.max(axis=0)))
+    parts = _statistic_sums(model, n_samples, seed, threads,
+                            lambda x, out: x.max(axis=0, out=out))
     mean, stderr = _mean_and_stderr(parts, n_samples)
     return SupremumEstimate(mean=mean, stderr=stderr)
 
@@ -199,14 +262,16 @@ def argmax_distribution(model: GaussianModel, n_samples: int, seed: int,
         raise ValueError("n_samples must be >= 1")
     tol = 0.0 if model.jitter == 0.0 else 10.0 * math.sqrt(2.0 * model.jitter)
 
-    def per_block(x):
-        tied = (x.max(axis=0) - x) <= tol
-        idx = tied.argmax(axis=0)  # first index within tolerance of the max
-        counts = np.bincount(idx, minlength=model.n)
-        ties = int(np.sum(tied.sum(axis=0) > 1))
+    def per_shard(tiles, size):
+        counts, ties = np.zeros(model.n, dtype=np.int64), 0
+        for _, x in tiles:
+            tied = (x.max(axis=0) - x) <= tol
+            idx = tied.argmax(axis=0)  # first index within tolerance of the max
+            counts += np.bincount(idx, minlength=model.n)
+            ties += int(np.sum(tied.sum(axis=0) > 1))
         return counts, ties
 
-    parts = _map_shards(model, n_samples, seed, threads, per_block)
+    parts = _map_shards(model, n_samples, seed, threads, per_shard)
     counts = np.sum([p[0] for p in parts], axis=0)
     ties = sum(p[1] for p in parts)
     return ArgmaxDistribution(
@@ -233,30 +298,35 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
         warnings.warn("no admissible pair at this delta; modulus is trivially 0")
         return ModulusEstimate(value=0.0, stderr=0.0)
 
-    pairs = list(zip(ii.tolist(), jj.tolist()))
+    # each point's partners among the admissible pairs, which triu_indices
+    # lists by their first point
+    firsts = np.flatnonzero(np.r_[True, ii[1:] != ii[:-1]])
+    anchors = list(zip(ii[firsts].tolist(), np.split(jj, firsts[1:])))
 
-    def all_pairs(x):
+    def all_pairs(x, out):
         # rounding is monotone, so the largest exactly rounded |x_a - x_b| is
         # the rounded range; abs keeps a zero range +0.0, as |x_a - x_b| is
-        return _sum_and_squares(np.abs(x.max(axis=0) - x.min(axis=0)))
+        np.subtract(x.max(axis=0), x.min(axis=0), out=out)
+        np.abs(out, out=out)
 
-    def per_block(x):
-        # one running max over the pairs, never a (shard x pairs) block, run
-        # over column blocks of samples so the rows read stay in cache; a max
-        # of exactly rounded |x_a - x_b| is the same in any pair or block order
-        m = np.zeros(x.shape[1])
-        diff = np.empty(min(MODULUS_BLOCK, x.shape[1]))
-        for s in range(0, x.shape[1], MODULUS_BLOCK):
-            xb, mb = x[:, s:s + MODULUS_BLOCK], m[s:s + MODULUS_BLOCK]
-            db = diff[:mb.size]
-            for a, b in pairs:
-                np.subtract(xb[a], xb[b], out=db)
-                np.abs(db, out=db)
-                np.maximum(mb, db, out=mb)
-        return _sum_and_squares(m)
+    def pair_fold(x, out):
+        # by the same monotonicity, the largest |x_a - x_b| over a's partners
+        # b is the larger of x_a - min_b x_b and max_b x_b - x_a; one running
+        # max over the points, never a (tile x pairs) block, and a max is the
+        # same in any point or tile order
+        out[:] = 0.0
+        lo, hi = np.empty_like(out), np.empty_like(out)
+        for a, partners in anchors:
+            rows = x[partners]
+            rows.min(axis=0, out=lo)
+            rows.max(axis=0, out=hi)
+            np.subtract(x[a], lo, out=lo)
+            np.subtract(hi, x[a], out=hi)
+            np.maximum(lo, hi, out=lo)
+            np.maximum(out, lo, out=out)
 
-    parts = _map_shards(model, n_samples, seed, threads,
-                        all_pairs if keep.all() else per_block)
+    parts = _statistic_sums(model, n_samples, seed, threads,
+                            all_pairs if keep.all() else pair_fold)
     value, stderr = _mean_and_stderr(parts, n_samples)
     return ModulusEstimate(value=value, stderr=stderr)
 

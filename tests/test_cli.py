@@ -437,6 +437,20 @@ class TestManifestReplay:
         for name in manifest["outputs"]:
             assert (out / name).read_bytes() == (replay_dir / name).read_bytes()
 
+    def test_replay_of_manifest_with_inert_young(self, tmp_path):
+        # manifests written while --young defaulted to 2.0 record it in the
+        # gaussian-log mode too, where it never had an effect; replay drops it
+        code, out = run(tmp_path, "analyze", "--instance", data_instance_path("two_point.json"))
+        assert code == 0
+        manifest = json.loads((out / "analyze_manifest.json").read_text())
+        assert manifest["flags"]["mode"] == "gaussian-log"
+        manifest["flags"]["young"] = 2.0
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert replay_manifest(str(old), str(tmp_path / "replay")) == 0
+        for name in manifest["outputs"]:
+            assert (out / name).read_bytes() == (tmp_path / "replay" / name).read_bytes()
+
     def test_manifest_contents(self, tmp_path):
         _, out = run(tmp_path, "analyze", "--instance",
                      data_instance_path("two_point.json"))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -9,8 +12,9 @@ from hypothesis import strategies as st
 
 from chainscope import functional_M, gaussian_lab
 from chainscope.cli import data_instance_path
-from chainscope.gaussian_lab import (FactorizationError, _default_shard, _map_shards,
-                                     argmax_distribution, build_model, estimate_modulus,
+from chainscope.gaussian_lab import (SAMPLE_TILE, FactorizationError, _default_shard,
+                                     _map_shards, argmax_distribution, build_model,
+                                     estimate_modulus,
                                      estimate_sup, sample_paths, standard_normal_block,
                                      sudakov_bound, supremum_report)
 from chainscope.io import covariance_from_instance, load_instance
@@ -32,11 +36,13 @@ def concentration_check(model, u_grid, n_samples, seed, threads=1):
         return []
     u_grid = [float(u) for u in u_grid]
 
-    def per_block(x):
-        m = x.max(axis=0)
+    def per_shard(tiles, size):
+        m = np.empty(size)
+        for s, x in tiles:
+            x.max(axis=0, out=m[s:s + x.shape[1]])
         return m.sum(), m
 
-    parts = _map_shards(model, n_samples, seed, threads, per_block)
+    parts = _map_shards(model, n_samples, seed, threads, per_shard)
     mean = sum(p[0] for p in parts) / n_samples
     sups = np.concatenate([p[1] for p in parts])
     rows = []
@@ -245,13 +251,14 @@ def test_modulus_all_pairs_bit_identical_to_reference(monkeypatch, threads, scal
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_modulus_ragged_blocks_bit_identical_to_reference(threads):
-    # n = 16: a full 131072-sample shard of eight column blocks, then an
-    # 18928-sample shard of one full block and a ragged one; the delta keeps
-    # the closest 10 pairs to bound the reference's block
+    # n = 16: a full 131072-sample shard whose last tile takes the remainder
+    # past its whole tiles, then an 18928-sample shard of a few whole tiles
+    # and a ragged last one; the delta keeps the closest 10 pairs to bound
+    # the reference's block
     model = build_model(random_covariance(np.random.default_rng(16), 16))
-    shard = _default_shard(16)
-    assert shard % gaussian_lab.MODULUS_BLOCK == 0 and shard // gaussian_lab.MODULUS_BLOCK > 1
-    assert gaussian_lab.MODULUS_BLOCK < 150000 - shard < 2 * gaussian_lab.MODULUS_BLOCK
+    shard, tail = _default_shard(16), 150000 - _default_shard(16)
+    assert shard % SAMPLE_TILE and shard // SAMPLE_TILE > 1
+    assert tail % SAMPLE_TILE and tail // SAMPLE_TILE > 1
     d = _pair_distances(model)
     delta = (d[9] + d[10]) / 2
     got, ref, got_warn, ref_warn = _modulus_both(model, delta, 150000, 23, threads)
@@ -260,19 +267,63 @@ def test_modulus_ragged_blocks_bit_identical_to_reference(threads):
 
 
 def test_modulus_memory_bounded_by_one_shard():
-    # every pair admissible and two full shards: a (shard x pairs) block
-    # would need about 47 shards of memory, the streamed reduction about 2
+    # two full shards at n = 32, and every pair admissible for the modulus:
+    # a (shard x pairs) block would need about 47 shards of path bytes and a
+    # whole shard's draws, product and paths three, while drawing and
+    # reducing one tile at a time keeps each estimator below one
     n = 32
     model = build_model(random_covariance(np.random.default_rng(32), n))
+    n_samples = 2 * _default_shard(n)
     shard_bytes = _default_shard(n) * n * 8
-    tracemalloc.start()
-    try:
-        est = estimate_modulus(model, model.space.diam, 2 * _default_shard(n), 3, threads=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert est.value > 0
-    assert peak < 4 * shard_bytes
+    runs = {
+        "sup": lambda: estimate_sup(model, n_samples, 3).mean,
+        "argmax": lambda: argmax_distribution(model, n_samples, 3).measure.weights.max(),
+        "modulus": lambda: estimate_modulus(model, model.space.diam, n_samples, 3).value,
+        "pairs": lambda: estimate_modulus(model, float(np.median(model.space.dist)),
+                                          n_samples, 3).value,
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            value = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value > 0, name
+        assert peak < shard_bytes, (name, peak / shard_bytes)
+
+
+# Draws and checks sample_paths in a fresh interpreter with one OpenBLAS
+# thread, on ranges of several tiles whose last tile has 1, 37 and
+# SAMPLE_TILE - 1 samples past its whole tiles, and one of whole tiles only.
+TILE_RULE_CHECK = """
+import numpy as np
+from chainscope.gaussian_lab import SAMPLE_TILE as T, build_model, sample_paths, standard_normal_block
+bad = []
+for n in (16, 64, 201, 257, 300):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    model = build_model(A @ A.T / n)
+    for start, stop in [(0, 2 * T), (5, 5 + 2 * T + 1), (0, 2 * T + 37), (3, 3 + 3 * T - 1)]:
+        x = sample_paths(model, start, stop, 11)
+        want = (standard_normal_block(11, start, stop, n) @ model.factor.T).T
+        if not (x.flags.c_contiguous and np.array_equal(x, want)
+                and np.array_equal(np.signbit(x), np.signbit(want))):
+            bad.append((n, start, stop))
+print(bad)
+"""
+
+
+def test_tiles_keep_the_whole_range_product():
+    # the tile rule: each tile's product is bit for bit those rows of the
+    # whole range's product, at sizes (n >= 194, n mod 8 != 0) where
+    # OpenBLAS rounds tiles that are not a multiple of 1536 samples long
+    # differently; the BLAS thread count is pinned because at 2 threads the
+    # whole-range product itself rounds differently at such n
+    src = os.path.dirname(os.path.dirname(gaussian_lab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", TILE_RULE_CHECK], env=env,
+                         capture_output=True, text=True, check=True, timeout=600)
+    assert out.stdout.strip() == "[]"
 
 
 def _rank_deficient_model():
@@ -319,7 +370,7 @@ def test_thread_invariance_at_small_shards(name, monkeypatch):
 def test_shard_invariance(monkeypatch):
     # the draws do not depend on the sharding, and at n = 8 neither do the
     # path values of these 256-sample shards; a range shorter than about 70
-    # samples would round its product differently (ROADMAP item 3).  So
+    # samples would round its product differently (ROADMAP item 6).  So
     # counts match exactly and sums, added in another order, to a few ulps
     # (the stderr's variance loses digits to cancellation)
     model = _rank_deficient_model()
