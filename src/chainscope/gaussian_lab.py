@@ -102,12 +102,16 @@ def _words_per_sample(n: int) -> int:
     return -(-max(n, 1) // 4) * 4  # Philox emits 4 uint64 words per counter step
 
 
-def standard_normal_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+def standard_normal_block(seed: int, start: int, stop: int, n: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``start..stop-1`` of the i.i.d. N(0,1) stream for this seed.
 
     Sample i owns words [i*w, (i+1)*w) of the Philox word stream (w = n
     rounded up to a counter block), so any sharding reproduces the same
-    values.  Uniforms are clamped away from 0 before the inverse CDF.
+    values.  Uniforms are clamped away from 0 before the inverse CDF.  The
+    words are drawn into ``out`` (C-contiguous, at least ``stop - start``
+    rows of w words) if given, else into a new array, and transformed in
+    place; the result is their first n columns, a view.
     """
     if stop <= start:
         return np.empty((0, n))
@@ -116,8 +120,9 @@ def standard_normal_block(seed: int, start: int, stop: int, n: int) -> np.ndarra
     from scipy.special import ndtri
 
     w = _words_per_sample(n)
-    bg = Philox(key=seed, counter=start * (w // 4))
-    z = np.ascontiguousarray(Generator(bg).random((stop - start, w))[:, :n])
+    words = np.empty((stop - start, w)) if out is None else out[:stop - start]
+    Generator(Philox(key=seed, counter=start * (w // 4))).random(out=words)
+    z = words[:, :n]
     np.maximum(z, 2.0 ** -53, out=z)
     return ndtri(z, out=z)
 
@@ -132,15 +137,27 @@ def _tiles(start, stop):
     return zip(cuts, cuts[1:] + [stop])
 
 
-def _draw_tile(model, start, stop, seed, out):
-    """Paths of samples ``start..stop-1`` into the n x (stop - start) ``out``.
+def _tile_buffers(model, start, stop):
+    """The draw and product buffers for the tiles of samples
+    ``start..stop-1``, as long as the longest tile, made once per range and
+    reused by every tile, so that no tile faults in fresh pages for its
+    temporaries."""
+    rows = max((b - a for a, b in _tiles(start, stop)), default=0)
+    return np.empty((rows, _words_per_sample(model.n))), np.empty((rows, model.n))
+
+
+def _draw_tile(model, start, stop, seed, out, words, prod):
+    """Paths of samples ``start..stop-1`` into the n x (stop - start) ``out``,
+    through the ``_tile_buffers`` ``words`` and ``prod``.
 
     The product is formed sample-major, as ``z @ factor.T``, and copied out
     in cache-sized blocks of samples.  ``factor @ z.T`` is not the same
     arithmetic: OpenBLAS rounds the last (count mod 8) samples of a long
-    range differently in that orientation.
+    range differently in that orientation.  The draws' row stride (w words)
+    and the buffers leave every product bit as a new contiguous array would.
     """
-    rows = standard_normal_block(seed, start, stop, model.n) @ model.factor.T
+    z = standard_normal_block(seed, start, stop, model.n, words)
+    rows = np.matmul(z, model.factor.T, out=prod[:stop - start])
     step = max(1, TRANSPOSE_BLOCK // max(model.n, 1))
     for s in range(0, rows.shape[0], step):
         out[:, s:s + step] = rows[s:s + step].T
@@ -154,20 +171,25 @@ def sample_paths(model: GaussianModel, start: int, stop: int, seed: int) -> np.n
     of the whole range (see ``SAMPLE_TILE``).
     """
     out = np.empty((model.n, max(stop - start, 0)))
+    buffers = _tile_buffers(model, start, stop)
     for a, b in _tiles(start, stop):
-        _draw_tile(model, a, b, seed, out[:, a - start:b - start])
+        _draw_tile(model, a, b, seed, out[:, a - start:b - start], *buffers)
     return out
 
 
 def _path_tiles(model, start, stop, seed):
     """(offset, paths) for each tile of samples ``start..stop-1``.
 
-    The paths live in one n x tile buffer that the next tile overwrites.
+    The draws and products live in the range's ``_tile_buffers``, and the
+    paths, n x tile and C-contiguous, in the draw buffer: ``_draw_tile``
+    writes them after the product has read the draws, and the next tile
+    draws only after the caller is done with them.  A range so holds two
+    tiles' arrays, no more than one tile's draws and product took.
     """
-    buf = np.empty((model.n, min(stop - start, 2 * SAMPLE_TILE - 1)))
+    words, prod = _tile_buffers(model, start, stop)
     for a, b in _tiles(start, stop):
-        x = buf[:, :b - a]
-        _draw_tile(model, a, b, seed, x)
+        x = words.reshape(-1)[:model.n * (b - a)].reshape(model.n, b - a)
+        _draw_tile(model, a, b, seed, x, words, prod)
         yield a - start, x
 
 

@@ -84,6 +84,10 @@ def _integrand(mode: str, q: float):
 # exact piecewise evaluation
 
 
+# the smallest normal float
+_TINY = np.finfo(float).tiny
+
+
 class SigmaEvaluator:
     """Exact sigma profiles for one (space, delta, mode, q), and their
     gradients in gaussian-log mode.
@@ -100,9 +104,20 @@ class SigmaEvaluator:
     only at the end of its block.  The first ``jacobian`` call also keeps
     ``_gather``, the flat index that reads each row's suffix sums back in
     point order; evaluators that never differentiate do not build it.
-    Memory is O(n^2) per evaluator and per call.  ``delta`` is truncated at
-    the diameter: the functionals treat delta >= diam and delta = infinity
-    as identical.
+
+    ``masses``, ``profile``, ``jacobian`` and ``m_self_grad`` take a
+    (lanes x n) weight matrix, one measure per row, and give one result per
+    lane; a 1-D weight vector is one lane and gets results without the lane
+    axis.  Every lane's result is bit for bit that of a call on its row
+    alone: the (lanes, n, n) arrays are C-contiguous (the ball masses come
+    from ``w.take(order, axis=-1)``), so ``matmul`` dots contiguous rows
+    with the BLAS dot of a one-lane call (BLAS may add strided rows in
+    another order), and ``w J`` is the same gemv as a lane's ``J.T @ w``.
+    ``profile``, ``jacobian`` and ``m_self_grad`` take the ``masses`` of the
+    same weights when the caller has them, so an iterate's ball masses and
+    integrand values are computed once.  Memory is O(n^2) per evaluator and
+    O(lanes * n^2) per call.  ``delta`` is truncated at the diameter: the
+    functionals treat delta >= diam and delta = infinity as identical.
     """
 
     def __init__(self, space: FiniteMetricSpace, delta: float | None = None,
@@ -126,19 +141,38 @@ class SigmaEvaluator:
         self.gaps -= sd
         np.maximum(self.gaps, 0.0, out=self.gaps)
         self.live = self.gaps > 0
+        self._dead = ~self.live
         self._gather = None
 
-    def profile(self, w: np.ndarray) -> np.ndarray:
-        """sigma(mu, t) for every t; +inf where a live interval has no mass."""
-        p = w.take(self.order).cumsum(axis=1)
+    def masses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(p, vals), each (lanes, n, n), or (n, n) for a 1-D ``w``:
+        p[l, t, j] is the weight of lane l on the first j + 1 points of row
+        t's order, and vals = f(p) on the live intervals of positive mass, 0
+        elsewhere."""
+        p = w.take(self.order, axis=-1).cumsum(axis=-1)
+        # with every weight normal, every p is too, so f(p) is finite
+        # everywhere (1/p cannot overflow): evaluate it on every entry, the
+        # same bits entry by entry, and zero the dead intervals.
+        # np.minimum.reduce is w.min() without its Python wrapper
+        if np.minimum.reduce(w, axis=None) >= _TINY:
+            vals = self.f(p)
+            np.copyto(vals, 0.0, where=self._dead)
+            return p, vals
         massive = self.live & (p > 0)
         vals = np.zeros(p.shape)
         vals[massive] = self.f(p[massive])
+        return p, vals
+
+    def profile(self, w: np.ndarray, masses=None) -> np.ndarray:
+        """sigma(mu, t) for every t and lane; +inf where a live interval has
+        no mass."""
+        p, vals = self.masses(w) if masses is None else masses
         # matmul reduces each row with the BLAS dot of a 1-D np.dot; einsum
         # would add in another order and move the searched objectives' last bits
-        out = np.matmul(self.gaps[:, None, :], vals[:, :, None])[:, 0, 0]
-        if not w.min() > 0:  # only a zero (or NaN) weight can leave a live interval massless
-            out[(self.live & ~massive).any(axis=1)] = np.inf
+        out = np.matmul(self.gaps[:, None, :], vals[..., None])[..., 0, 0]
+        # only a zero (or NaN) weight can leave a live interval massless
+        if not np.minimum.reduce(w, axis=None) > 0:
+            out[(self.live & ~(p > 0)).any(axis=-1)] = np.inf
         return out
 
     def m_self(self, w: np.ndarray) -> float:
@@ -146,45 +180,55 @@ class SigmaEvaluator:
 
     # -- analytic gradients (weights assumed strictly positive) ------------
 
-    def _fprime(self, p: np.ndarray) -> np.ndarray:
-        if self.mode != GAUSSIAN_LOG:
-            raise ValueError("the jacobian is analytic in gaussian-log mode only")
-        fv = np.maximum(self.f(p), 1e-8)  # clamp the p -> 1 singularity
-        return -1.0 / (2.0 * math.log(2.0) * p * fv)
-
-    def jacobian(self, w: np.ndarray) -> np.ndarray:
-        """J[t, u] = d sigma(mu, t) / d w_u, ignoring the simplex constraint.
+    def jacobian(self, w: np.ndarray, masses=None) -> np.ndarray:
+        """J[t, u] = d sigma(mu, t) / d w_u for every lane, ignoring the
+        simplex constraint.
 
         The full-mass block (p = 1) is held constant: along simplex
         directions its mass cannot move.  A zero-mass block (sigma = +inf)
         contributes nothing.
         """
+        if self.mode != GAUSSIAN_LOG:
+            raise ValueError("the jacobian is analytic in gaussian-log mode only")
+        n = self.space.n
         if self._gather is None:
             # J[t, order[t, j]] is the suffix sum from j, which the reversed
             # row's running sum holds at n - 1 - j
-            n = self.space.n
             rows = np.arange(n)[:, None]
             self._gather = np.empty((n, n), dtype=np.intp)
             self._gather[rows, self.order] = rows * n + np.arange(n - 1, -1, -1)
-        p = w.take(self.order).cumsum(axis=1)
-        moving = self.live & (p > 0) & (p < 1.0 - 1e-15)
-        term = np.zeros(p.shape)
-        term[moving] = self.gaps[moving] * self._fprime(p[moving])
-        return term[:, ::-1].cumsum(axis=1).take(self._gather)
+        p, vals = self.masses(w) if masses is None else masses
+        # the moving entries are the live ones with 0 < p < 1 - 1e-15, which
+        # are those where f(p) > 0 and p < 1 - 1e-15; there term is
+        # gaps * f'(p), f'(p) = -1 / (2 ln 2 p f(p)), and +0.0 elsewhere.
+        # p < 1 - 1e-15 keeps f(p) above 3.8e-8, clear of the p -> 1
+        # singularity, so f needs no clamp there
+        moving = p < 1.0 - 1e-15
+        moving &= vals > 0
+        x = 2.0 * math.log(2.0) * p
+        x *= vals
+        term = np.divide(-1.0, x, out=np.zeros(p.shape), where=moving)
+        term *= self.gaps
+        rev = term[..., ::-1].cumsum(axis=-1)
+        return rev.reshape(p.shape[:-2] + (n * n,)).take(self._gather, axis=-1)
 
-    def m_self_grad(self, w: np.ndarray, prof: np.ndarray) -> np.ndarray:
-        """Gradient of M(mu, mu) at w, given ``prof = profile(w)``."""
-        return prof + self.jacobian(w).T @ w
+    def m_self_grad(self, w: np.ndarray, prof: np.ndarray, masses=None) -> np.ndarray:
+        """Gradient of M(mu, mu) at each lane of w, given ``prof = profile(w)``."""
+        # w J is J.T @ w, lane by lane the same gemv
+        return prof + np.matmul(w[..., None, :], self.jacobian(w, masses))[..., 0, :]
 
 
-def nu_average(prof: np.ndarray, nu_w: np.ndarray) -> float:
-    """Sum of nu_w[t] * prof[t] over the charged t, added in index order.
+def nu_average(prof: np.ndarray, nu_w: np.ndarray):
+    """Sum of nu_w[t] * prof[t] over the charged t, added in index order: a
+    float, or one per lane (row) of (lanes x n) arguments.
 
     +inf propagates only through points that nu actually charges: an
     uncharged point adds +0.0, which leaves the non-negative running sum as
     it is, and its product is never formed, so 0 * inf makes no NaN.
     """
     terms = np.multiply(nu_w, prof, out=np.zeros(prof.shape), where=nu_w > 0)
+    if terms.ndim == 2:
+        return terms.cumsum(axis=1)[:, -1]
     return float(terms.cumsum()[-1]) if terms.size else 0.0
 
 

@@ -7,7 +7,14 @@ sup_mu inf_t.  Reported values therefore carry feasible-direction
 semantics: lower bounds for the sup problems, an upper bound for the inf
 problem.
 
-All three run one mirror-ascent loop from one restart driver.  Iterates
+All three run one mirror-ascent loop from one restart driver, which runs
+every start of a search as one lane of a batch: each round evaluates one
+candidate for every lane still searching in one batched profile, a lane
+that accepts takes its next gradient from the ball masses of that
+profile, and a lane leaves the batch when it stops.  Lanes keep their own
+step size, temperature, iteration count and best iterate and share no
+arithmetic, so every lane is bit for bit a search run alone.  A batch
+holds at most ``LANE_BUDGET`` lanes x n^2 entries per array.  Iterates
 stay strictly positive (floor 1e-12, then renormalize) so the objectives
 remain finite; the gradients are the exact derivatives of the
 piecewise-linear-in-eps sigma profiles.
@@ -33,6 +40,11 @@ BALANCE_DAMPING = 0.5
 BALANCE_TOL = 1e-8
 # the three searches: relative gain a step or a new best iterate must make
 SEARCH_TOL = 1e-9
+# lanes x n^2 entries per batched sigma call of a search, so that each of
+# a batch's (lanes, n, n) arrays stays within 512 KB however many starts
+# run: at n = 16 every start of a search fits in one batch, from n = 256
+# each lane is its own
+LANE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,8 +65,10 @@ class BalancedMeasure:
 
 
 def _project(w: np.ndarray) -> np.ndarray:
+    """Floor each weight at 1e-12 and renormalize each row (lane)."""
     w = np.maximum(w, WEIGHT_FLOOR)
-    return w / w.sum()
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    return w
 
 
 class _SelfM:
@@ -66,125 +80,224 @@ class _SelfM:
     def __init__(self, ev):
         self.ev = ev
 
-    def start(self, prof):
+    def start(self, prof, lanes):
         pass
 
-    def cool(self, it, stalled):
+    def cool(self, lane, it, stalled):
         return not stalled  # a stall ends the search
 
-    def value(self, prof, w):
-        return nu_average(prof, w)
+    def value(self, prof, w, lanes):
+        """Values and exact values of ``lanes`` at rows ``w`` with profiles
+        ``prof``, and what ``gradient`` reuses at the same rows."""
+        v = nu_average(prof, w).tolist()
+        return v, v, (v,)
 
-    exact = value
-
-    def value_and_gradient(self, prof, w):
-        return nu_average(prof, w), self.ev.m_self_grad(w, prof)
+    def gradient(self, prof, w, masses, lanes, reuse):
+        """Values and gradients of ``lanes``; ``reuse`` is what ``value``
+        left at the same rows, or None."""
+        v = nu_average(prof, w).tolist() if reuse is None else reuse[0]
+        return v, self.ev.m_self_grad(w, prof, masses)
 
 
 class _Soft:
     """max_t sigma (sign -1, descended) or min_t sigma (sign +1, ascended).
 
-    Steps follow the softmax or softmin of the profile at a temperature tau
-    that halves every 50 iterations and on a stall; any gain is a step.
+    Steps follow the softmax or softmin of the profile at a temperature tau,
+    one per lane, that halves every 50 iterations and on a stall; any gain
+    is a step.
     """
 
     slack = 0.0
 
     def __init__(self, ev, sign):
         self.ev, self.sign = ev, sign
+        self.tau = {}  # lane -> temperature
 
-    def start(self, prof):
-        self.tau = max(0.1 * (prof.max() - prof.min()) + 1e-3, 1e-3)
+    def start(self, prof, lanes):
+        spread = 0.1 * (prof.max(axis=1) - prof.min(axis=1)) + 1e-3
+        for lane, x in zip(lanes, spread.tolist()):
+            self.tau[lane] = max(x, 1e-3)
 
-    def cool(self, it, stalled):
-        if stalled and self.tau <= 1e-6:
+    def cool(self, lane, it, stalled):
+        if stalled and self.tau[lane] <= 1e-6:
             return False
         if stalled or it % 50 == 0:
-            self.tau = max(self.tau * 0.5, 1e-6)
+            self.tau[lane] = max(self.tau[lane] * 0.5, 1e-6)
         return True
 
-    def exact(self, prof, w):
-        return float(prof.min() if self.sign > 0 else prof.max())
+    def value(self, prof, w, lanes):
+        # the tilt exp(-sign * (prof - m) / tau), m the row's min (softmin)
+        # or max (softmax), as m - prof or prof - m, the same bits; the
+        # per-lane scalars stay Python floats, as in a search run alone.
+        # The reductions call the ufuncs directly: the Python wrappers of
+        # .min(), .max() and .sum() are a visible share of a call at n = 16
+        sign = self.sign
+        tau = [self.tau[lane] for lane in lanes]
+        if sign > 0:
+            m = np.minimum.reduce(prof, axis=1)
+            e = m[:, None] - prof
+        else:
+            m = np.maximum.reduce(prof, axis=1)
+            e = prof - m[:, None]
+        e /= np.array(tau)[:, None]
+        np.exp(e, out=e)
+        total = np.add.reduce(e, axis=1)
+        m = m.tolist()
+        vals = [mi - sign * t * math.log(x) for mi, t, x in zip(m, tau, total.tolist())]
+        return vals, m, (vals, tau, e, total)
 
-    def _tilt(self, prof):
-        # exp(-(prof - min) / tau) for softmin, exp((prof - max) / tau) for softmax
-        m = self.exact(prof, None)
-        return m, np.exp(-self.sign * (prof - m) / self.tau)
-
-    def value(self, prof, w):
-        m, e = self._tilt(prof)
-        return m - self.sign * self.tau * math.log(e.sum())
-
-    def value_and_gradient(self, prof, w):
-        # one tilt gives the soft value and, normalized, the gradient weights
-        m, e = self._tilt(prof)
-        s = e.sum()
-        return m - self.sign * self.tau * math.log(s), self.ev.jacobian(w).T @ (e / s)
+    def gradient(self, prof, w, masses, lanes, reuse):
+        # the tilt of the value, normalized, weighs the rows of J; it is
+        # reused unless a lane's temperature changed since
+        if reuse is None or reuse[1] != [self.tau[lane] for lane in lanes]:
+            reuse = self.value(prof, w, lanes)[2]
+        vals, _, e, total = reuse
+        e = e / total[:, None]
+        return vals, np.matmul(e[:, None, :], self.ev.jacobian(w, masses))[:, 0, :]
 
 
-def _mirror_ascent(problem, w, max_iter):
-    """Multiplicative-weights local search with a backtracking step size.
+def _mirror_ascent(problem, w0, max_iter):
+    """Multiplicative-weights local search with a backtracking step size,
+    from every row of ``w0`` as one lane.
 
-    Steps follow ``problem.value`` along its gradient (``sign`` +1 ascends,
-    -1 descends) when they move it by more than ``slack * (1 + |value|)``;
-    the best iterate by ``problem.exact`` is kept up to a relative
-    ``SEARCH_TOL``.  Each accepted point's profile is computed once, and its
-    value and gradient come from one ``problem.value_and_gradient``.  Returns
-    (best_w, best_exact, iterations, converged); converged means a stop
-    before ``max_iter``.
+    A lane steps along the gradient of ``problem.value`` (``sign`` +1
+    ascends, -1 descends) when the step moves the value by more than
+    ``slack * (1 + |value|)``, and keeps its best iterate by the exact value
+    up to a relative ``SEARCH_TOL``.  Each lane has its own step size,
+    iteration count, best iterate and stop, and leaves the batch when it
+    stops.  Every round evaluates one candidate for each lane still
+    searching, in one batched profile (in runs of at most
+    ``LANE_BUDGET // n^2`` lanes); a lane that accepts its candidate takes
+    the value and gradient of its next iteration from that profile's ball
+    masses, and a stalled lane starts again from its iterate's masses.
+    Lanes share no arithmetic, so each lane's result is bit for bit that of
+    a search run alone.
+    Returns one (best_w, best_exact, iterations, converged) per lane;
+    converged means a stop before ``max_iter``.
     """
-    ev, sign = problem.ev, problem.sign
-    prof = ev.profile(w)
-    problem.start(prof)
-    best_w, best = w, problem.exact(prof, w)
-    eta = 0.5
-    it = 0
-    while it < max_iter:
-        it += 1
-        problem.cool(it, stalled=False)
-        val, g = problem.value_and_gradient(prof, w)
-        g = g - np.dot(g, w)  # remove the direction normal to the simplex
-        norm = np.abs(g).max()
-        if norm <= 1e-14:
-            return best_w, best, it, True
-        g = g / norm
-        while eta > 1e-12:
-            cand = _project(w * np.exp(sign * eta * g))
-            cprof = ev.profile(cand)
-            if sign * (problem.value(cprof, cand) - val) > problem.slack * (1.0 + abs(val)):
-                w, prof = cand, cprof
-                cexact = problem.exact(prof, w)
-                if sign * (cexact - best) > SEARCH_TOL * (1.0 + abs(best)):
-                    best_w, best = w, cexact
-                eta = min(eta * 1.5, 4.0)
-                break
-            eta *= 0.5
-        else:  # no step gained
-            if not problem.cool(it, stalled=True):
-                return best_w, best, it, True
-            eta = 0.5
-    return best_w, best, it, False
+    ev, sign, slack = problem.ev, problem.sign, problem.slack
+    lanes_all, n = w0.shape
+    per = max(1, LANE_BUDGET // max(n * n, 1))
+    # per lane: iterate and step direction (rows of the batch arrays they
+    # came from), best iterate and value, step size, iterations, value
+    w, grad = list(w0), [None] * lanes_all
+    best_w, best = list(w0), [0.0] * lanes_all
+    eta, it, val = [0.5] * lanes_all, [0] * lanes_all, [0.0] * lanes_all
+    out = [None] * lanes_all
+    searching = []
 
+    def stop(lane, converged):
+        out[lane] = (best_w[lane], best[lane], it[lane], converged)
+
+    def begin(lanes, wl, pl, masses, reuse=None):
+        """Start the next iteration of ``lanes``, none of them at
+        ``max_iter``, at rows ``wl`` with profiles ``pl`` and ``masses``;
+        ``reuse`` is what their ``problem.value`` left."""
+        for lane in lanes:
+            it[lane] += 1
+            problem.cool(lane, it[lane], stalled=False)
+        v, g = problem.gradient(pl, wl, masses, lanes, reuse)
+        # remove the direction normal to the simplex
+        g -= np.matmul(g[:, None, :], wl[:, :, None])[:, 0]
+        norm = np.maximum.reduce(np.abs(g), axis=1)
+        if not np.minimum.reduce(norm) > 1e-14:  # a lane without ascent direction stops
+            keep = []
+            for i, (lane, x) in enumerate(zip(lanes, norm.tolist())):
+                if x <= 1e-14:
+                    stop(lane, True)
+                else:
+                    keep.append(i)
+            if not keep:
+                return
+            idx = np.array(keep)
+            lanes, v, g, norm = [lanes[i] for i in keep], [v[i] for i in keep], g[idx], norm[idx]
+        g /= norm[:, None]
+        for lane, gi, vi in zip(lanes, g, v):
+            grad[lane], val[lane] = gi, vi
+        searching.extend(lanes)
+
+    for k in range(0, lanes_all, per):
+        lanes = list(range(k, min(k + per, lanes_all)))
+        wl = w0[k:k + per]
+        masses = ev.masses(wl)
+        pl = ev.profile(wl, masses)
+        problem.start(pl, lanes)
+        _, exact, reuse = problem.value(pl, wl, lanes)
+        best[k:k + per] = exact
+        if max_iter > 0:
+            begin(lanes, wl, pl, masses, reuse)
+        else:
+            for lane in lanes:
+                stop(lane, False)
+
+    while searching:
+        pending, searching = searching, []
+        for k in range(0, len(pending), per):
+            lanes = pending[k:k + per]
+            cand = np.array([grad[lane] for lane in lanes])
+            cand *= np.array([sign * eta[lane] for lane in lanes])[:, None]
+            np.exp(cand, out=cand)
+            cand *= np.array([w[lane] for lane in lanes])
+            cand = _project(cand)
+            masses = ev.masses(cand)
+            cprof = ev.profile(cand, masses)
+            cval, cexact, reuse = problem.value(cprof, cand, lanes)
+            took, stalled = [], []
+            for i, lane in enumerate(lanes):
+                v = val[lane]
+                if sign * (cval[i] - v) > slack * (1.0 + abs(v)):
+                    w[lane] = cand[i]
+                    if sign * (cexact[i] - best[lane]) > SEARCH_TOL * (1.0 + abs(best[lane])):
+                        best_w[lane], best[lane] = cand[i], cexact[i]
+                    eta[lane] = min(eta[lane] * 1.5, 4.0)
+                    if it[lane] < max_iter:
+                        took.append(i)
+                    else:
+                        stop(lane, False)
+                    continue
+                eta[lane] *= 0.5
+                if eta[lane] > 1e-12:
+                    searching.append(lane)
+                elif problem.cool(lane, it[lane], stalled=True):  # no step gained
+                    eta[lane] = 0.5
+                    if it[lane] < max_iter:
+                        stalled.append(lane)
+                    else:
+                        stop(lane, False)
+                else:
+                    stop(lane, True)
+            if took:
+                if len(took) < len(lanes):  # only the lanes that go on
+                    idx = np.array(took)
+                    lanes, cand, cprof = [lanes[i] for i in took], cand[idx], cprof[idx]
+                    masses = (masses[0][idx], masses[1][idx])
+                    reuse = tuple(x[idx] if isinstance(x, np.ndarray) else [x[i] for i in took]
+                                  for x in reuse)
+                begin(lanes, cand, cprof, masses, reuse)
+            if stalled:  # a stalled lane starts again from its iterate
+                wl = np.array([w[lane] for lane in stalled])
+                masses = ev.masses(wl)
+                begin(stalled, wl, ev.profile(wl, masses), masses)
+    return out
 
 def _best_of_restarts(problem, name, init_measures, restarts, max_iter, seed, trace):
     """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
-    ``restarts`` Dirichlet draws.
+    ``restarts`` Dirichlet draws, each start one lane of the ascent.
 
     ``trace`` (if given) collects one row per initializer with the objective
-    that restart reached; ``converged`` is the winning restart's.
+    that start reached; ``converged`` is the winning start's.
     """
     space = problem.ev.space
     n = space.n
     if n == 0:
         raise ValueError("empty space")
     rng = np.random.default_rng(seed)
-    inits = ([np.full(n, 1.0 / n)]
-             + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
-             + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
+    w0 = np.array([np.full(n, 1.0 / n)]
+                  + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
+                  + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
     best = None
     total_it = 0
-    for idx, w0 in enumerate(inits):
-        w, obj, it, conv = _mirror_ascent(problem, w0, max_iter)
+    for idx, (w, obj, it, conv) in enumerate(_mirror_ascent(problem, w0, max_iter)):
         total_it += it
         if trace is not None:
             trace.append({"problem": name, "restart": idx,

@@ -173,6 +173,13 @@ def exact_covering_number(space, radius):
     return 0
 
 
+def _fprime(ev, p):
+    """The gaussian-log integrand's derivative, its p -> 1 singularity clamped."""
+    if ev.mode != "gaussian-log":
+        raise ValueError("the jacobian is analytic in gaussian-log mode only")
+    return -1.0 / (2.0 * math.log(2.0) * p * np.maximum(ev.f(p), 1e-8))
+
+
 class SigmaReference:
     """Per-point sigma evaluator, one distance row at a time.
 
@@ -239,7 +246,7 @@ class SigmaReference:
         for t in range(n):
             p = self._masses(w, t)
             _, _, gaps, rank = self.rows[t]
-            term = np.where((gaps > 0) & (p < 1.0 - 1e-15), gaps * self.ev._fprime(p), 0.0)
+            term = np.where((gaps > 0) & (p < 1.0 - 1e-15), gaps * _fprime(self.ev, p), 0.0)
             suffix = np.cumsum(term[::-1])[::-1]
             J[t] = suffix[rank]
         return J
@@ -273,7 +280,7 @@ def jacobian_reference(ev, w):
     p = np.cumsum(w[order], axis=1)
     moving = (gaps > 0) & (p > 0) & (p < 1.0 - 1e-15)
     term = np.zeros_like(p)
-    term[moving] = gaps[moving] * ev._fprime(p[moving])
+    term[moving] = gaps[moving] * _fprime(ev, p[moving])
     suffix = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
     J = np.empty_like(suffix)
     np.put_along_axis(J, order, suffix, axis=1)

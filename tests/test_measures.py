@@ -391,6 +391,71 @@ def test_dense_kernels_bit_identical_to_their_first_form(case, mode, jacobian_fi
         assert nu_average(prof, nu_w) == nu_average_reference(prof, nu_w)
 
 
+@st.composite
+def _lane_cases(draw):
+    """A space with or without tied distances, a delta, and a (lanes x n)
+    weight matrix whose lanes may hold zero weights or be all zero, laid out
+    C-contiguous, Fortran-ordered or as a strided view.  The weights are
+    Dirichlet draws or zero, never subnormal: in young-inverse mode 1/p
+    overflows at a subnormal p."""
+    space, delta, _, _ = draw(_kernel_cases())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 31)))
+    lanes = draw(st.integers(min_value=1, max_value=5))
+    w = np.array([random_weights(rng, space.n) for _ in range(lanes)])
+    zeros = draw(st.sampled_from(["none", "some", "lane"]))
+    if zeros == "some":
+        w[rng.random(w.shape) < 0.3] = 0.0
+    elif zeros == "lane":
+        w[rng.integers(lanes)] = 0.0
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        w = np.asfortranarray(w)
+    elif layout == "strided":
+        w = np.repeat(w, 2, axis=1)[:, ::2]
+    return space, delta, w
+
+
+@given(_lane_cases(), st.sampled_from([GAUSSIAN_LOG, YOUNG_INVERSE]))
+@settings(max_examples=150, deadline=None)
+def test_every_lane_of_a_batched_call_is_its_one_lane_call(case, mode):
+    # each row of a batched profile, jacobian and m_self_grad is bit for bit
+    # (tobytes, so also the sign of a zero) the 1-D call on that row and the
+    # dense kernels' first form; SigmaReference's per-row dot adds the zero
+    # gaps inside tied blocks, so on tied distances it is within 1e-15
+    space, delta, w = case
+    ev = SigmaEvaluator(space, delta, mode)
+    ref = SigmaReference(ev)
+    sd = np.sort(space.dist, axis=1)
+    tied = (sd[:, 1:] == sd[:, :-1]).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masses = ev.masses(w)
+        prof = ev.profile(w)
+        assert prof.tobytes() == ev.profile(w, masses).tobytes()
+        if mode == GAUSSIAN_LOG:
+            jac = ev.jacobian(w, masses)
+            assert jac.tobytes() == ev.jacobian(w).tobytes()
+            grad = ev.m_self_grad(w, prof, masses)
+        for lane, row in enumerate(w):
+            assert prof[lane].tobytes() == ev.profile(row).tobytes()
+            assert prof[lane].tobytes() == sigma_profile_reference(ev, row).tobytes()
+            if tied:
+                np.testing.assert_allclose(prof[lane], ref.profile(row), rtol=1e-15, atol=0)
+            else:
+                assert np.array_equal(prof[lane], ref.profile(row))
+            if not row.any():  # a lane with no mass: +inf wherever an interval is live
+                assert np.isinf(prof[lane][ev.live.any(axis=1)]).all()
+            if mode != GAUSSIAN_LOG:
+                continue
+            one = ev.jacobian(row)
+            assert jac[lane].tobytes() == one.tobytes()
+            assert jac[lane].tobytes() == jacobian_reference(ev, row).tobytes()
+            if row.min() > 0:  # the per-row reference differentiates every block
+                assert np.array_equal(jac[lane], ref.jacobian(row))
+            assert grad[lane].tobytes() == (ev.profile(row) + one.T @ row).tobytes()
+            assert grad[lane].tobytes() == ev.m_self_grad(row, ev.profile(row)).tobytes()
+
+
 @pytest.mark.parametrize("mode", [GAUSSIAN_LOG, YOUNG_INVERSE])
 def test_zero_mass_ball_raises_no_floating_point_warning(mode):
     sp = build_from_points([[0.0], [1.0], [3.0], [3.5]])

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_from_points,
-                        build_model, duality_report, maximize_M_self)
+                        build_model, duality_report, maximize_M_self, search)
+from chainscope.gaussian_lab import argmax_distribution, estimate_sup
 from chainscope.measures import SigmaEvaluator
 from chainscope.metric_core import build_from_covariance
 from chainscope.search import balanced_measure, maximize_inf_M, minimize_sup_M
@@ -132,7 +133,7 @@ def _assert_bit_identical(res, trace, ref):
 
 # 60 iterations cross the 50-iteration cooling of the soft problems
 @given(st.sampled_from(sorted(SEARCHES)), st.booleans(), st.integers(min_value=3, max_value=16),
-       st.integers(min_value=0, max_value=2), st.sampled_from([1, 7, 60]),
+       st.integers(min_value=0, max_value=8), st.sampled_from([1, 7, 60]),
        st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=40, deadline=None)
 def test_searches_bit_identical_to_reference_loops(problem, tied, n, restarts, max_iter, seed):
@@ -158,6 +159,38 @@ def test_soft_searches_to_the_temperature_floor_match_reference_loops(problem, t
     res, trace, ref = _run_both(problem, space, [], restarts=1, max_iter=1000, seed=0)
     _assert_bit_identical(res, trace, ref)
     assert {r["iterations"] < 1000 for r in trace} == {True, False}
+
+
+@pytest.mark.parametrize("n, restarts, seed, lanes_per_batch",
+                         [(3, 0, 0, None), (5, 1, 1, None), (6, 2, 2, None), (8, 0, 3, None),
+                          (6, 3, 4, 2), (7, 2, 5, 1)])
+def test_duality_report_matches_the_serial_reference_searches(n, restarts, seed,
+                                                              lanes_per_batch, monkeypatch):
+    # each search runs its starts as lanes of one batch; each must be the
+    # reference loop's run alone, and the trace keeps the serial order:
+    # sup_inf, inf_sup, then sup_self rows.  A small lane budget splits the
+    # lanes into several batches per round.
+    if lanes_per_batch is not None:
+        monkeypatch.setattr(search, "LANE_BUDGET", lanes_per_batch * n * n)
+    rng = np.random.default_rng(seed)
+    cov = random_covariance(rng, n)
+    space = build_from_covariance(cov)
+    model = build_model(cov, space)
+    trace = []
+    rep = duality_report(space, model, n_samples=2000, seed=seed, restarts=restarts, trace=trace)
+    refs, rows = {}, []
+    for problem in ("sup_inf", "inf_sup", "sup_self"):
+        inits = []
+        if problem == "sup_self":
+            inits = [argmax_distribution(model, 2000, seed + 1).measure,
+                     ProbabilityMeasure(space, refs["sup_inf"][0])]
+        refs[problem] = search_reference(problem, space, restarts, 300, seed, init_measures=inits)
+        rows += refs[problem][4]
+        w, obj = refs[problem][:2]
+        assert getattr(rep, problem) == obj
+        assert np.array_equal(rep.measures[problem], ProbabilityMeasure(space, w).weights)
+    assert trace == rows
+    assert rep.esup == estimate_sup(model, 2000, seed).mean
 
 
 class TestBalancedMeasure:
