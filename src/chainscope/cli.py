@@ -270,15 +270,16 @@ def cmd_partition(args, inst, outputs):
 
 def cmd_duality(args, inst, outputs):
     space, model = _space_and_model(inst)
-    trace = []
     rep = duality_report(space, model, n_samples=args.samples, seed=args.seed,
-                         restarts=args.restarts, threads=args.threads, trace=trace)
+                         restarts=args.restarts, threads=args.threads)
     payload = dataclasses.asdict(rep)
     # search results are feasible points, not certified optima
     payload["semantics"] = {"sup_self": "lower-bound", "sup_inf": "lower-bound",
                             "inf_sup": "upper-bound"}
-    outputs.csv("duality_trace.csv",
-                ["problem", "restart", "objective", "iterations"], trace)
+    outputs.csv("duality_trace.csv", ["problem", "restart", "objective", "iterations"],
+                [{"problem": problem, "restart": i, "objective": obj, "iterations": it}
+                 for problem, starts in payload.pop("starts").items()
+                 for i, (obj, it, _) in enumerate(starts)])
     return payload
 
 
@@ -318,7 +319,7 @@ def cmd_modulus(args, inst, outputs):
     rows = []
     for i, d in enumerate(_delta_grid(args, space)):
         est = estimate_modulus(model, d, args.samples, args.seed + i, args.threads)
-        rows.append({"delta": d, "s_delta": est.value, "s_stderr": est.stderr})
+        rows.append({"delta": d, "s_delta": est.mean, "s_stderr": est.stderr})
     payload = {
         "rows": rows,
         "entropy_table": _entropy_rows(space),

@@ -215,54 +215,43 @@ def _map_shards(model, n_samples, seed, threads, per_shard):
     return [work(b) for b in bounds]
 
 
-def _statistic_sums(model, n_samples, seed, threads, stat):
-    """Per-shard ``_sum_and_squares`` of a per-sample statistic.
+@dataclass(frozen=True)
+class Estimate:
+    mean: float
+    stderr: float
+
+
+def _estimate(model, n_samples, seed, threads, stat) -> Estimate:
+    """Mean and standard error of a per-sample statistic.
 
     ``stat(x, out)`` writes the statistic of each column of the path tile
-    ``x`` into ``out``, that tile's slice of one shard-length vector.
+    ``x`` into ``out``, that tile's slice of one shard-length vector.  The
+    shards' sums of the statistic and of its square are added in shard order.
     """
     def per_shard(tiles, size):
         m = np.empty(size)
         for s, x in tiles:
             stat(x, m[s:s + x.shape[1]])
-        return _sum_and_squares(m)
+        return m.sum(), np.square(m).sum()
 
-    return _map_shards(model, n_samples, seed, threads, per_shard)
-
-
-def _sum_and_squares(m):
-    """One shard's sum of a per-sample statistic and of its square."""
-    return m.sum(), np.square(m).sum()
-
-
-def _mean_and_stderr(parts, n_samples):
-    """Mean and standard error from per-shard ``_sum_and_squares``, added in shard order."""
+    parts = _map_shards(model, n_samples, seed, threads, per_shard)
     s = sum(p[0] for p in parts)
     sq = sum(p[1] for p in parts)
     mean = s / n_samples
     var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
-    return float(mean), float(math.sqrt(var / n_samples))
+    return Estimate(float(mean), float(math.sqrt(var / n_samples)))
 
 
 # ---------------------------------------------------------------------------
 # estimators
 
 
-@dataclass(frozen=True)
-class SupremumEstimate:
-    mean: float
-    stderr: float
-
-
 def estimate_sup(model: GaussianModel, n_samples: int, seed: int,
-                 threads: int = 1) -> SupremumEstimate:
+                 threads: int = 1) -> Estimate:
     """Monte Carlo E sup_t X(t): mean of the per-sample max coordinate."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    parts = _statistic_sums(model, n_samples, seed, threads,
-                            lambda x, out: x.max(axis=0, out=out))
-    mean, stderr = _mean_and_stderr(parts, n_samples)
-    return SupremumEstimate(mean=mean, stderr=stderr)
+    return _estimate(model, n_samples, seed, threads, lambda x, out: x.max(axis=0, out=out))
 
 
 @dataclass(frozen=True)
@@ -301,14 +290,8 @@ def argmax_distribution(model: GaussianModel, n_samples: int, seed: int,
         tie_count=ties)
 
 
-@dataclass(frozen=True)
-class ModulusEstimate:
-    value: float
-    stderr: float
-
-
 def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: int,
-                     threads: int = 1) -> ModulusEstimate:
+                     threads: int = 1) -> Estimate:
     """S(delta): mean of max |X_s - X_t| over pairs with d(s, t) <= delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -318,7 +301,7 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
     ii, jj = ii[keep], jj[keep]
     if ii.size == 0:
         warnings.warn("no admissible pair at this delta; modulus is trivially 0")
-        return ModulusEstimate(value=0.0, stderr=0.0)
+        return Estimate(0.0, 0.0)
 
     # each point's partners among the admissible pairs, which triu_indices
     # lists by their first point
@@ -347,10 +330,7 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
             np.maximum(lo, hi, out=lo)
             np.maximum(out, lo, out=out)
 
-    parts = _statistic_sums(model, n_samples, seed, threads,
-                            all_pairs if keep.all() else pair_fold)
-    value, stderr = _mean_and_stderr(parts, n_samples)
-    return ModulusEstimate(value=value, stderr=stderr)
+    return _estimate(model, n_samples, seed, threads, all_pairs if keep.all() else pair_fold)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +401,7 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
         log_n = math.sqrt(math.log2(nhat)) if nhat > 1 else 0.0
         upper = best_m_self[min(2.0 * d, space.diam)] + d * log_n
         lower = max(best_m_self[c] - c * log_n for c in c_grid)
-        rows.append({"delta": d, "s_delta": mod.value, "s_stderr": mod.stderr,
+        rows.append({"delta": d, "s_delta": mod.mean, "s_stderr": mod.stderr,
                      "cover_size": nhat, "upper_proxy": upper, "lower_expression": lower})
     report["modulus"] = rows
     return report

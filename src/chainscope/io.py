@@ -131,10 +131,12 @@ def covariance_from_instance(inst: dict, space: FiniteMetricSpace | None = None)
 # ---------------------------------------------------------------------------
 # deterministic serialization
 #
-# dump_json writes the bytes of json.dumps(to_jsonable(obj), sort_keys=True,
-# indent=2, ensure_ascii=True, allow_nan=False) + "\n" in one walk.  Lists of
-# scalars, lists of flat scalar lists and lists of flat dicts that share their
-# string keys (the report tables) are formatted a column at a time.
+# dump_json writes the bytes of json.dumps(obj, sort_keys=True, indent=2,
+# ensure_ascii=True, allow_nan=False) + "\n" in one walk, with numpy scalars
+# and arrays as plain values and non-finite floats as the strings "inf",
+# "-inf" and "nan".  Lists of scalars, lists of flat scalar lists and lists of
+# flat dicts that share their string keys (the report tables) are formatted a
+# column at a time.
 
 _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_TYPES = {float, np.float64, np.float32, np.float16}
@@ -144,29 +146,6 @@ _CSV_NAMES = {name: name for name in _JSON_NAMES}
 
 def _non_finite_name(f: float) -> str:
     return "nan" if math.isnan(f) else ("inf" if f > 0 else "-inf")
-
-
-def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays to plain Python values, as
-    ``write_csv`` puts a cell of a column that is not all floats or all ints.
-
-    Non-finite floats become strings ("inf", "-inf", "nan") because strict
-    JSON has no encoding for them.
-    """
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if math.isfinite(f) else _non_finite_name(f)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _numeric_column(col, names):
@@ -317,11 +296,12 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Rows are dicts keyed exactly by the nonempty header.  A cell holds what
-    the report holds: a float column prints as in ``dump_json``, with
-    non-finite values as inf, -inf and nan."""
+    """Rows are dicts keyed exactly by the nonempty header.  A column of only
+    floats prints as in ``dump_json``, with non-finite values as inf, -inf and
+    nan, and a column of only ints as ints; ``csv.writer`` prints the cells of
+    any other column as they are."""
     header, rows = list(header), list(rows)
-    columns = [_numeric_column(col, _CSV_NAMES) or list(map(to_jsonable, col))
+    columns = [_numeric_column(col, _CSV_NAMES) or col
                for col in (list(map(operator.itemgetter(k), rows)) for k in header)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -49,19 +49,18 @@ LANE_BUDGET = 1 << 16
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """A search's best-found measure and its objective, and one
+    (objective, iterations, converged) record per start, in start order;
+    ``converged`` is the winning start's."""
+
     measure: ProbabilityMeasure
     objective: float
-    iterations: int
     converged: bool
+    starts: list
 
-
-@dataclass(frozen=True)
-class BalancedMeasure:
-    measure: ProbabilityMeasure
-    phi_values: np.ndarray
-    spread: float
-    iterations: int
-    converged: bool
+    @property
+    def iterations(self) -> int:
+        return sum(it for _, it, _ in self.starts)
 
 
 def _project(w: np.ndarray) -> np.ndarray:
@@ -280,13 +279,10 @@ def _mirror_ascent(problem, w0, max_iter):
                 begin(stalled, wl, ev.profile(wl, masses), masses)
     return out
 
-def _best_of_restarts(problem, name, init_measures, restarts, max_iter, seed, trace):
-    """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
-    ``restarts`` Dirichlet draws, each start one lane of the ascent.
 
-    ``trace`` (if given) collects one row per initializer with the objective
-    that start reached; ``converged`` is the winning start's.
-    """
+def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
+    """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
+    ``restarts`` Dirichlet draws, each start one lane of the ascent."""
     space = problem.ev.space
     n = space.n
     if n == 0:
@@ -295,49 +291,42 @@ def _best_of_restarts(problem, name, init_measures, restarts, max_iter, seed, tr
     w0 = np.array([np.full(n, 1.0 / n)]
                   + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
                   + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
+    out = _mirror_ascent(problem, w0, max_iter)
     best = None
-    total_it = 0
-    for idx, (w, obj, it, conv) in enumerate(_mirror_ascent(problem, w0, max_iter)):
-        total_it += it
-        if trace is not None:
-            trace.append({"problem": name, "restart": idx,
-                          "objective": float(obj), "iterations": it})
+    for w, obj, _, conv in out:
         if best is None or problem.sign * obj > problem.sign * best[1]:
             best = (w, obj, conv)
     return OptimizationResult(measure=ProbabilityMeasure(space, best[0]),
-                              objective=float(best[1]), iterations=total_it,
-                              converged=best[2])
+                              objective=float(best[1]), converged=best[2],
+                              starts=[(float(obj), it, conv) for _, obj, it, conv in out])
 
 
 def maximize_M_self(space: FiniteMetricSpace, delta: float | None = None,
                     init_measures=None, restarts: int = 8,
-                    max_iter: int = 300, seed: int = 0,
-                    trace: list | None = None) -> OptimizationResult:
+                    max_iter: int = 300, seed: int = 0) -> OptimizationResult:
     """Best-found measure for sup_mu M(mu, mu, delta).
 
     Initialized from uniform, any supplied measures (typically mu_F), and
     Dirichlet restarts; the returned objective is the exact functional at
     the returned measure.
     """
-    return _best_of_restarts(_SelfM(SigmaEvaluator(space, delta)), "sup_self",
-                             init_measures, restarts, max_iter, seed, trace)
+    return _best_of_restarts(_SelfM(SigmaEvaluator(space, delta)), init_measures,
+                             restarts, max_iter, seed)
 
 
 def minimize_sup_M(space: FiniteMetricSpace, restarts: int = 8,
-                   max_iter: int = 400, seed: int = 0,
-                   trace: list | None = None) -> OptimizationResult:
+                   max_iter: int = 400, seed: int = 0) -> OptimizationResult:
     """Best-found measure for inf_mu sup_t M(mu, delta_t).
 
     The reported objective is an upper bound for the true infimum
     (feasible-point semantics).
     """
-    return _best_of_restarts(_Soft(SigmaEvaluator(space), -1.0), "inf_sup", None,
-                             restarts, max_iter, seed, trace)
+    return _best_of_restarts(_Soft(SigmaEvaluator(space), -1.0), None,
+                             restarts, max_iter, seed)
 
 
 def maximize_inf_M(space: FiniteMetricSpace, restarts: int = 8,
-                   max_iter: int = 400, seed: int = 0,
-                   trace: list | None = None) -> OptimizationResult:
+                   max_iter: int = 400, seed: int = 0) -> OptimizationResult:
     """Best-found measure for sup_mu inf_t M(mu, delta_t).
 
     The balanced measure is always tried as an initializer: equalized
@@ -350,26 +339,26 @@ def maximize_inf_M(space: FiniteMetricSpace, restarts: int = 8,
         inits.append(balanced_measure(space).measure)
     except ValueError as exc:
         warnings.warn(f"sup_inf search without the balanced initializer: {exc}")
-    return _best_of_restarts(problem, "sup_inf", inits, restarts, max_iter, seed, trace)
+    return _best_of_restarts(problem, inits, restarts, max_iter, seed)
 
 
 def balanced_measure(space: FiniteMetricSpace,
-                     init: ProbabilityMeasure | None = None) -> BalancedMeasure:
-    """The measure equalizing the young-inverse integrals over all points.
+                     init: ProbabilityMeasure | None = None) -> OptimizationResult:
+    """The measure equalizing the young-inverse integrals over all points,
+    as a one-start result whose objective is the spread max Phi - min Phi.
 
     The integrals use the built-in Young function phi_2(x) = 2^(x^2) - 1.
 
     Damped multiplicative fixed-point iteration with a line search on the
-    exponent, so the spread max Phi - min Phi decreases at every accepted
-    step.  Requires all points distinct (coincident points force infinite
-    integrals on one of them).
+    exponent, so the spread decreases at every accepted step.  Requires all
+    points distinct (coincident points force infinite integrals on one of
+    them).
     """
     if space.n == 0:
         raise ValueError("empty space")
     if space.n == 1:
-        w = np.ones(1)
-        phi = SigmaEvaluator(space, None, YOUNG_INVERSE).profile(w)
-        return BalancedMeasure(ProbabilityMeasure(space, w), phi, 0.0, 0, True)
+        return OptimizationResult(ProbabilityMeasure(space, np.ones(1)), 0.0, True,
+                                  [(0.0, 0, True)])
     off = space.dist[np.triu_indices(space.n, k=1)]
     if np.any(off == 0):
         raise ValueError("balanced measure requires all points distinct")
@@ -405,8 +394,8 @@ def balanced_measure(space: FiniteMetricSpace,
         w, phi, spread = _balance_polish(ev, w)
     if spread <= BALANCE_TOL * float(phi.mean()):
         converged = True
-    return BalancedMeasure(measure=ProbabilityMeasure(space, w), phi_values=phi,
-                           spread=spread, iterations=it, converged=converged)
+    return OptimizationResult(ProbabilityMeasure(space, w), spread, converged,
+                              [(spread, it, converged)])
 
 
 def _balance_polish(ev, w):
@@ -452,12 +441,14 @@ class DualityReport:
     ratios: dict
     flags: list
     measures: dict  # problem name -> best-found weight vector
+    starts: dict  # problem name -> its search's start records
 
 
 def duality_report(space: FiniteMetricSpace, model=None, n_samples: int = 20000,
                    seed: int = 0, restarts: int = 8,
-                   threads: int = 1, trace: list | None = None) -> DualityReport:
-    """All three extrema plus the Monte Carlo E sup and their pairwise ratios.
+                   threads: int = 1) -> DualityReport:
+    """All three extrema plus the Monte Carlo E sup and their pairwise
+    ratios, and each search's start records.
 
     sup_self is re-checked against the sup_inf candidate so the assertable
     pointwise-averaging ordering (sup_inf <= sup_self) holds for the
@@ -466,17 +457,17 @@ def duality_report(space: FiniteMetricSpace, model=None, n_samples: int = 20000,
     flags = []
     if space.n < 2 or space.diam == 0:
         flags.append("degenerate")
-        return DualityReport(0.0, 0.0, 0.0, 0.0, 0.0, {}, flags, {})
+        return DualityReport(0.0, 0.0, 0.0, 0.0, 0.0, {}, flags, {}, {})
     inits = []
     esup, se = 0.0, 0.0
     if model is not None:
         est = estimate_sup(model, n_samples, seed, threads)
         esup, se = est.mean, est.stderr
         inits.append(argmax_distribution(model, n_samples, seed + 1, threads).measure)
-    sup_inf = maximize_inf_M(space, restarts=restarts, max_iter=300, seed=seed, trace=trace)
-    inf_sup = minimize_sup_M(space, restarts=restarts, max_iter=300, seed=seed, trace=trace)
+    sup_inf = maximize_inf_M(space, restarts=restarts, max_iter=300, seed=seed)
+    inf_sup = minimize_sup_M(space, restarts=restarts, max_iter=300, seed=seed)
     sup_self = maximize_M_self(space, init_measures=inits + [sup_inf.measure],
-                               restarts=restarts, max_iter=300, seed=seed, trace=trace)
+                               restarts=restarts, max_iter=300, seed=seed)
     w = sup_inf.measure.weights
     prof = SigmaEvaluator(space).profile(w)
     if not (prof.min() <= nu_average(prof, w) + 1e-9):
@@ -495,4 +486,6 @@ def duality_report(space: FiniteMetricSpace, model=None, n_samples: int = 20000,
                          ratios=ratios, flags=flags,
                          measures={"sup_self": sup_self.measure.weights,
                                    "inf_sup": inf_sup.measure.weights,
-                                   "sup_inf": sup_inf.measure.weights})
+                                   "sup_inf": sup_inf.measure.weights},
+                         starts={"sup_inf": sup_inf.starts, "inf_sup": inf_sup.starts,
+                                 "sup_self": sup_self.starts})

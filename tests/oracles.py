@@ -408,7 +408,8 @@ def search_reference(problem, space, restarts, max_iter, seed, init_measures=(),
     uniform, then ``init_measures`` (for "sup_inf" followed by the balanced
     measure), then ``restarts`` Dirichlet draws.  Returns (weights,
     objective recomputed at them, total iterations, converged of the
-    winning restart, trace rows).
+    winning restart, one row per start: the ``duality_trace.csv`` row and
+    whether that start converged).
     """
     from chainscope.measures import SigmaEvaluator
     from chainscope.search import balanced_measure
@@ -431,7 +432,7 @@ def search_reference(problem, space, restarts, max_iter, seed, init_measures=(),
                 ev, w0, max_iter, tol, want_min_of_max=problem == "inf_sup")
         total += it
         rows.append({"problem": problem, "restart": idx, "objective": float(obj),
-                     "iterations": it})
+                     "iterations": it, "converged": conv})
         if best is None or (obj < best[1] if problem == "inf_sup" else obj > best[1]):
             best = (w, obj, conv)
     w = best[0]

@@ -18,7 +18,7 @@ from chainscope.cli import data_instance_path, main, replay_manifest
 from chainscope.ellipsoid import _argmax_cloud, esup_check, gap_lower_bound_check, make_spec
 from chainscope.gaussian_lab import (argmax_distribution, estimate_sup, sample_paths,
                                      supremum_report)
-from chainscope.measures import SigmaEvaluator, nu_average
+from chainscope.measures import YOUNG_INVERSE, SigmaEvaluator, nu_average
 from chainscope.search import balanced_measure
 
 from conftest import random_covariance, random_space, random_weights
@@ -172,7 +172,8 @@ def test_balanced_measure_converges_everywhere():
         sp = random_space(rng, n)
         bal = balanced_measure(sp)
         assert bal.converged
-        assert bal.spread <= 1e-8 * float(bal.phi_values.mean())
+        phi = SigmaEvaluator(sp, None, YOUNG_INVERSE).profile(bal.measure.weights)
+        assert bal.objective <= 1e-8 * float(phi.mean())
 
 
 def test_balanced_measure_unique_across_restarts():

@@ -162,18 +162,18 @@ class TestEstimates:
         m = build_model(COV_PAIR_D1)
         est = estimate_modulus(m, 1.0, 100000, 5)
         expected = math.sqrt(2.0 / math.pi)  # E|X - Y| at distance 1
-        assert abs(est.value - expected) <= 3.0 * est.stderr
+        assert abs(est.mean - expected) <= 3.0 * est.stderr
 
     def test_modulus_empty_pairs_warns(self):
         m = build_model(COV_PAIR_D1)
         with pytest.warns(UserWarning):
             est = estimate_modulus(m, 0.5, 1000, 5)
-        assert est.value == 0.0
+        assert est.mean == 0.0
 
     def test_modulus_monotone_in_delta(self):
         m = build_model(random_covariance(np.random.default_rng(4), 10))
         deltas = np.linspace(0.2, 1.0, 5) * m.space.diam
-        vals = [estimate_modulus(m, float(d), 20000, 9).value for d in deltas]
+        vals = [estimate_modulus(m, float(d), 20000, 9).mean for d in deltas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -190,7 +190,7 @@ def _modulus_both(model, delta, n_samples, seed, threads):
     with warnings.catch_warnings(record=True) as want:
         warnings.simplefilter("always")
         ref = modulus_reference(model, delta, n_samples, seed)
-    return ((est.value, est.stderr), ref,
+    return ((est.mean, est.stderr), ref,
             [str(w.message) for w in got], [str(w.message) for w in want])
 
 
@@ -278,9 +278,9 @@ def test_modulus_memory_bounded_by_one_shard():
     runs = {
         "sup": lambda: estimate_sup(model, n_samples, 3).mean,
         "argmax": lambda: argmax_distribution(model, n_samples, 3).measure.weights.max(),
-        "modulus": lambda: estimate_modulus(model, model.space.diam, n_samples, 3).value,
+        "modulus": lambda: estimate_modulus(model, model.space.diam, n_samples, 3).mean,
         "pairs": lambda: estimate_modulus(model, float(np.median(model.space.dist)),
-                                          n_samples, 3).value,
+                                          n_samples, 3).mean,
     }
     for name, run in runs.items():
         tracemalloc.start()
@@ -380,7 +380,7 @@ def test_shard_invariance(monkeypatch):
     assert sharded["argmax"] == whole["argmax"]
     assert sharded["sup"].mean == pytest.approx(whole["sup"].mean, rel=1e-12)
     assert sharded["sup"].stderr == pytest.approx(whole["sup"].stderr, rel=1e-9)
-    assert sharded["modulus"].value == pytest.approx(whole["modulus"].value, rel=1e-12)
+    assert sharded["modulus"].mean == pytest.approx(whole["modulus"].mean, rel=1e-12)
     assert sharded["modulus"].stderr == pytest.approx(whole["modulus"].stderr, rel=1e-9)
     for a, b in zip(whole["concentration"], sharded["concentration"]):
         assert b == pytest.approx(a, rel=1e-12)

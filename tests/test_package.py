@@ -1,6 +1,7 @@
 """``chainscope.__all__`` is exactly what the commands and the demos import,
-and every parameter with a default is one that a command or a demo sets.
-The sources are read as syntax trees, so the demos do not run."""
+every parameter with a default is one that a command or a demo sets, and no
+function appends to a list it was passed.  The sources are read as syntax
+trees, so the demos do not run."""
 
 import ast
 import glob
@@ -87,3 +88,21 @@ def test_every_defaulted_parameter_is_set_by_a_command_or_a_demo():
                       if (fn.name, a.arg) not in KEPT_KNOBS
                       and not any(_sets(call, name, index, a.arg) for call in calls)]
     assert unset == []
+
+
+def test_no_function_fills_an_out_parameter():
+    # results are returned, never appended or extended onto a list the
+    # caller passed in
+    filled = []
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+            filled += [f"{os.path.basename(path)[:-3]}.{fn.name}({call.func.value.id})"
+                       for call in ast.walk(fn) if isinstance(call, ast.Call)
+                       and isinstance(call.func, ast.Attribute)
+                       and call.func.attr in ("append", "extend")
+                       and isinstance(call.func.value, ast.Name)
+                       and call.func.value.id in params]
+    assert filled == []

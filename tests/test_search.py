@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,14 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_from_points,
-                        build_model, duality_report, maximize_M_self, search)
+                        build_model, cli, duality_report, maximize_M_self, search)
 from chainscope.gaussian_lab import argmax_distribution, estimate_sup
-from chainscope.measures import SigmaEvaluator
+from chainscope.measures import YOUNG_INVERSE, SigmaEvaluator
 from chainscope.metric_core import build_from_covariance
 from chainscope.search import balanced_measure, maximize_inf_M, minimize_sup_M
 
 from conftest import integer_l1_space, random_covariance, random_space
-from oracles import (balanced_oracle_013, inf_sup_oracle_013, search_reference,
+from oracles import (balanced_oracle_013, csv_reference, inf_sup_oracle_013, search_reference,
                      sup_inf_oracle_013, sup_self_oracle_013)
 
 TWO_POINT = build_from_distance_matrix([[0, 1], [1, 0]])
@@ -44,10 +45,9 @@ class TestSupSelf:
         assert res.objective <= obj + 2e-2
 
     def test_trace_rows(self):
-        trace = []
-        maximize_M_self(TWO_POINT, restarts=3, trace=trace)
-        assert len(trace) == 4  # uniform + 3 dirichlet restarts
-        assert {r["problem"] for r in trace} == {"sup_self"}
+        res = maximize_M_self(TWO_POINT, restarts=3)
+        assert len(res.starts) == 4  # uniform + 3 dirichlet restarts
+        assert res.iterations == sum(it for _, it, _ in res.starts)
 
 
 class TestMinSupAndSupInf:
@@ -78,10 +78,9 @@ class TestMinSupAndSupInf:
 
     def test_coincident_points_warn_and_skip_balanced_init(self):
         sp = build_from_distance_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-        trace = []
         with pytest.warns(UserWarning, match="without the balanced initializer.*distinct"):
-            res = maximize_inf_M(sp, restarts=1, max_iter=20, trace=trace)
-        assert len(trace) == 2  # uniform + 1 dirichlet restart
+            res = maximize_inf_M(sp, restarts=1, max_iter=20)
+        assert len(res.starts) == 2  # uniform + 1 dirichlet restart
         assert np.isfinite(res.objective)
 
     def test_distinct_points_no_warning(self):
@@ -112,23 +111,31 @@ class TestConverged:
 
 
 def _run_both(problem, space, init, **kwargs):
-    """(public search result, its trace) and the reference-driven run."""
-    trace = []
+    """The public search result and the reference-driven run."""
     if problem == "sup_self":
-        res = maximize_M_self(space, init_measures=init, trace=trace, **kwargs)
+        res = maximize_M_self(space, init_measures=init, **kwargs)
     else:
         init = []  # the soft searches take no initializers from the caller
-        res = SEARCHES[problem](space, trace=trace, **kwargs)
-    return res, trace, search_reference(problem, space, init_measures=init, **kwargs)
+        res = SEARCHES[problem](space, **kwargs)
+    return res, search_reference(problem, space, init_measures=init, **kwargs)
 
 
-def _assert_bit_identical(res, trace, ref):
+def _starts(rows):
+    """The start records of reference rows."""
+    return [(r["objective"], r["iterations"], r["converged"]) for r in rows]
+
+
+def _assert_bit_identical(res, ref):
     w, obj, iters, conv, rows = ref
     assert np.array_equal(res.measure.weights, ProbabilityMeasure(res.measure.space, w).weights)
     assert res.objective == obj
     assert res.iterations == iters
     assert res.converged is conv
-    assert trace == rows
+    assert res.starts == _starts(rows)
+    # the totals are read off the start records: the iterations of every
+    # start, and converged of the first start that reached the objective
+    assert res.iterations == sum(it for _, it, _ in res.starts)
+    assert res.converged is [c for o, _, c in res.starts if o == res.objective][0]
 
 
 # 60 iterations cross the 50-iteration cooling of the soft problems
@@ -156,28 +163,29 @@ def test_soft_searches_to_the_temperature_floor_match_reference_loops(problem, t
     # step gains less than the tolerance the best iterate is kept by
     rng = np.random.default_rng(0)
     space = integer_l1_space(rng, n) if tied else build_from_covariance(random_covariance(rng, n))
-    res, trace, ref = _run_both(problem, space, [], restarts=1, max_iter=1000, seed=0)
-    _assert_bit_identical(res, trace, ref)
-    assert {r["iterations"] < 1000 for r in trace} == {True, False}
+    res, ref = _run_both(problem, space, [], restarts=1, max_iter=1000, seed=0)
+    _assert_bit_identical(res, ref)
+    assert {it < 1000 for _, it, _ in res.starts} == {True, False}
 
 
 @pytest.mark.parametrize("n, restarts, seed, lanes_per_batch",
                          [(3, 0, 0, None), (5, 1, 1, None), (6, 2, 2, None), (8, 0, 3, None),
                           (6, 3, 4, 2), (7, 2, 5, 1)])
 def test_duality_report_matches_the_serial_reference_searches(n, restarts, seed,
-                                                              lanes_per_batch, monkeypatch):
+                                                              lanes_per_batch, monkeypatch,
+                                                              tmp_path):
     # each search runs its starts as lanes of one batch; each must be the
-    # reference loop's run alone, and the trace keeps the serial order:
-    # sup_inf, inf_sup, then sup_self rows.  A small lane budget splits the
-    # lanes into several batches per round.
+    # reference loop's run alone, and the start records keep the serial
+    # order: sup_inf, inf_sup, then sup_self, as do the duality_trace.csv
+    # rows.  A small lane budget splits the lanes into several batches per
+    # round.
     if lanes_per_batch is not None:
         monkeypatch.setattr(search, "LANE_BUDGET", lanes_per_batch * n * n)
     rng = np.random.default_rng(seed)
     cov = random_covariance(rng, n)
     space = build_from_covariance(cov)
     model = build_model(cov, space)
-    trace = []
-    rep = duality_report(space, model, n_samples=2000, seed=seed, restarts=restarts, trace=trace)
+    rep = duality_report(space, model, n_samples=2000, seed=seed, restarts=restarts)
     refs, rows = {}, []
     for problem in ("sup_inf", "inf_sup", "sup_self"):
         inits = []
@@ -189,15 +197,23 @@ def test_duality_report_matches_the_serial_reference_searches(n, restarts, seed,
         w, obj = refs[problem][:2]
         assert getattr(rep, problem) == obj
         assert np.array_equal(rep.measures[problem], ProbabilityMeasure(space, w).weights)
-    assert trace == rows
+    assert list(rep.starts.items()) == [(p, _starts(refs[p][4])) for p in refs]
     assert rep.esup == estimate_sup(model, 2000, seed).mean
+    instance = tmp_path / "cov.json"
+    instance.write_text(json.dumps({"name": "cov", "metric": {"type": "covariance",
+                                                              "data": cov.tolist()}}))
+    out = tmp_path / "out"
+    assert cli.main(["duality", "--instance", str(instance), "--samples", "2000",
+                     "--seed", str(seed), "--restarts", str(restarts), "--out", str(out)]) == 0
+    assert (out / "duality_trace.csv").read_text() == csv_reference(
+        ["problem", "restart", "objective", "iterations"], rows)
 
 
 class TestBalancedMeasure:
     def test_two_point_symmetric(self):
         bal = balanced_measure(TWO_POINT)
         assert np.allclose(bal.measure.weights, 0.5, atol=1e-12)
-        assert bal.spread <= 1e-12
+        assert bal.objective <= 1e-12
         assert bal.converged
 
     def test_collinear_matches_grid_oracle(self):
@@ -212,7 +228,8 @@ class TestBalancedMeasure:
             sp = random_space(session_rng, n)
             bal = balanced_measure(sp)
             assert bal.converged
-            assert bal.spread <= 1e-8 * float(bal.phi_values.mean())
+            phi = SigmaEvaluator(sp, None, YOUNG_INVERSE).profile(bal.measure.weights)
+            assert bal.objective <= 1e-8 * float(phi.mean())
 
     def test_init_independence(self, session_rng):
         sp = random_space(session_rng, 6)
