@@ -13,8 +13,8 @@ from .partition import (audit_cell, build_partition, chained_functional,
                         common_sample_oracle, lower_bound_report)
 from .search import duality_report, maximize_M_self
 from .ellipsoid import ellipsoid_report, esup_check, gap_lower_bound_check, make_spec
-from .io import (InstanceError, covariance_from_instance, load_instance, sha256_file,
-                 space_from_instance, write_csv, write_json)
+from .io import (InstanceError, Table, covariance_from_instance, load_instance,
+                 sha256_file, space_from_instance, write_csv, write_json)
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,6 @@ __all__ = [
     "audit_cell", "build_partition", "chained_functional", "common_sample_oracle",
     "lower_bound_report", "duality_report", "maximize_M_self",
     "ellipsoid_report", "esup_check", "gap_lower_bound_check", "make_spec",
-    "InstanceError", "covariance_from_instance", "load_instance", "sha256_file",
+    "InstanceError", "Table", "covariance_from_instance", "load_instance", "sha256_file",
     "space_from_instance", "write_csv", "write_json",
 ]

@@ -22,8 +22,8 @@ from . import __version__
 from .ellipsoid import ellipsoid_report, esup_check, gap_lower_bound_check, make_spec
 from .gaussian_lab import (FactorizationError, build_model, estimate_modulus,
                            sudakov_bound, supremum_report)
-from .io import (InstanceError, covariance_from_instance, load_instance, sha256_file,
-                 space_from_instance, write_csv, write_json)
+from .io import (InstanceError, Table, covariance_from_instance, load_instance,
+                 sha256_file, space_from_instance, write_csv, write_json)
 from .measures import (GAUSSIAN_LOG, YOUNG_INVERSE, MeasureError, ProbabilityMeasure,
                        nu_average, sigma_profile, uniform_measure)
 from .metric_core import (MetricValidationError, covering_table, entropy_integral,
@@ -167,33 +167,35 @@ def _space_and_model(inst):
 
 
 def _covering_rows(space):
-    """One row per segment of the scale table: at half the smallest distance,
-    then at each distinct distance."""
+    """The covering table, one row per segment of the scale table: at half
+    the smallest distance (0.0 where that underflows, still in segment 0),
+    then at each distinct distance.  No rows when all points coincide."""
     radii = space.breaks[1:]
     if radii.size:
         radii = np.concatenate([[radii[0] / 2.0], radii])
-    return [{"radius": rep.radius, "greedy_cover_size": rep.greedy_cover_size,
-             "packing_size": rep.packing_size,
-             "lower_bound": rep.certified_bounds[0],
-             "upper_bound": rep.certified_bounds[1]}
-            for rep in covering_table(space, radii)]
+    return Table(covering_table(space, radii))
 
 
-def _entropy_rows(space):
-    return [{"delta": d, "delta_sqrt_log_cover": v}
-            for d, v in modulus_entropy_diagnostic(space)]
+def _entropy_rows(space, delta=None):
+    """The entropy table; ``delta``, a column holding its deltas (the
+    distinct distances), is taken as it is."""
+    columns = modulus_entropy_diagnostic(space)
+    if delta is not None:
+        columns["delta"] = delta
+    return Table(columns)
 
 
 def cmd_analyze(args, inst, outputs):
     space = _space(inst)
-    payload = {"n": space.n, "diam": space.diam}
-    if space.n < 2 or space.diam == 0:
-        warnings.warn("degenerate instance: all functionals are zero")
-        payload.update({"covering": [], "dudley": 0.0, "entropy_table": []})
-    else:
-        payload["covering"] = _covering_rows(space)
+    covering = _covering_rows(space)
+    payload = {"n": space.n, "diam": space.diam, "covering": covering,
+               # the covering radii past the first are the distinct distances
+               "entropy_table": _entropy_rows(space, covering["radius"][1:])}
+    if space.diam > 0:
         payload["dudley"] = entropy_integral(space, space.diam)
-        payload["entropy_table"] = _entropy_rows(space)
+    else:
+        warnings.warn("degenerate instance: all functionals are zero")
+        payload["dudley"] = 0.0
     if "weights" in inst:
         try:
             mu = ProbabilityMeasure(space, inst["weights"])
@@ -207,10 +209,7 @@ def cmd_analyze(args, inst, outputs):
             "sigma_profile": prof,
             "m_self": nu_average(prof, mu.weights),
         }
-    outputs.csv("analyze_covering.csv",
-                ["radius", "greedy_cover_size", "packing_size",
-                 "lower_bound", "upper_bound"],
-                payload.get("covering", []))
+    outputs.csv("analyze_covering.csv", covering)
     return payload
 
 
@@ -230,10 +229,10 @@ def cmd_bounds(args, inst, outputs):
     sud, witness = sudakov_bound(space)
     payload["sudakov"] = {"value": sud, "radius": witness[0], "packing": witness[1]}
     payload["dudley"] = entropy_integral(space, space.diam) if space.diam > 0 else 0.0
-    outputs.csv("bounds_delta.csv",
-                ["delta", "s_delta", "s_stderr", "cover_size",
-                 "upper_proxy", "lower_expression"],
-                payload.get("modulus", []))
+    payload["modulus"] = Table.from_rows(["delta", "s_delta", "s_stderr", "cover_size",
+                                          "upper_proxy", "lower_expression"],
+                                         payload["modulus"])
+    outputs.csv("bounds_delta.csv", payload["modulus"])
     return payload
 
 
@@ -242,11 +241,11 @@ def cmd_partition(args, inst, outputs):
     oracle = common_sample_oracle(model, args.samples, args.seed)
     tree = build_partition(space, oracle, r=args.r)
     mu = uniform_measure(space)
-    audits = []
-    for level in tree.levels[:-1]:
-        for cell in level:
-            if cell.children:
-                audits.append(dataclasses.asdict(audit_cell(tree, mu, cell)))
+    audits = Table.from_rows(
+        ["level", "center", "lhs", "rhs_core", "children_term", "empirical_L", "l0",
+         "low_confidence"],
+        [dataclasses.asdict(audit_cell(tree, mu, cell))
+         for level in tree.levels[:-1] for cell in level if cell.children])
     esup = tree.levels[0][0].F_estimate
     payload = {
         "r": tree.r,
@@ -262,9 +261,7 @@ def cmd_partition(args, inst, outputs):
         "lower_bound": lower_bound_report(tree, mu, esup),
         "audits": audits,
     }
-    outputs.csv("partition_audit.csv",
-                ["level", "center", "lhs", "rhs_core", "children_term",
-                 "empirical_L", "l0", "low_confidence"], audits)
+    outputs.csv("partition_audit.csv", audits)
     return payload
 
 
@@ -276,10 +273,11 @@ def cmd_duality(args, inst, outputs):
     # search results are feasible points, not certified optima
     payload["semantics"] = {"sup_self": "lower-bound", "sup_inf": "lower-bound",
                             "inf_sup": "upper-bound"}
-    outputs.csv("duality_trace.csv", ["problem", "restart", "objective", "iterations"],
-                [{"problem": problem, "restart": i, "objective": obj, "iterations": it}
-                 for problem, starts in payload.pop("starts").items()
-                 for i, (obj, it, _) in enumerate(starts)])
+    outputs.csv("duality_trace.csv", Table.from_rows(
+        ["problem", "restart", "objective", "iterations"],
+        [{"problem": problem, "restart": i, "objective": obj, "iterations": it}
+         for problem, starts in payload.pop("starts").items()
+         for i, (obj, it, _) in enumerate(starts)]))
     return payload
 
 
@@ -295,9 +293,9 @@ def cmd_ellipsoid(args, inst, outputs):
         "norm_t": spec.norm_t,
         "esup": esup_check(spec, args.samples, args.seed),
     }
-    trend = []
-    for i in range(1, spec.truncation):
-        trend.append(gap_lower_bound_check(spec, i, args.samples, args.seed + i))
+    trend = Table.from_rows(["i", "lhs_mc", "lhs_stderr", "rhs", "ratio"],
+                            [gap_lower_bound_check(spec, i, args.samples, args.seed + i)
+                             for i in range(1, spec.truncation)])
     payload["gap_trend"] = trend
     rep = ellipsoid_report(spec, args.samples, args.seed, args.net)
     emp = rep.pop("empirical")
@@ -305,8 +303,7 @@ def cmd_ellipsoid(args, inst, outputs):
     outputs.json("ellipsoid_spec.json",
                  {"semi_axes": spec.semi_axes, "norm_t": spec.norm_t,
                   "tail_norms": spec.tail_norms, "tail_sq_norms": spec.tail_sq_norms})
-    outputs.csv("ellipsoid_trend.csv",
-                ["i", "lhs_mc", "lhs_stderr", "rhs", "ratio"], trend)
+    outputs.csv("ellipsoid_trend.csv", trend)
     outputs.json("ellipsoid_instance.json",
                  {"name": "ellipsoid_empirical",
                   "metric": {"type": "points", "data": emp.points},
@@ -316,15 +313,16 @@ def cmd_ellipsoid(args, inst, outputs):
 
 def cmd_modulus(args, inst, outputs):
     space, model = _space_and_model(inst)
-    rows = []
-    for i, d in enumerate(_delta_grid(args, space)):
-        est = estimate_modulus(model, d, args.samples, args.seed + i, args.threads)
-        rows.append({"delta": d, "s_delta": est.mean, "s_stderr": est.stderr})
+    deltas = _delta_grid(args, space)
+    estimates = [estimate_modulus(model, d, args.samples, args.seed + i, args.threads)
+                 for i, d in enumerate(deltas)]
+    rows = Table({"delta": deltas, "s_delta": [est.mean for est in estimates],
+                  "s_stderr": [est.stderr for est in estimates]})
     payload = {
         "rows": rows,
         "entropy_table": _entropy_rows(space),
     }
-    outputs.csv("modulus_delta.csv", ["delta", "s_delta", "s_stderr"], rows)
+    outputs.csv("modulus_delta.csv", rows)
     return payload
 
 
@@ -349,8 +347,8 @@ class _Outputs:
         self.out_dir = out_dir
         self.files: list[str] = []
 
-    def csv(self, name: str, header, rows) -> None:
-        write_csv(os.path.join(self.out_dir, name), header, rows)
+    def csv(self, name: str, table: Table) -> None:
+        write_csv(os.path.join(self.out_dir, name), table)
         self.files.append(name)
 
     def json(self, name: str, obj) -> None:

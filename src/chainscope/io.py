@@ -15,7 +15,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import tempfile
 
@@ -133,36 +132,20 @@ def covariance_from_instance(inst: dict, space: FiniteMetricSpace | None = None)
 #
 # dump_json writes the bytes of json.dumps(obj, sort_keys=True, indent=2,
 # ensure_ascii=True, allow_nan=False) + "\n" in one walk, with numpy scalars
-# and arrays as plain values and non-finite floats as the strings "inf",
-# "-inf" and "nan".  Lists of scalars, lists of flat scalar lists and lists of
-# flat dicts that share their string keys (the report tables) are formatted a
-# column at a time.
+# and arrays as plain values, non-finite floats as the strings "inf", "-inf"
+# and "nan", and a Table as the list of row objects it stands for.  Report
+# tables are Tables: held as columns, and each value formatted once, when its
+# column is made, for every writer and every table that takes the column.
+# Lists of scalars and lists of flat scalar lists are formatted a column at
+# a time too.
 
 _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_TYPES = {float, np.float64, np.float32, np.float16}
 _JSON_NAMES = {name: f'"{name}"' for name in ("inf", "-inf", "nan")}
-_CSV_NAMES = {name: name for name in _JSON_NAMES}
 
 
 def _non_finite_name(f: float) -> str:
     return "nan" if math.isnan(f) else ("inf" if f > 0 else "-inf")
-
-
-def _numeric_column(col, names):
-    """Tokens of a column of only floats or only ints, else None.
-
-    Floats print as ``float.__repr__``; a non-finite one prints as
-    ``names[its string]``."""
-    kinds = set(map(type, col))
-    if kinds <= _FLOAT_TYPES:
-        a = np.array(col, dtype=float)
-        tokens = list(map(float.__repr__, a.tolist()))
-        for i in np.flatnonzero(~np.isfinite(a)).tolist():
-            tokens[i] = names[_non_finite_name(float(a[i]))]
-        return tokens
-    if all(k is int or issubclass(k, np.integer) for k in kinds):
-        return list(map(int.__repr__, col if kinds == {int} else map(int, col)))
-    return None
 
 
 def _scalar(v):
@@ -182,14 +165,89 @@ def _scalar(v):
     return None
 
 
-def _column(col):
-    """JSON tokens of a list of scalars, or None if one of them is not."""
-    tokens = _numeric_column(col, _JSON_NAMES)
-    if tokens is None:
-        tokens = list(map(_scalar, col))
-        if None in tokens:
-            return None
-    return tokens
+def _tokens(col):
+    """(JSON tokens, CSV cells) of a sequence of values; the tokens are None
+    if a value is not a scalar.
+
+    A column of only floats or only ints has one list for both: floats print
+    as ``float.__repr__``, which names the non-finite ones inf, -inf and nan,
+    and the JSON tokens quote those names.  The cells of any other column are
+    its values, which ``csv.writer`` prints as they are."""
+    a = col if isinstance(col, np.ndarray) and col.dtype.kind in "fiu" else None
+    if a is None:
+        kinds = set(map(type, col))
+        if kinds <= _FLOAT_TYPES:
+            a = np.array(col, dtype=float)
+        elif all(k is int or issubclass(k, np.integer) for k in kinds):
+            cells = list(map(int.__repr__, col if kinds == {int} else map(int, col)))
+            return cells, cells
+        else:
+            tokens = list(map(_scalar, col))
+            return (None if None in tokens else tokens), list(col)
+    if a.dtype.kind != "f":
+        cells = list(map(int.__repr__, a.tolist()))
+        return cells, cells
+    cells = tokens = list(map(float.__repr__, a.tolist()))
+    bad = np.flatnonzero(~np.isfinite(a)).tolist()
+    if bad:
+        tokens = cells.copy()
+        for i in bad:
+            tokens[i] = f'"{cells[i]}"'
+    return tokens, cells
+
+
+class Column:
+    """One column of a :class:`Table`: the JSON token and the CSV cell of
+    each value, made once, when the column is.  Slicing a column slices
+    both and formats nothing again."""
+
+    __slots__ = ("json", "csv")
+
+    def __init__(self, values):
+        self.json, self.csv = _tokens(values)
+        if self.json is None:
+            raise TypeError("a table column holds only scalars")
+
+    def __getitem__(self, part: slice) -> Column:
+        view = object.__new__(Column)
+        view.json, view.csv = self.json[part], self.csv[part]
+        return view
+
+    def __len__(self) -> int:
+        return len(self.csv)
+
+
+class Table:
+    """A report table: rows held as named columns of equal length.
+
+    ``columns`` maps each name, a string, to a :class:`Column` or to a
+    sequence of scalars, which becomes one; names given the same object
+    share one column.  :func:`dump_json` writes a table as the list of row
+    objects it stands for, keys sorted, and :func:`write_csv` as a header
+    of the names in order, then one line per row.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        made = {}
+        for values in columns.values():
+            if id(values) not in made:
+                made[id(values)] = values if isinstance(values, Column) else Column(values)
+        self.columns = {name: made[id(values)] for name, values in columns.items()}
+        if len(set(map(len, self.columns.values()))) > 1:
+            raise ValueError("table columns differ in length")
+
+    @classmethod
+    def from_rows(cls, names, rows) -> Table:
+        """The table of ``rows``, dicts holding at least the keys ``names``."""
+        return cls({name: [row[name] for row in rows] for name in names})
+
+    def __getitem__(self, name: str) -> Column:
+        return self.columns[name]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _block(open_, items, close, ind):
@@ -198,26 +256,14 @@ def _block(open_, items, close, ind):
     return open_ + inner + ("," + inner).join(items) + ind + close
 
 
-def _table(rows, ind):
-    """Items of a list of dicts sharing their string keys, each value a scalar,
-    or None for any other list of dicts."""
-    keys = rows[0].keys()
-    if not keys or any(type(k) is not str for k in keys) or \
-            set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
-        return None
-    names = sorted(keys)
-    try:  # rows of the same length with every key of the first share its keys
-        columns = [_column(list(map(operator.itemgetter(k), rows))) for k in names]
-    except KeyError:
-        return None
-    if None in columns:
-        return None
+def _rows(table, ind):
+    """Items of a table's list of row objects."""
     # each row is a fixed piece before each value, then the closing brace
     inner = ind + "    "
     parts = []
-    for i, (name, column) in enumerate(zip(names, columns)):
+    for i, name in enumerate(sorted(table.columns)):
         parts += [itertools.repeat(("," if i else "{") + inner + _encode_str(name) + ": "),
-                  column]
+                  table[name].json]
     parts.append(itertools.repeat(ind + "  }"))
     return list(map("".join, zip(*parts)))
 
@@ -226,7 +272,7 @@ def _matrix(rows, ind):
     """Items of a list of flat lists of scalars, or None."""
     if not all(isinstance(r, (list, tuple)) for r in rows):
         return None
-    tokens = _column([v for r in rows for v in r])
+    tokens = _tokens([v for r in rows for v in r])[0]
     if tokens is None:
         return None
     out, start, row_ind = [], 0, ind + "  "
@@ -239,13 +285,11 @@ def _matrix(rows, ind):
 
 def _items(seq, ind):
     """Encoded items of a nonempty list whose closing bracket sits at ``ind``."""
-    first = seq[0]
-    if isinstance(first, dict):
-        items = _table(seq, ind)
-    elif isinstance(first, (list, tuple)):
+    first, items = seq[0], None
+    if isinstance(first, (list, tuple)):
         items = _matrix(seq, ind)
-    else:
-        items = _column(seq)
+    elif not isinstance(first, dict):
+        items = _tokens(seq)[0]
     if items is None:
         inner = ind + "  "
         items = [_encode(v, inner) for v in seq]
@@ -261,6 +305,8 @@ def _encode(obj, ind):
         inner = ind + "  "
         return _block("{", [_encode_str(k) + ": " + _encode(plain[k], inner)
                             for k in sorted(plain)], "}", ind)
+    if isinstance(obj, Table):
+        return _block("[", _rows(obj, ind), "]", ind) if len(obj) else "[]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
         return _block("[", _items(seq, ind), "]", ind) if seq else "[]"
@@ -272,7 +318,9 @@ def _encode(obj, ind):
 
 def dump_json(obj) -> str:
     """Indent-2 JSON with sorted keys, ASCII only, and non-finite floats as the
-    strings "inf", "-inf" and "nan"; numpy scalars and arrays are accepted."""
+    strings "inf", "-inf" and "nan"; numpy scalars and arrays are accepted, and
+    a :class:`Table` is written as the list of its rows, each an object with
+    sorted keys."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -295,18 +343,15 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, dump_json(obj))
 
 
-def write_csv(path: str, header, rows) -> None:
-    """Rows are dicts keyed exactly by the nonempty header.  A column of only
-    floats prints as in ``dump_json``, with non-finite values as inf, -inf and
-    nan, and a column of only ints as ints; ``csv.writer`` prints the cells of
-    any other column as they are."""
-    header, rows = list(header), list(rows)
-    columns = [_numeric_column(col, _CSV_NAMES) or col
-               for col in (list(map(operator.itemgetter(k), rows)) for k in header)]
+def write_csv(path: str, table: Table) -> None:
+    """A header of the table's column names, in order, then one line per row.
+    A column of only floats prints as in ``dump_json``, with non-finite values
+    as inf, -inf and nan, and a column of only ints as ints; ``csv.writer``
+    prints the cells of any other column as they are."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
+    writer.writerow(table.columns)
+    writer.writerows(zip(*(column.csv for column in table.columns.values())))
     atomic_write_text(path, buf.getvalue())
 
 

@@ -69,9 +69,54 @@ class FiniteMetricSpace:
         return _frozen(1 + inserted.size - np.searchsorted(inserted, self.breaks, side="right"))
 
     @cached_property
+    def packing_intervals(self) -> tuple:
+        """Each point's membership in the strict greedy packings, as intervals.
+
+        Returns equal-length arrays (point, first, stop): point[r] is in the
+        packing of segment k for ``first[r] <= k < stop[r]``, and a point is
+        in no packing its intervals miss.  Intervals are ordered by point,
+        then by segment.  The points are taken in index order.  An earlier
+        point j blocks i on each of j's intervals from the segment
+        ``searchsorted(breaks, d(i, j))`` on, the first whose separation
+        reaches d(i, j); i's intervals are the gaps in the union of its
+        blocked ones, found by sorting them by start and a running max of
+        their stops.  A point's membership changes only a few times over all
+        the segments, so the work grows as n^2 times that count, where a
+        scan of every segment grows as K n^2.
+        """
+        m, n = self.breaks.size, self.n
+        cut = np.searchsorted(self.breaks, self.dist)
+        point, first, stop = (np.empty(n, dtype=np.intp) for _ in range(3))
+        size = 0
+        for i in range(n):
+            lo = np.maximum(first[:size], cut[i].take(point[:size]))
+            live = lo < stop[:size]
+            lo = lo[live]
+            order = lo.argsort()
+            # the gaps between the blocked intervals, [0, ...) and [..., m) included
+            free_lo = np.empty(lo.size + 1, dtype=np.intp)
+            free_hi = np.empty_like(free_lo)
+            free_lo[0], free_hi[-1] = 0, m
+            np.maximum.accumulate(stop[:size][live].take(order), out=free_lo[1:])
+            lo.take(order, out=free_hi[:-1])
+            free = free_lo < free_hi
+            end = size + np.count_nonzero(free)
+            if end > point.size:
+                point, first, stop = (np.resize(a, 2 * end) for a in (point, first, stop))
+            point[size:end] = i
+            first[size:end] = free_lo[free]
+            stop[size:end] = free_hi[free]
+            size = end
+        return tuple(_frozen(a[:size]) for a in (point, first, stop))
+
+    @cached_property
     def packs(self) -> np.ndarray:
-        """Strict greedy packing size on each segment, from one :func:`packings` scan."""
-        return _frozen(packings(self, self.breaks).sum(axis=1))
+        """Strict greedy packing size on each segment: a difference array over
+        the :attr:`packing_intervals`."""
+        _, first, stop = self.packing_intervals
+        m = self.breaks.size
+        steps = np.bincount(first, minlength=m + 1) - np.bincount(stop, minlength=m + 1)
+        return _frozen(np.cumsum(steps[:m]))
 
     def segment(self, radii) -> np.ndarray:
         """Index k of the segment [breaks[k], breaks[k+1]) holding each radius.
@@ -131,9 +176,12 @@ def build_from_distance_matrix(matrix) -> FiniteMetricSpace:
     np.fill_diagonal(D, 0.0)
     # triangle: d(i,j) <= d(i,k) + d(k,j) for every intermediate k
     tol = TRIANGLE_TOL * np.maximum(D, 1.0)
+    bound = np.empty_like(D)  # d(i, k) + d(k, j) + tol, one k at a time
+    viol = np.empty(D.shape, dtype=bool)
     for k in range(n):
-        viol = D > D[:, [k]] + D[[k], :] + tol
-        if viol.any():
+        np.add(D[:, k, None], D[k], out=bound)
+        bound += tol
+        if np.greater(D, bound, out=viol).any():
             i, j = (int(v) for v in np.argwhere(viol)[0])
             raise MetricValidationError(f"triangle violated ({i},{j}) via {k}")
     return _wrap(D)
@@ -246,63 +294,39 @@ def cover_sizes(space: FiniteMetricSpace, radii) -> np.ndarray:
     return space.covers[space.segment(radii)]
 
 
-def packings(space: FiniteMetricSpace, separations) -> np.ndarray:
-    """Greedy maximal packings at several separations, scanned in index order.
-
-    Row r of the returned (separations x n) boolean matrix marks the points
-    kept at ``separations[r]``, pairwise at distance ``> separation``.  One
-    scan over the points serves every row: point i is kept in each row
-    where no earlier kept point blocks it, and then blocks, in those rows,
-    each later point j with ``dist[j, i] <= separation``.  Those are the
-    comparisons an independent scan per separation makes, on the same
-    entries, so every row equals that scan's packing.  Column i is final
-    once the scan reaches i, so the kept points are the never-blocked ones.
-    """
-    seps = np.asarray(separations, dtype=float).reshape(-1, 1)
-    blocked = np.zeros((seps.shape[0], space.n), dtype=bool)
-    for i in range(space.n):
-        rows = np.flatnonzero(~blocked[:, i])
-        blocked[rows, i + 1:] |= ~(space.dist[i + 1:, i] > seps[rows])
-    return ~blocked
-
-
 def greedy_packing(space: FiniteMetricSpace, separation: float) -> list[int]:
-    """Greedy maximal packing at one separation; see :func:`packings`."""
-    return np.flatnonzero(packings(space, [separation])[0]).tolist()
+    """Greedy maximal packing at one separation: the points, taken in index
+    order, kept when no kept point lies within ``separation`` of them, read
+    from the :attr:`~FiniteMetricSpace.packing_intervals` at
+    ``segment(separation)``.  The kept points are pairwise at distance
+    ``> separation``; a negative or NaN separation raises ``ValueError``."""
+    k = space.segment(separation)
+    point, first, stop = space.packing_intervals
+    return point[(first <= k) & (k < stop)].tolist()
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    """Certified sandwich around the covering number N(T, d, radius)."""
-
-    radius: float
-    greedy_cover_size: int
-    packing_size: int
-    certified_bounds: tuple
-
-
-def covering_table(space: FiniteMetricSpace, radii) -> list[CoveringReport]:
+def covering_table(space: FiniteMetricSpace, radii) -> dict[str, np.ndarray]:
     """Greedy cover (upper bound) and packing (lower bound) at each radius.
 
-    ``certified_bounds = (packing at separation 2*radius, greedy cover size)``
-    brackets the exact covering number: points pairwise further than
-    ``2*radius`` apart cannot share one closed ball.  Every count is a
-    lookup in the space's scale table.
+    Returns the columns ``radius``, ``greedy_cover_size``, ``packing_size``,
+    ``lower_bound`` and ``upper_bound``, one entry per radius.  The bounds
+    bracket the exact covering number: ``lower_bound`` is the packing at
+    separation ``2*radius``, since points pairwise further than ``2*radius``
+    apart cannot share one closed ball, and ``upper_bound`` is the greedy
+    cover size (the same array as ``greedy_cover_size``).  Every count is a
+    lookup in the space's scale table.  Radius 0 counts the distinct points;
+    a negative or NaN radius raises ``ValueError``.
     """
     radii = np.array(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise ValueError("radius must be positive")
-    k, k2 = space.segment(radii), space.segment(2.0 * radii)
-    return [CoveringReport(radius=r, greedy_cover_size=upper, packing_size=packing,
-                           certified_bounds=(lower, upper))
-            for r, upper, packing, lower in zip(radii.tolist(), space.covers[k].tolist(),
-                                                space.packs[k].tolist(),
-                                                space.packs[k2].tolist())]
+    k = space.segment(radii)
+    covers = space.covers[k]
+    return {"radius": radii, "greedy_cover_size": covers, "packing_size": space.packs[k],
+            "lower_bound": space.packs[space.segment(2.0 * radii)], "upper_bound": covers}
 
 
-def covering_number(space: FiniteMetricSpace, radius: float) -> CoveringReport:
-    """:func:`covering_table` at one radius."""
-    return covering_table(space, [radius])[0]
+def covering_number(space: FiniteMetricSpace, radius: float) -> dict:
+    """:func:`covering_table` at one radius, as one row of Python scalars."""
+    return {name: column[0].item() for name, column in covering_table(space, [radius]).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +354,13 @@ def entropy_integral(space: FiniteMetricSpace, delta: float) -> float:
     return float(np.cumsum(terms)[-1])  # cumsum adds strictly left to right
 
 
-def modulus_entropy_diagnostic(space: FiniteMetricSpace):
-    """Table of (delta, delta * sqrt(log2 N^(delta-))) over distinct distances.
+def modulus_entropy_diagnostic(space: FiniteMetricSpace) -> dict[str, np.ndarray]:
+    """Columns ``delta`` and ``delta_sqrt_log_cover`` = delta * sqrt(log2 N^(delta-))
+    over the distinct distances.
 
     N^(delta-) is the greedy cover size just below delta, so the row at the
-    diameter reports the last nontrivial scale.  An empty table for
-    singleton spaces.
+    diameter reports the last nontrivial scale.  Empty columns for singleton
+    spaces.
     """
     deltas = space.breaks[1:]
-    return list(zip(deltas.tolist(), (deltas * sqrt_log2(space.covers[:-1])).tolist()))
+    return {"delta": deltas, "delta_sqrt_log_cover": deltas * sqrt_log2(space.covers[:-1])}

@@ -4,8 +4,8 @@ The 3-point space {0, 1, 3} on the line is small enough for exhaustive
 simplex grid search with hand-derived closed forms: for weights
 (w0, w1, w2) the one-point integrals are piecewise sums over the distance
 gaps seen from each point.  The sequential greedy scans at the end, one
-separation or radius at a time, are the references for the batched cover
-and packing kernels of ``metric_core``, ``SigmaReference``, one distance
+separation or radius at a time, are the references for the cover sizes
+and the packing intervals of ``metric_core``, ``SigmaReference``, one distance
 row at a time, is the reference for the dense ``SigmaEvaluator``;
 ``sigma_profile_reference``, ``jacobian_reference`` and
 ``nu_average_reference``, the dense kernels as first written (boolean

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from chainscope import cli
 from chainscope import io as chainscope_io
 from chainscope.cli import data_instance_path, main, replay_manifest, validate_envelope
+
+BUNDLED = sorted(os.listdir(os.path.dirname(data_instance_path("two_point.json"))))
 
 
 def run(tmp_path, *argv, sub="run"):
@@ -261,6 +264,46 @@ class TestAnalyze:
                                str(tmp_path / "replay")) == 0
         assert (tmp_path / "replay" / "analyze_report.json").read_bytes() == \
             (tmp_path / "default" / "analyze_report.json").read_bytes()
+
+
+    def test_subnormal_smallest_distance_runs(self, tmp_path):
+        # half of 5e-324 underflows to 0.0: the first row, in segment 0, is
+        # written at radius 0 with segment 0's counts
+        data = [[0, 5e-324, 1], [5e-324, 0, 1], [1, 1, 0]]
+        path = write_instance(tmp_path, {"name": "sub", "metric": {"type": "matrix",
+                                                                   "data": data}})
+        code, out = run(tmp_path, "analyze", "--instance", path)
+        assert code == 0
+        first = read_report(out, "analyze")["payload"]["covering"][0]
+        assert first == {"radius": 0.0, "greedy_cover_size": 3, "packing_size": 3,
+                         "lower_bound": 3, "upper_bound": 3}
+        assert (out / "analyze_covering.csv").read_text().splitlines()[1] == "0.0,3,3,3,3"
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_tables_are_the_sequential_scans(self, tmp_path, name):
+        # the report and the CSV, byte for byte, from rows that the sequential
+        # cover and packing scans give and the reference encoders write
+        path = data_instance_path(name)
+        code, out = run(tmp_path, "analyze", "--instance", path)
+        assert code == 0
+        sp = chainscope_io.space_from_instance(chainscope_io.load_instance(path))
+        ds = oracles.distinct_distances_reference(sp)
+        rows = [{"radius": r, "greedy_cover_size": oracles.cover_size_reference(sp, r),
+                 "packing_size": len(oracles.greedy_packing_reference(sp, r)),
+                 "lower_bound": len(oracles.greedy_packing_reference(sp, 2.0 * r)),
+                 "upper_bound": oracles.cover_size_reference(sp, r)}
+                for r in [ds[0] / 2.0, *ds]]
+        report = read_report(out, "analyze")
+        payload = {"n": sp.n, "diam": sp.diam, "covering": rows,
+                   "dudley": oracles.entropy_integral_reference(sp, sp.diam),
+                   "entropy_table": [{"delta": d, "delta_sqrt_log_cover": v} for d, v in
+                                     oracles.modulus_entropy_diagnostic_reference(sp)]}
+        if "measure" in report["payload"]:  # not built from the scans
+            payload["measure"] = report["payload"]["measure"]
+        envelope = {"schema_version": cli.SCHEMA_VERSION, "command": "analyze",
+                    "instance": report["instance"], "payload": payload, "warnings": []}
+        assert (out / "analyze_report.json").read_text() == oracles.dump_json_reference(envelope)
+        assert (out / "analyze_covering.csv").read_text() == oracles.csv_reference(rows[0], rows)
 
 
 class TestBounds:

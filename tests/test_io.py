@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from chainscope.cli import data_instance_path, main
-from chainscope.io import dump_json, write_csv
+from chainscope.io import Table, dump_json, write_csv
 
 NON_FINITE = {math.inf: "inf", -math.inf: "-inf"}
 
@@ -72,7 +72,7 @@ def test_json_round_trip_keeps_finite_bits_and_names_non_finite(x):
 def test_csv_writes_the_json_strings(tmp_path_factory, values):
     header = [f"c{i}" for i in range(len(values))]
     path = tmp_path_factory.mktemp("csv") / "row.csv"
-    write_csv(str(path), header, [dict(zip(header, values))])
+    write_csv(str(path), Table({name: [v] for name, v in zip(header, values)}))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     # dump_json puts each item of a flat list on a line of its own
@@ -169,18 +169,68 @@ def test_dump_json_bytes_match_the_standard_encoder(x):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(texts | st.integers(0, 9), min_size=1, max_size=4), st.integers(0, 300),
-       st.integers(0, 2 ** 32), st.integers(0, 3), st.data())
+@given(st.lists(texts | st.integers(0, 9).map(str), min_size=1, max_size=4, unique=True),
+       st.integers(0, 300), st.integers(0, 2 ** 32), st.integers(0, 3), st.data())
 def test_write_csv_bytes_match_dict_writer(tmp_path_factory, header, length, seed, specials,
                                            data):
+    # a table names each column once, so the header has no repeated name
     kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=len(header),
                                max_size=len(header)))
     rows = [dict(zip(header, row.values()))
             for row in (_table(kinds, length, seed, specials, None) if length else [])]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    write_csv(str(path), header, rows)
+    write_csv(str(path), Table.from_rows(header, rows))
     with open(path, newline="", encoding="utf-8") as fh:
         assert fh.read() == oracles.csv_reference(header, rows)
+
+
+table_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                         special_floats)
+TABLE_COLUMNS = {  # a column of n values of one kind
+    "float": lambda n: st.lists(table_floats, min_size=n, max_size=n),
+    "float array": lambda n: st.lists(table_floats, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=float)),
+    "int": lambda n: st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
+    "int array": lambda n: st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n,
+                                    max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+}
+
+
+@st.composite
+def shared_tables(draw):
+    """(table, its columns' values) of two tables: columns of floats (with
+    non-finite ones) and of ints, as lists and as arrays, with no rows, one
+    row or more.  The second table's first column is a slice of a column of
+    the first, and two of its names are given one list."""
+    length = draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+    names = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    first = {name: draw(TABLE_COLUMNS[draw(st.sampled_from(sorted(TABLE_COLUMNS)))](length))
+             for name in names}
+    table = Table(first)
+    shared = draw(st.sampled_from(names))
+    start = draw(st.integers(0, length))
+    ints = list(range(length - start))
+    second = {"shared": first[shared][start:], "ints": ints, "same ints": ints}
+    return [(table, first),
+            (Table({**second, "shared": table[shared][start:]}), second)]
+
+
+def _row_dicts(columns):
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_tables())
+def test_tables_write_the_bytes_of_their_rows(tmp_path_factory, tables):
+    rows = [_row_dicts(columns) for _, columns in tables]
+    assert dump_json({"a": tables[0][0], "b": [tables[1][0]]}) == \
+        oracles.dump_json_reference({"a": rows[0], "b": [rows[1]]})
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    for (table, columns), table_rows in zip(tables, rows):
+        assert len(table) == len(table_rows)
+        write_csv(str(path), table)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert fh.read() == oracles.csv_reference(list(columns), table_rows)
 
 
 BUNDLED = sorted(os.listdir(os.path.dirname(data_instance_path("two_point.json"))))

@@ -11,8 +11,7 @@ from chainscope import (MetricValidationError, build_from_distance_matrix, build
                         entropy_integral, modulus_entropy_diagnostic, sudakov_bound)
 from chainscope import metric_core
 from chainscope.metric_core import (build_from_covariance, cover_sizes, covering_number,
-                                    covering_table, greedy_packing, greedy_permutation,
-                                    packings)
+                                    covering_table, greedy_packing, greedy_permutation)
 
 from conftest import integer_l1_space, random_covariance, random_space
 from oracles import (cover_size_reference, distinct_distances_reference,
@@ -149,8 +148,7 @@ class TestCovering:
                 rad = frac * sp.diam
                 rep = covering_number(sp, rad)
                 exact = exact_covering_number(sp, rad)
-                lo, hi = rep.certified_bounds
-                assert lo <= exact <= hi
+                assert rep["lower_bound"] <= exact <= rep["upper_bound"]
 
     def test_greedy_tie_break_lowest_index(self):
         # square: after center 0 the farthest points 1 and 2 tie at distance 1
@@ -206,14 +204,19 @@ class TestEntropyIntegral:
 
     def test_diagnostic_rows(self):
         sp = build_from_distance_matrix([[0, 1], [1, 0]])
-        rows = modulus_entropy_diagnostic(sp)
-        assert rows == [(1.0, 1.0)]
+        assert _diagnostic_rows(sp) == [(1.0, 1.0)]
 
     def test_singleton_all_trivial(self):
         sp = build_from_distance_matrix([[0.0]])
         assert sp.diam == 0.0
         assert float(entropy_integral(sp, 1.0)) == 0.0
-        assert modulus_entropy_diagnostic(sp) == []
+        assert _diagnostic_rows(sp) == []
+
+
+def _diagnostic_rows(sp):
+    """The rows of :func:`modulus_entropy_diagnostic`'s columns."""
+    columns = modulus_entropy_diagnostic(sp)
+    return list(zip(columns["delta"].tolist(), columns["delta_sqrt_log_cover"].tolist()))
 
 
 def _same(got, want):
@@ -231,7 +234,7 @@ class TestArrayBoundsMatchLoops:
         deltas = [1.0] if ds.size == 0 else [ds[0] / 2.0, *ds, sp.diam, 10.0 * sp.diam]
         for delta in deltas:
             _same(entropy_integral(sp, delta), entropy_integral_reference(sp, delta))
-        _same(modulus_entropy_diagnostic(sp), modulus_entropy_diagnostic_reference(sp))
+        _same(_diagnostic_rows(sp), modulus_entropy_diagnostic_reference(sp))
         _same(sudakov_bound(sp), sudakov_bound_reference(sp))
 
     @given(bound_spaces())
@@ -252,8 +255,17 @@ class TestArrayBoundsMatchLoops:
         sp = build_from_distance_matrix(D)
         self._check(sp)
         assert entropy_integral(sp, 1.0) == 0.0
-        assert modulus_entropy_diagnostic(sp) == []
+        assert _diagnostic_rows(sp) == []
         assert sudakov_bound(sp) == (0.0, (0.0, 1))
+
+
+# scale-table cases: a 3 x 2 grid under l1 (many tied distances), coincident
+# points, and points on a line where point 7 enters and leaves the packing
+# five times as the separation grows
+GRID = np.array([[x, y] for x in range(3) for y in range(2)], dtype=float)
+TIED = build_from_distance_matrix(cdist(GRID, GRID, "cityblock"))
+COINCIDENT = build_from_points([[0.0], [1.0], [0.0], [1.0], [3.0], [0.0]])
+TOGGLING = build_from_points([[6.0], [33.0], [48.0], [52.0], [39.0], [1.0], [55.0], [56.0]])
 
 
 class TestBatchedKernels:
@@ -262,13 +274,18 @@ class TestBatchedKernels:
     def test_match_sequential_scans(self, sp):
         ds = sp.breaks[1:]
         radii = np.concatenate([[0.0], ds, ds / 2.0, 2.0 * ds])
-        rows = packings(sp, radii)
-        assert rows.shape == (radii.size, sp.n)
-        for r, row in zip(radii, rows):
-            assert np.flatnonzero(row).tolist() == greedy_packing_reference(sp, r)
+        for r in radii:
+            assert greedy_packing(sp, r) == greedy_packing_reference(sp, r)
         assert cover_sizes(sp, radii).tolist() == [cover_size_reference(sp, r) for r in radii]
 
+    def test_toggling_case_toggles(self):
+        point, _, _ = TOGGLING.packing_intervals
+        assert np.count_nonzero(point == 7) == 5
+
     @given(st.one_of(integer_metrics(), l1_metrics()))
+    @example(TIED)
+    @example(COINCIDENT)
+    @example(TOGGLING)
     @settings(max_examples=100, deadline=None)
     def test_scale_table_matches_sequential_scans(self, sp):
         # each column is constant on [breaks[k], breaks[k+1]): check it at
@@ -299,7 +316,7 @@ class TestBatchedKernels:
         assert sp.breaks.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert sp.covers.tolist() == [3, 2, 2, 1]
         assert sp.packs.tolist() == [3, 2, 2, 1]
-        for column in (sp.breaks, sp.covers, sp.packs):
+        for column in (sp.breaks, sp.covers, sp.packs, *sp.packing_intervals):
             assert not column.flags.writeable
 
     def test_lookup_rejects_negative_radius(self):
@@ -310,16 +327,23 @@ class TestBatchedKernels:
 
     def test_covering_table_matches_sequential_scans(self):
         sp = random_space(np.random.default_rng(11), 11)
-        radii = [0.1 * sp.diam, 0.25 * sp.diam, 0.5 * sp.diam]
-        for rep, r in zip(covering_table(sp, radii), radii):
-            assert rep.packing_size == len(greedy_packing_reference(sp, r))
-            assert rep.certified_bounds == (len(greedy_packing_reference(sp, 2.0 * r)),
-                                            cover_size_reference(sp, r))
+        radii = [0.0, 0.1 * sp.diam, 0.25 * sp.diam, 0.5 * sp.diam]
+        table = covering_table(sp, radii)
+        assert list(table) == ["radius", "greedy_cover_size", "packing_size", "lower_bound",
+                               "upper_bound"]
+        assert table["radius"].tolist() == radii
+        assert table["packing_size"].tolist() == [len(greedy_packing_reference(sp, r))
+                                                  for r in radii]
+        assert table["lower_bound"].tolist() == [len(greedy_packing_reference(sp, 2.0 * r))
+                                                 for r in radii]
+        covers = [cover_size_reference(sp, r) for r in radii]
+        assert table["greedy_cover_size"].tolist() == table["upper_bound"].tolist() == covers
 
-    def test_covering_table_rejects_nonpositive_radius(self):
+    def test_covering_table_rejects_negative_radius(self):
         sp = build_from_points([[0.0], [1.0]])
-        with pytest.raises(ValueError, match="positive"):
-            covering_table(sp, [0.5, 0.0])
+        for bad in (-1e-300, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                covering_table(sp, [0.5, bad])
 
 
 @st.composite
