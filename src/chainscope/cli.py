@@ -362,7 +362,10 @@ def _flag_dict(args) -> dict:
 
 
 def run_command(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise InstanceError(f"--out {args.out!r}: {exc.strerror}") from None
     outputs = _Outputs(args.out)
     start = time.monotonic()
 

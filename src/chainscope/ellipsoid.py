@@ -114,21 +114,16 @@ def _snap_to_net(cloud: np.ndarray, h: float):
 
     Row 0 is the first center.  The rest go in chunks of ``SNAP_CHUNK``
     rows.  A row within h of a center from an earlier chunk snaps to the
-    nearest one, read off one distance matrix.  The other rows go in order:
-    each snaps to its nearest center if that is within h, and becomes a new
-    center otherwise.  Those rows carry their nearest new center and its
-    distance, updated once per new center from its distances to the later
-    rows (strict ``<``, so ties keep the earlier center).
-
-    Distances to single centers come from ``_distances_to``, which sums the
-    squares as ``np.linalg.norm`` does: in order below 8 coordinates,
-    pairwise from 8 on (``_pairwise_sum``).  The distance matrix sums them in
-    order.  The two can round one distance to opposite sides of h, so the
-    rows the matrix puts within a few roundings above h also take their
-    nearest earlier center in the pairwise sum.
+    nearest one, read off one distance matrix, even where its own chunk
+    makes a nearer center, so the counts depend on ``SNAP_CHUNK``.  The
+    other rows go in order: each snaps to its nearest center if that is
+    within h, and becomes a new center otherwise.  Those rows carry their
+    nearest new center and its distance, updated once per new center from
+    its distances to the later rows (strict ``<``, so ties keep the earlier
+    center).  Every distance adds the squared differences in coordinate
+    order, as ``euclidean_distances`` and scipy's ``cdist`` do.
     """
     n, dim = cloud.shape
-    band = h * (1.0 + (dim + 2) * np.finfo(float).eps)
     centers = np.empty_like(cloud)
     counts = np.zeros(n)
     centers[0] = cloud[0]
@@ -137,18 +132,13 @@ def _snap_to_net(cloud: np.ndarray, h: float):
     for lo in range(1, n, SNAP_CHUNK):
         block = cloud[lo:lo + SNAP_CHUNK]
         d = euclidean_distances(block, centers[:m])
-        d_near, snap = d.min(axis=1), d.argmin(axis=1)
-        near = d_near <= h
-        np.add.at(counts, snap[near], 1)
+        near = d.min(axis=1) <= h
+        np.add.at(counts, d.argmin(axis=1)[near], 1)
         rows = np.ascontiguousarray(block[~near].T)  # one coordinate per row
         k = rows.shape[1]
-        sq = np.empty((dim, max(m, k)))
-        best = np.full(k, np.inf)  # nearest center's distance so far
+        sq = np.empty((dim, k))
+        best = np.full(k, np.inf)  # nearest new center's distance so far
         owner = np.zeros(k, dtype=int)
-        for r in np.flatnonzero(d_near[~near] <= band):
-            d_old = _distances_to(centers[:m].T, rows[:, r], sq)
-            owner[r] = np.argmin(d_old)
-            best[r] = d_old[owner[r]]
         for r in range(k):
             if best[r] > h:  # rows[:, r] is farther than h from every center
                 centers[m] = rows[:, r]
@@ -164,41 +154,16 @@ def _snap_to_net(cloud: np.ndarray, h: float):
 
 def _distances_to(points: np.ndarray, x: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """Euclidean distances from x to the columns of ``points`` (one
-    coordinate per row), bit for bit ``np.linalg.norm(P - x, axis=1)`` on
-    the C-contiguous rows P of ``points.T``.  The squared differences go
-    into ``sq`` (at least as many columns as ``points``), and the result is
-    a view of its first row."""
+    coordinate per row), bit for bit ``euclidean_distances``.  The squared
+    differences go into ``sq`` (at least as many columns as ``points``) and
+    are added in coordinate order into its first row; the result is a view
+    of that row."""
     sq = sq[:, :points.shape[1]]
     np.subtract(points, x[:, None], out=sq)
     np.multiply(sq, sq, out=sq)
-    return np.sqrt(_pairwise_sum(sq), out=sq[0])
-
-
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``a`` in numpy's order for adding a contiguous run
-    (the row reduction inside ``np.linalg.norm(..., axis=1)``), into ``a[0]``
-    in place.  Below 8 rows the sum runs in order.  Up to 128, eight running
-    sums take every eighth row, are combined as ((0+1)+(2+3))+((4+5)+(6+7)),
-    and the rows past the last multiple of 8 follow in order.  Above 128 the
-    rows split at half their number, rounded down to a multiple of 8, and
-    the two halves' sums are added."""
-    n = len(a)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        np.add(_pairwise_sum(a[:half]), _pairwise_sum(a[half:]), out=a[0])
-        return a[0]
-    if n >= 8:
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            a[:8] += a[i:i + 8]
-        a[0:8:2] += a[1:8:2]
-        a[0:8:4] += a[2:8:4]
-        a[0] += a[4]
-    else:
-        tail = 1
-    for i in range(tail, n):
-        a[0] += a[i]
-    return a[0]
+    for row in sq[1:]:
+        sq[0] += row
+    return np.sqrt(sq[0], out=sq[0])
 
 
 def gap_lower_bound_check(spec: EllipsoidSpec, i: int, n_samples: int, seed: int):

@@ -82,6 +82,8 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0) -> Parti
     holds.  Carving stops after ceil(log_r(diam / smallest distance)) + 4
     levels (3 if all points coincide), by which only coincident points can
     still share a cell, with a warning that names the largest leaf left.
+    Where the ratio overflows, log_r(diam) - log_r(smallest distance) takes
+    its place.
     """
     if r <= 1.0:
         raise ValueError("r must be > 1")
@@ -95,7 +97,12 @@ def build_partition(space: FiniteMetricSpace, F_oracle, r: float = 4.0) -> Parti
         return PartitionTree(space=space, r=float(r), levels=levels)
 
     if space.breaks.size > 1:  # breaks[1] is the smallest positive distance
-        last_level = int(math.ceil(math.log(space.diam / float(space.breaks[1]), r))) + 4
+        ratio = space.diam / float(space.breaks[1])
+        if ratio == math.inf:  # a subnormal smallest distance
+            depth = math.log(space.diam, r) - math.log(float(space.breaks[1]), r)
+        else:
+            depth = math.log(ratio, r)
+        last_level = int(math.ceil(depth)) + 4
     else:
         last_level = 3
 

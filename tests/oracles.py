@@ -29,7 +29,7 @@ forms in ``metric_core`` and ``gaussian_lab``.  ``dump_json_reference``,
 the standard library's indent-2 encoder over a separate conversion walk,
 and ``csv_reference``, a ``csv.DictWriter`` fed one converted value at a
 time, are the byte references for the column-wise writers of ``io``.
-``snap_to_net_reference``, one norm over all centers per unsnapped row, is
+``snap_to_net_reference``, one ``cdist`` row over all centers per unsnapped row, is
 the reference for the incremental net snapping of ``ellipsoid``.
 ``exact_covering_number``, an exhaustive set cover for n <=
 ``EXACT_COVER_MAX_N``, is the truth the certified covering sandwich of
@@ -631,7 +631,7 @@ def snap_to_net_reference(cloud, h, chunk=2048):
 
     Rows of each chunk within h of a center from an earlier chunk snap to
     the nearest one (one ``cdist`` matrix); every other row takes one
-    ``np.linalg.norm`` over all the centers so far.
+    ``cdist`` row over all the centers so far.
     """
     from scipy.spatial.distance import cdist
 
@@ -648,7 +648,7 @@ def snap_to_net_reference(cloud, h, chunk=2048):
         snap = d.argmin(axis=1)
         np.add.at(center_counts, snap[near], 1)
         for x in block[~near]:  # sequential: new centers may absorb later rows
-            d2 = np.linalg.norm(centers[:m] - x, axis=1)
+            d2 = cdist(x[None], centers[:m])[0]
             j = int(np.argmin(d2))
             if d2[j] <= h:
                 center_counts[j] += 1

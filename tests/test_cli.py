@@ -205,6 +205,14 @@ class TestNumericErrors:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        code = main(["ellipsoid", "--axes", "1,0.5", "--out", str(tmp_path / "taken")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and "File exists" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 class TestAnalyze:
     def test_two_point_closed_form(self, tmp_path):
         code, out = run(tmp_path, "analyze", "--instance",
@@ -359,6 +367,16 @@ class TestPartitionCommand:
         assert p["chained_uniform"] == pytest.approx(1.0)
         assert p["lower_bound"]["induction_sum"] == pytest.approx(0.25)
         assert (out / "partition_audit.csv").exists()
+
+    def test_subnormal_smallest_distance_runs(self, tmp_path):
+        # diam / 5e-324 overflows, and the depth bound still comes out finite
+        data = [[0, 5e-324, 1], [5e-324, 0, 1], [1, 1, 0]]
+        path = write_instance(tmp_path, {"name": "sub", "metric": {"type": "matrix",
+                                                                   "data": data}})
+        code, out = run(tmp_path, "partition", "--instance", path, "--samples", "100")
+        assert code == 0
+        env = read_report(out, "partition")
+        assert env["payload"]["depth"] == 537 and env["warnings"] == []
 
 
 class TestDuality:

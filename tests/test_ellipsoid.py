@@ -11,6 +11,7 @@ from chainscope import ellipsoid, ellipsoid_report, esup_check, gap_lower_bound_
 from chainscope.ellipsoid import _argmax_cloud, _snap_to_net, empirical_measure
 from chainscope.gaussian_lab import standard_normal_block
 from chainscope.measures import SigmaEvaluator, functional_M
+from chainscope.metric_core import euclidean_distances
 
 from oracles import nu_average_reference, sigma_profile_reference, snap_to_net_reference
 
@@ -187,53 +188,40 @@ class TestSnapToNet:
         assert counts.tolist() == [1.0, 2.0, 1.0]
         assert snap_to_net_reference(cloud, 1.0)[1].tolist() == counts.tolist()
 
-    def test_sums_that_round_to_both_sides_of_h(self):
-        # From 8 coordinates on, np.linalg.norm sums squares pairwise and the
-        # distance matrix sums them in order.  Put a row of a later chunk at
-        # a distance the matrix rounds above h and the norm rounds onto h:
-        # the reference snaps it to the first center.
-        rng = np.random.default_rng(0)
-        origin = np.zeros((1, 8))
-        for x in rng.standard_normal((10000, 8)):
-            in_order = ellipsoid.euclidean_distances(x[None], origin)[0, 0]
-            pairwise = np.linalg.norm(x[None], axis=1)[0]  # the reference's arithmetic
-            if in_order > pairwise:
-                break
-        else:
-            pytest.fail("no row whose two sums round apart")
-        cloud = np.vstack([np.zeros((ellipsoid.SNAP_CHUNK + 1, 8)), x])
-        centers, counts = _snap_to_net(cloud, pairwise)
-        want = snap_to_net_reference(cloud, pairwise)
-        assert centers.tobytes() == want[0].tobytes()
-        assert counts.tolist() == want[1].tolist() == [len(cloud)]
-
-    def test_distances_sum_squares_as_the_norm_does(self):
-        # np.linalg.norm sums in order below 8 coordinates, with eight running
-        # sums up to 128 (the rest after the last multiple of 8 in order), and
-        # by halves above 128
+    def test_distances_add_squares_in_coordinate_order(self):
         rng = np.random.default_rng(3)
         sq = np.empty((513, 50))
         for dim in [*range(1, 140), *range(200, 514)]:
-            # the norm sums a C-contiguous row pairwise, as _snap_to_net's
-            # reference does
             points = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10.0, dim)
             x = rng.standard_normal(dim)
             got = ellipsoid._distances_to(points.T, x, sq[:dim])
-            assert got.tobytes() == np.linalg.norm(points - x, axis=1).tobytes(), dim
+            assert got.tobytes() == euclidean_distances(points, x[None])[:, 0].tobytes(), dim
+
+    def test_distances_sum_squares_as_the_norm_does(self):
+        # np.linalg.norm sums fewer than 8 squares in order, so ellipsoid
+        # reports below 8 axes keep the bytes of a norm-based net
+        rng = np.random.default_rng(4)
+        sq = np.empty((7, 50))
+        for dim in range(1, 8):
+            for _ in range(50):
+                points = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10.0, dim)
+                x = rng.standard_normal(dim)
+                got = ellipsoid._distances_to(points.T, x, sq[:dim])
+                assert got.tobytes() == np.linalg.norm(points - x, axis=1).tobytes(), dim
 
     @pytest.mark.parametrize("dim", [8, 9, 16, 130, 139, 300])
     @pytest.mark.parametrize("chunk", [50, 2048])
     def test_wide_clouds_match_row_by_row_reference(self, dim, chunk):
-        # the property below stops at 12 axes
+        # the property below stops at 16 axes
         rng = np.random.default_rng(dim)
-        # h is the norm of a difference x that an in-order sum of squares
+        # h is the in-order distance of a difference x whose pairwise norm
         # rounds above h: rows 1 and 2, far from row 0, make a new center and
         # a row that snaps to it at distance exactly h
         scale = 0.3 * math.sqrt(2.0 / dim)
         while True:
             x = scale * rng.standard_normal(dim)
-            h = float(np.linalg.norm(x[None], axis=1)[0])  # the reference's arithmetic
-            if math.sqrt(sum(float(v) ** 2 for v in x)) > h:
+            h = float(euclidean_distances(x[None], np.zeros((1, dim)))[0, 0])
+            if np.linalg.norm(x[None], axis=1)[0] > h:
                 break
         # then 30 clusters whose members lie up to about h apart, so that rows
         # snap to centers of earlier chunks, to new centers, and make new ones
@@ -247,7 +235,7 @@ class TestSnapToNet:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         assert got[1][1] >= 2 and 30 < len(got[0]) < 300
 
-    @given(axes=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=12),
+    @given(axes=st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=16),
            samples=st.integers(min_value=1, max_value=600),
            h_frac=st.floats(min_value=0.01, max_value=1.5),
            chunk=st.sampled_from([1, 7, 64, 2048]),
