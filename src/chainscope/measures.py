@@ -17,6 +17,7 @@ the log; they are kept separate and never mixed inside one computation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,62 +90,80 @@ _TINY = np.finfo(float).tiny
 
 
 class SigmaEvaluator:
-    """Exact sigma profiles for one (space, delta, mode, q), and their
-    gradients in gaussian-log mode.
+    """Exact sigma profiles for one space, mode and q at one or several
+    truncations delta, and their gradients in gaussian-log mode.
 
-    Dense row layout: row t of the n x n arrays ``order`` (stable argsort of
-    ``dist[t]``) and ``gaps`` (the length of [r_j, r_{j+1}) clipped to
-    delta, r_j the j-th sorted distance) describe the balls around t, and
-    ``live`` marks the intervals of positive length.  ``order`` comes from
-    numpy's default (SIMD) argsort, and the rows with two equal distances
-    are sorted again with ``kind="stable"``, so tied points stay in index
-    order; ``gaps`` are read off ``np.sort`` of the rows, which does not
-    depend on how ties are ordered.  A gap is 0 inside a
-    block of tied distances, so a cumulative weight counts as a ball mass
-    only at the end of its block.  The first ``jacobian`` call also keeps
-    ``_gather``, the flat index that reads each row's suffix sums back in
-    point order; evaluators that never differentiate do not build it.
+    Dense row layout: row t of the space's ``order`` (the stable argsort of
+    ``dist[t]``, :attr:`FiniteMetricSpace.order`) and of a delta's n x n
+    ``gaps`` table (the length of [r_j, r_{j+1}) clipped to delta, r_j the
+    j-th sorted distance) describe the balls around t, and its ``live``
+    table marks the intervals of positive length.  ``gaps`` are read off
+    the space's ``sorted_rows()`` (``np.sort`` of the rows), which do not
+    depend on how ties are ordered; the space computes ``order`` once, for
+    all its evaluators, from the first evaluator's sorted rows.
+    A gap is 0 inside a block of tied distances, so a cumulative weight
+    counts as a ball mass only at the end of its block.  ``delta`` is one
+    truncation or a sequence of them, ``deltas`` the truncations kept, one
+    table per entry; ``delta``, ``gaps`` and ``live`` are the first
+    entry's, the only one of a one-delta evaluator.  The first
+    ``jacobian`` call also keeps ``_gather``, the flat index that reads
+    each row's suffix sums back in point order; evaluators that never
+    differentiate do not build it.
 
     ``masses``, ``profile``, ``jacobian`` and ``m_self_grad`` take a
     (lanes x n) weight matrix, one measure per row, and give one result per
     lane; a 1-D weight vector is one lane and gets results without the lane
-    axis.  Every lane's result is bit for bit that of a call on its row
-    alone: the (lanes, n, n) arrays are C-contiguous (the ball masses come
-    from ``w.take(order, axis=-1)``), so ``matmul`` dots contiguous rows
-    with the BLAS dot of a one-lane call (BLAS may add strided rows in
-    another order), and ``w J`` is the same gemv as a lane's ``J.T @ w``.
-    ``profile``, ``jacobian`` and ``m_self_grad`` take the ``masses`` of the
-    same weights when the caller has them, so an iterate's ball masses and
-    integrand values are computed once.  Memory is O(n^2) per evaluator and
-    O(lanes * n^2) per call.  ``delta`` is truncated at the diameter: the
-    functionals treat delta >= diam and delta = infinity as identical.
+    axis.  ``d``, one index into ``deltas`` per lane, picks the table each
+    lane reads, the first when it is None.  Every lane's result is bit for
+    bit that of a call on its row alone at its delta: the (lanes, n, n)
+    arrays are C-contiguous (the ball masses come from ``w.take(order,
+    axis=-1)``), so ``matmul`` dots contiguous rows with the BLAS dot of a
+    one-lane call (BLAS may add strided rows in another order), and ``w J``
+    is the same gemv as a lane's ``J.T @ w``.  Lanes that share a delta
+    read its table as a view; lanes at several deltas read a copy gathered
+    per lane.  ``profile``, ``jacobian`` and ``m_self_grad`` take the
+    ``masses`` of the same weights when the caller has them, so an
+    iterate's ball masses and integrand values are computed once.  Memory
+    is O(k * n^2) per evaluator of k deltas and O(lanes * n^2) per call.
+    Each delta is truncated at the diameter: the functionals treat delta >=
+    diam and delta = infinity as identical.
     """
 
-    def __init__(self, space: FiniteMetricSpace, delta: float | None = None,
+    def __init__(self, space: FiniteMetricSpace, delta: float | Sequence[float] | None = None,
                  mode: str = GAUSSIAN_LOG, q: float = 2.0):
         self.space = space
         self.mode = mode
         self.f = _integrand(mode, q)
-        d = space.diam if delta is None else min(delta, space.diam)
-        self.delta = max(float(d), 0.0)
-        dist = space.dist
-        self.order = np.argsort(dist, axis=1)
-        sd = np.sort(dist, axis=1)
-        # only a row with two equal distances can come out of the unstable
-        # sort in another order than the stable one
-        tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
-        if tied.size:
-            self.order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
-        self.gaps = np.empty_like(sd)
-        np.minimum(sd[:, 1:], self.delta, out=self.gaps[:, :-1])
-        self.gaps[:, -1] = self.delta
-        self.gaps -= sd
-        np.maximum(self.gaps, 0.0, out=self.gaps)
-        self.live = self.gaps > 0
-        self._dead = ~self.live
+        deltas = [delta] if delta is None or np.ndim(delta) == 0 else delta
+        self.deltas = [max(float(space.diam if d is None else min(d, space.diam)), 0.0)
+                       for d in deltas]
+        self.delta = self.deltas[0]
+        sd = space.sorted_rows()
+        self.order = space.order
+        # one (n, n) table per delta, stacked
+        self._gaps = np.empty((len(self.deltas),) + sd.shape)
+        for g, d in zip(self._gaps, self.deltas):
+            np.minimum(sd[:, 1:], d, out=g[:, :-1])
+            g[:, -1] = d
+        self._gaps -= sd
+        np.maximum(self._gaps, 0.0, out=self._gaps)
+        self._live = self._gaps > 0
+        self._dead = ~self._live
+        # the first delta's tables, which every lane reads when d is None
+        self.gaps, self.live, self._dead0 = self._gaps[0], self._live[0], self._dead[0]
         self._gather = None
 
-    def masses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _rows(table, d):
+        """The rows of ``table`` that lanes at delta indices ``d`` read: one
+        table as a view when they share it, else one gathered per lane."""
+        first = d[0]
+        # the ufunc reduce is np.all without its Python wrapper
+        if np.logical_and.reduce(d == first):
+            return table[first]
+        return table.take(d, axis=0)
+
+    def masses(self, w: np.ndarray, d=None) -> tuple[np.ndarray, np.ndarray]:
         """(p, vals), each (lanes, n, n), or (n, n) for a 1-D ``w``:
         p[l, t, j] is the weight of lane l on the first j + 1 points of row
         t's order, and vals = f(p) on the live intervals of positive mass, 0
@@ -156,23 +175,25 @@ class SigmaEvaluator:
         # np.minimum.reduce is w.min() without its Python wrapper
         if np.minimum.reduce(w, axis=None) >= _TINY:
             vals = self.f(p)
-            np.copyto(vals, 0.0, where=self._dead)
+            np.copyto(vals, 0.0, where=self._dead0 if d is None else self._rows(self._dead, d))
             return p, vals
-        massive = self.live & (p > 0)
+        massive = (self.live if d is None else self._rows(self._live, d)) & (p > 0)
         vals = np.zeros(p.shape)
         vals[massive] = self.f(p[massive])
         return p, vals
 
-    def profile(self, w: np.ndarray, masses=None) -> np.ndarray:
+    def profile(self, w: np.ndarray, masses=None, d=None) -> np.ndarray:
         """sigma(mu, t) for every t and lane; +inf where a live interval has
         no mass."""
-        p, vals = self.masses(w) if masses is None else masses
+        p, vals = self.masses(w, d) if masses is None else masses
         # matmul reduces each row with the BLAS dot of a 1-D np.dot; einsum
         # would add in another order and move the searched objectives' last bits
-        out = np.matmul(self.gaps[:, None, :], vals[..., None])[..., 0, 0]
+        gaps = self.gaps if d is None else self._rows(self._gaps, d)
+        out = np.matmul(gaps[..., None, :], vals[..., None])[..., 0, 0]
         # only a zero (or NaN) weight can leave a live interval massless
         if not np.minimum.reduce(w, axis=None) > 0:
-            out[(self.live & ~(p > 0)).any(axis=-1)] = np.inf
+            live = self.live if d is None else self._rows(self._live, d)
+            out[(live & ~(p > 0)).any(axis=-1)] = np.inf
         return out
 
     def m_self(self, w: np.ndarray) -> float:
@@ -180,7 +201,7 @@ class SigmaEvaluator:
 
     # -- analytic gradients (weights assumed strictly positive) ------------
 
-    def jacobian(self, w: np.ndarray, masses=None) -> np.ndarray:
+    def jacobian(self, w: np.ndarray, masses=None, d=None) -> np.ndarray:
         """J[t, u] = d sigma(mu, t) / d w_u for every lane, ignoring the
         simplex constraint.
 
@@ -197,7 +218,7 @@ class SigmaEvaluator:
             rows = np.arange(n)[:, None]
             self._gather = np.empty((n, n), dtype=np.intp)
             self._gather[rows, self.order] = rows * n + np.arange(n - 1, -1, -1)
-        p, vals = self.masses(w) if masses is None else masses
+        p, vals = self.masses(w, d) if masses is None else masses
         # the moving entries are the live ones with 0 < p < 1 - 1e-15, which
         # are those where f(p) > 0 and p < 1 - 1e-15; there term is
         # gaps * f'(p), f'(p) = -1 / (2 ln 2 p f(p)), and +0.0 elsewhere.
@@ -208,14 +229,15 @@ class SigmaEvaluator:
         x = 2.0 * math.log(2.0) * p
         x *= vals
         term = np.divide(-1.0, x, out=np.zeros(p.shape), where=moving)
-        term *= self.gaps
+        term *= self.gaps if d is None else self._rows(self._gaps, d)
         rev = term[..., ::-1].cumsum(axis=-1)
         return rev.reshape(p.shape[:-2] + (n * n,)).take(self._gather, axis=-1)
 
-    def m_self_grad(self, w: np.ndarray, prof: np.ndarray, masses=None) -> np.ndarray:
-        """Gradient of M(mu, mu) at each lane of w, given ``prof = profile(w)``."""
+    def m_self_grad(self, w: np.ndarray, prof: np.ndarray, masses=None, d=None) -> np.ndarray:
+        """Gradient of M(mu, mu) at each lane of w, given ``prof = profile(w,
+        d=d)``."""
         # w J is J.T @ w, lane by lane the same gemv
-        return prof + np.matmul(w[..., None, :], self.jacobian(w, masses))[..., 0, :]
+        return prof + np.matmul(w[..., None, :], self.jacobian(w, masses, d))[..., 0, :]
 
 
 def nu_average(prof: np.ndarray, nu_w: np.ndarray):

@@ -13,10 +13,14 @@ candidate for every lane still searching in one batched profile, a lane
 that accepts takes its next gradient from the ball masses of that
 profile, and a lane leaves the batch when it stops.  Lanes keep their own
 step size, temperature, iteration count and best iterate and share no
-arithmetic, so every lane is bit for bit a search run alone.  A batch
-holds at most ``LANE_BUDGET`` lanes x n^2 entries per array.  Iterates
-stay strictly positive (floor 1e-12, then renormalize) so the objectives
-remain finite; the gradients are the exact derivatives of the
+arithmetic, so every lane is bit for bit a search run alone.  The self
+search can also run at several truncations delta at once
+(``maximize_M_self_per_delta``): one lane per (delta, start), each lane
+reading its delta's table of one evaluator, so a batch may mix deltas; the
+deltas whose lanes fit one batch share an ascent.
+A batch holds at most ``LANE_BUDGET`` lanes x n^2 entries per array.
+Iterates stay strictly positive (floor 1e-12, then renormalize) so the
+objectives remain finite; the gradients are the exact derivatives of the
 piecewise-linear-in-eps sigma profiles.
 """
 
@@ -42,8 +46,8 @@ BALANCE_TOL = 1e-8
 SEARCH_TOL = 1e-9
 # lanes x n^2 entries per batched sigma call of a search, so that each of
 # a batch's (lanes, n, n) arrays stays within 512 KB however many starts
-# run: at n = 16 every start of a search fits in one batch, from n = 256
-# each lane is its own
+# run: the 20 lanes of bounds' default grid (5 truncations x 4 starts) fit
+# one batch up to n = 57, and from n = 256 each lane is its own
 LANE_BUDGET = 1 << 16
 
 
@@ -91,11 +95,11 @@ class _SelfM:
         v = nu_average(prof, w).tolist()
         return v, v, (v,)
 
-    def gradient(self, prof, w, masses, lanes, reuse):
-        """Values and gradients of ``lanes``; ``reuse`` is what ``value``
-        left at the same rows, or None."""
+    def gradient(self, prof, w, masses, d, lanes, reuse):
+        """Values and gradients of ``lanes``, at delta indices ``d``;
+        ``reuse`` is what ``value`` left at the same rows, or None."""
         v = nu_average(prof, w).tolist() if reuse is None else reuse[0]
-        return v, self.ev.m_self_grad(w, prof, masses)
+        return v, self.ev.m_self_grad(w, prof, masses, d)
 
 
 class _Soft:
@@ -145,19 +149,20 @@ class _Soft:
         vals = [mi - sign * t * math.log(x) for mi, t, x in zip(m, tau, total.tolist())]
         return vals, m, (vals, tau, e, total)
 
-    def gradient(self, prof, w, masses, lanes, reuse):
+    def gradient(self, prof, w, masses, d, lanes, reuse):
         # the tilt of the value, normalized, weighs the rows of J; it is
         # reused unless a lane's temperature changed since
         if reuse is None or reuse[1] != [self.tau[lane] for lane in lanes]:
             reuse = self.value(prof, w, lanes)[2]
         vals, _, e, total = reuse
         e = e / total[:, None]
-        return vals, np.matmul(e[:, None, :], self.ev.jacobian(w, masses))[:, 0, :]
+        return vals, np.matmul(e[:, None, :], self.ev.jacobian(w, masses, d))[:, 0, :]
 
 
-def _mirror_ascent(problem, w0, max_iter):
+def _mirror_ascent(problem, w0, d, max_iter):
     """Multiplicative-weights local search with a backtracking step size,
-    from every row of ``w0`` as one lane.
+    from every row of ``w0`` as one lane, lane l at the evaluator's delta
+    index ``d[l]`` (at its only delta if ``d`` is None).
 
     A lane steps along the gradient of ``problem.value`` (``sign`` +1
     ascends, -1 descends) when the step moves the value by more than
@@ -176,7 +181,7 @@ def _mirror_ascent(problem, w0, max_iter):
     """
     ev, sign, slack = problem.ev, problem.sign, problem.slack
     lanes_all, n = w0.shape
-    per = max(1, LANE_BUDGET // max(n * n, 1))
+    per = _lanes_per_batch(n)
     # per lane: iterate and step direction (rows of the batch arrays they
     # came from), best iterate and value, step size, iterations, value
     w, grad = list(w0), [None] * lanes_all
@@ -184,6 +189,10 @@ def _mirror_ascent(problem, w0, max_iter):
     eta, it, val = [0.5] * lanes_all, [0] * lanes_all, [0.0] * lanes_all
     out = [None] * lanes_all
     searching = []
+
+    def at(lanes):
+        """The delta indices of ``lanes``."""
+        return None if d is None else d[lanes]
 
     def stop(lane, converged):
         out[lane] = (best_w[lane], best[lane], it[lane], converged)
@@ -195,7 +204,7 @@ def _mirror_ascent(problem, w0, max_iter):
         for lane in lanes:
             it[lane] += 1
             problem.cool(lane, it[lane], stalled=False)
-        v, g = problem.gradient(pl, wl, masses, lanes, reuse)
+        v, g = problem.gradient(pl, wl, masses, at(lanes), lanes, reuse)
         # remove the direction normal to the simplex
         g -= np.matmul(g[:, None, :], wl[:, :, None])[:, 0]
         norm = np.maximum.reduce(np.abs(g), axis=1)
@@ -217,9 +226,9 @@ def _mirror_ascent(problem, w0, max_iter):
 
     for k in range(0, lanes_all, per):
         lanes = list(range(k, min(k + per, lanes_all)))
-        wl = w0[k:k + per]
-        masses = ev.masses(wl)
-        pl = ev.profile(wl, masses)
+        wl, dl = w0[k:k + per], at(slice(k, k + per))
+        masses = ev.masses(wl, dl)
+        pl = ev.profile(wl, masses, dl)
         problem.start(pl, lanes)
         _, exact, reuse = problem.value(pl, wl, lanes)
         best[k:k + per] = exact
@@ -238,8 +247,9 @@ def _mirror_ascent(problem, w0, max_iter):
             np.exp(cand, out=cand)
             cand *= np.array([w[lane] for lane in lanes])
             cand = _project(cand)
-            masses = ev.masses(cand)
-            cprof = ev.profile(cand, masses)
+            dl = at(lanes)
+            masses = ev.masses(cand, dl)
+            cprof = ev.profile(cand, masses, dl)
             cval, cexact, reuse = problem.value(cprof, cand, lanes)
             took, stalled = [], []
             for i, lane in enumerate(lanes):
@@ -274,15 +284,26 @@ def _mirror_ascent(problem, w0, max_iter):
                                   for x in reuse)
                 begin(lanes, cand, cprof, masses, reuse)
             if stalled:  # a stalled lane starts again from its iterate
-                wl = np.array([w[lane] for lane in stalled])
-                masses = ev.masses(wl)
-                begin(stalled, wl, ev.profile(wl, masses), masses)
+                wl, dl = np.array([w[lane] for lane in stalled]), at(stalled)
+                masses = ev.masses(wl, dl)
+                begin(stalled, wl, ev.profile(wl, masses, dl), masses)
     return out
+
+
+def _lanes_per_batch(n):
+    return max(1, LANE_BUDGET // max(n * n, 1))
 
 
 def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
     """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
-    ``restarts`` Dirichlet draws, each start one lane of the ascent."""
+    ``restarts`` Dirichlet draws at each delta of the problem's evaluator,
+    one per delta: every (delta, start) pair is one lane of an ascent.
+
+    The deltas share ascents in groups whose lanes fit one batch, so where
+    a batch holds no more than one delta's lanes, consecutive calls read
+    one table: at n = 512, 20 lanes interleaved one at a time took about 5%
+    longer than 5 ascents of 4 lanes.
+    """
     space = problem.ev.space
     n = space.n
     if n == 0:
@@ -291,26 +312,49 @@ def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
     w0 = np.array([np.full(n, 1.0 / n)]
                   + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
                   + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
-    out = _mirror_ascent(problem, w0, max_iter)
-    best = None
-    for w, obj, _, conv in out:
-        if best is None or problem.sign * obj > problem.sign * best[1]:
-            best = (w, obj, conv)
-    return OptimizationResult(measure=ProbabilityMeasure(space, best[0]),
-                              objective=float(best[1]), converged=best[2],
-                              starts=[(float(obj), it, conv) for _, obj, it, conv in out])
+    k, starts = len(problem.ev.deltas), len(w0)
+    group = max(1, _lanes_per_batch(n) // starts)
+    out = []
+    for lo in range(0, k, group):
+        ds = np.arange(lo, min(lo + group, k))
+        out += _mirror_ascent(problem, np.tile(w0, (ds.size, 1)),
+                              np.repeat(ds, starts) if k > 1 else None, max_iter)
+    results = []
+    for i in range(0, k * starts, starts):
+        best = None
+        for w, obj, _, conv in out[i:i + starts]:
+            if best is None or problem.sign * obj > problem.sign * best[1]:
+                best = (w, obj, conv)
+        results.append(OptimizationResult(
+            measure=ProbabilityMeasure(space, best[0]), objective=float(best[1]),
+            converged=best[2], starts=[(float(obj), it, conv)
+                                       for _, obj, it, conv in out[i:i + starts]]))
+    return results
 
 
-def maximize_M_self(space: FiniteMetricSpace, delta: float | None = None,
-                    init_measures=None, restarts: int = 8,
+def maximize_M_self(space: FiniteMetricSpace, init_measures=None, restarts: int = 8,
                     max_iter: int = 300, seed: int = 0) -> OptimizationResult:
-    """Best-found measure for sup_mu M(mu, mu, delta).
+    """Best-found measure for sup_mu M(mu, mu).
 
     Initialized from uniform, any supplied measures (typically mu_F), and
     Dirichlet restarts; the returned objective is the exact functional at
-    the returned measure.
+    the returned measure.  The search at the full diameter, the one-delta
+    case of ``maximize_M_self_per_delta``.
     """
-    return _best_of_restarts(_SelfM(SigmaEvaluator(space, delta)), init_measures,
+    return maximize_M_self_per_delta(space, [space.diam], init_measures, restarts, max_iter,
+                                     seed)[0]
+
+
+def maximize_M_self_per_delta(space: FiniteMetricSpace, deltas, init_measures, restarts: int,
+                              max_iter: int, seed: int) -> list[OptimizationResult]:
+    """The best-found measure for sup_mu M(mu, mu, delta) at each of
+    ``deltas``, in order, all from the same starts.
+
+    Every (delta, start) pair is one lane of a batched ascent over one
+    evaluator (one ascent for all of them while their lanes fit one batch),
+    so each result is bit for bit that of a search at its delta alone.
+    """
+    return _best_of_restarts(_SelfM(SigmaEvaluator(space, deltas)), init_measures,
                              restarts, max_iter, seed)
 
 
@@ -322,7 +366,7 @@ def minimize_sup_M(space: FiniteMetricSpace, restarts: int = 8,
     (feasible-point semantics).
     """
     return _best_of_restarts(_Soft(SigmaEvaluator(space), -1.0), None,
-                             restarts, max_iter, seed)
+                             restarts, max_iter, seed)[0]
 
 
 def maximize_inf_M(space: FiniteMetricSpace, restarts: int = 8,
@@ -339,7 +383,7 @@ def maximize_inf_M(space: FiniteMetricSpace, restarts: int = 8,
         inits.append(balanced_measure(space).measure)
     except ValueError as exc:
         warnings.warn(f"sup_inf search without the balanced initializer: {exc}")
-    return _best_of_restarts(problem, inits, restarts, max_iter, seed)
+    return _best_of_restarts(problem, inits, restarts, max_iter, seed)[0]
 
 
 def balanced_measure(space: FiniteMetricSpace,

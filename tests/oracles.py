@@ -12,8 +12,10 @@ row at a time, is the reference for the dense ``SigmaEvaluator``;
 gathers and a ``put_along_axis`` scatter), are its bit-for-bit references;
 ``search_reference``, an exact-objective ascent and a separate annealed
 soft-extremum loop, is the reference for the one mirror-ascent loop of
-``search``.  ``modulus_reference``, a fancy-indexed (shard x pairs) block
-per shard, is the reference for the streamed pair reduction of
+``search``, and ``supremum_report_reference``, one self search per
+truncation, for the one batch of them in ``gaussian_lab.supremum_report``.
+``modulus_reference``, a fancy-indexed (shard x pairs) block per shard, is
+the reference for the streamed pair reduction of
 ``gaussian_lab.estimate_modulus``; both it and
 ``common_sample_oracle_reference``, the reference for the F oracle of
 ``partition``, form paths sample by sample in rows, independently of the
@@ -401,8 +403,10 @@ def soft_extreme_steps_reference(ev, w0, max_iter, tol, want_min_of_max):
     return best[0], best[1], it, False
 
 
-def search_reference(problem, space, restarts, max_iter, seed, init_measures=(), tol=1e-9):
-    """One of the three public searches driven by the reference loops.
+def search_reference(problem, space, restarts, max_iter, seed, init_measures=(), tol=1e-9,
+                     delta=None):
+    """One of the three public searches driven by the reference loops, at
+    the truncation ``delta`` (the diameter if None).
 
     ``problem`` is "sup_self", "inf_sup" or "sup_inf"; the initializers are
     uniform, then ``init_measures`` (for "sup_inf" followed by the balanced
@@ -414,7 +418,7 @@ def search_reference(problem, space, restarts, max_iter, seed, init_measures=(),
     from chainscope.measures import SigmaEvaluator
     from chainscope.search import balanced_measure
 
-    ev = SigmaEvaluator(space)
+    ev = SigmaEvaluator(space, delta)
     inits = list(init_measures)
     if problem == "sup_inf":
         inits.append(balanced_measure(space).measure)
@@ -439,6 +443,46 @@ def search_reference(problem, space, restarts, max_iter, seed, init_measures=(),
     prof = ev.profile(w)
     exact = {"sup_self": ev.m_self(w), "inf_sup": prof.max(), "sup_inf": prof.min()}
     return w, float(exact[problem]), total, best[2], rows
+
+
+def supremum_report_reference(model, n_samples, seed, delta_grid, threads=1):
+    """``gaussian_lab.supremum_report`` with one search per truncation c
+    that a row reads, each run on its own: the grid's deltas, the
+    diameter, and the doubled deltas cut at the diameter, a c beyond the
+    diameter searched at that c."""
+    from chainscope import search
+    from chainscope.gaussian_lab import argmax_distribution, estimate_modulus, estimate_sup
+    from chainscope.measures import functional_M
+    from chainscope.metric_core import cover_sizes
+
+    est = estimate_sup(model, n_samples, seed, threads)
+    amd = argmax_distribution(model, n_samples, seed + 1, threads)
+    space = model.space
+    report = {"esup": est.mean, "esup_stderr": est.stderr, "degenerate": space.n < 2}
+    if space.n < 2 or space.diam == 0:
+        report.update({"m_self_muF": 0.0, "ratio": 0.0, "flag": "degenerate", "modulus": []})
+        return report
+    m_mu_f = functional_M(amd.measure, amd.measure)
+    report.update({"m_self_muF": m_mu_f, "ratio": est.mean / m_mu_f if m_mu_f > 0 else 0.0,
+                   "flag": None})
+    report["mu_F"] = [float(v) for v in amd.measure.weights]
+    report["tie_count"] = amd.tie_count
+    delta_grid = [float(d) for d in delta_grid]
+    c_grid = sorted(set(delta_grid) | {space.diam})
+    needed = set(c_grid) | {min(2.0 * d, space.diam) for d in delta_grid}
+    best_m_self = {c: search.maximize_M_self_per_delta(space, [c], [amd.measure], 2, 150,
+                                                       seed)[0].objective
+                   for c in needed}
+    rows = []
+    for i, (d, nhat) in enumerate(zip(delta_grid, cover_sizes(space, delta_grid).tolist())):
+        mod = estimate_modulus(model, d, n_samples, seed + 2 + i, threads)
+        log_n = math.sqrt(math.log2(nhat)) if nhat > 1 else 0.0
+        upper = best_m_self[min(2.0 * d, space.diam)] + d * log_n
+        lower = max(best_m_self[c] - c * log_n for c in c_grid)
+        rows.append({"delta": d, "s_delta": mod.mean, "s_stderr": mod.stderr,
+                     "cover_size": nhat, "upper_proxy": upper, "lower_expression": lower})
+    report["modulus"] = rows
+    return report
 
 
 def modulus_reference(model, delta, n_samples, seed):

@@ -341,6 +341,16 @@ def test_infinity_only_where_nu_charges_a_zero_mass_ball(n, seed, mode, delta_fr
     assert ref.nu_average(mu.weights, nu.weights) == math.inf
 
 
+def _deltas(space):
+    """A delta below the smallest distance, inside the range, or at or
+    beyond the diameter of ``space``."""
+    off = space.dist[np.triu_indices(space.n, k=1)]
+    return st.one_of(
+        st.floats(min_value=0.05, max_value=0.95).map(lambda f: f * off[off > 0].min()),
+        st.floats(min_value=0.05, max_value=0.95).map(lambda f: f * space.diam),
+        st.sampled_from([1.0, 2.0]).map(lambda f: f * space.diam))
+
+
 @st.composite
 def _kernel_cases(draw):
     """A space with or without tied distances, a delta below the smallest
@@ -356,11 +366,7 @@ def _kernel_cases(draw):
     else:
         space = build_from_distance_matrix(rng.uniform(0.5, 2.0) * (1.0 - np.eye(n)))
     assume(space.n >= 2)
-    off = space.dist[np.triu_indices(space.n, k=1)]
-    delta = draw(st.one_of(
-        st.floats(min_value=0.05, max_value=0.95).map(lambda f: f * off[off > 0].min()),
-        st.floats(min_value=0.05, max_value=0.95).map(lambda f: f * space.diam),
-        st.sampled_from([1.0, 2.0]).map(lambda f: f * space.diam)))
+    delta = draw(_deltas(space))
     w = random_weights(rng, space.n)
     w[rng.permutation(space.n)[:draw(st.integers(min_value=0, max_value=space.n - 1))]] = 0.0
     mu = ProbabilityMeasure(space, w / w.sum())
@@ -456,6 +462,40 @@ def test_every_lane_of_a_batched_call_is_its_one_lane_call(case, mode):
             assert grad[lane].tobytes() == ev.m_self_grad(row, ev.profile(row)).tobytes()
 
 
+@given(_lane_cases(), st.data(), st.sampled_from([GAUSSIAN_LOG, YOUNG_INVERSE]))
+@settings(max_examples=150, deadline=None)
+def test_every_lane_reads_the_table_of_its_delta(case, data, mode):
+    # an evaluator of several deltas gives each lane, at its delta index,
+    # the bits of a one-delta evaluator at that delta, whether the lanes of
+    # a call share one delta (a view of its table) or not (a gathered copy)
+    space, delta, w = case
+    deltas = [delta] + data.draw(st.lists(_deltas(space), min_size=0, max_size=3))
+    ev = SigmaEvaluator(space, deltas, mode)
+    ones = [SigmaEvaluator(space, x, mode) for x in deltas]
+    assert ev.deltas == [one.delta for one in ones]
+    assert ev.order is space.order
+    shared = data.draw(st.integers(min_value=0, max_value=len(deltas) - 1))
+    spread = data.draw(st.lists(st.integers(min_value=0, max_value=len(deltas) - 1),
+                                min_size=len(w), max_size=len(w)))
+    for d in (None, np.full(len(w), shared), np.array(spread)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masses = ev.masses(w, d)
+            prof = ev.profile(w, masses, d)
+            assert prof.tobytes() == ev.profile(w, d=d).tobytes()
+            if mode == GAUSSIAN_LOG:
+                jac = ev.jacobian(w, masses, d)
+                grad = ev.m_self_grad(w, prof, masses, d)
+            for lane, row in enumerate(w):
+                one = ones[0 if d is None else d[lane]]
+                assert masses[1][lane].tobytes() == one.masses(row)[1].tobytes()
+                assert prof[lane].tobytes() == one.profile(row).tobytes()
+                if mode == GAUSSIAN_LOG:
+                    assert jac[lane].tobytes() == one.jacobian(row).tobytes()
+                    assert grad[lane].tobytes() == one.m_self_grad(
+                        row, one.profile(row)).tobytes()
+
+
 @pytest.mark.parametrize("mode", [GAUSSIAN_LOG, YOUNG_INVERSE])
 def test_zero_mass_ball_raises_no_floating_point_warning(mode):
     sp = build_from_points([[0.0], [1.0], [3.0], [3.5]])
@@ -518,3 +558,26 @@ def test_evaluator_rows_are_the_stable_order(name, delta_frac):
     assert ev.order.tobytes() == order.tobytes()
     assert ev.gaps.tobytes() == gaps.tobytes()
     assert np.array_equal(ev.live, gaps > 0)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_SPACES))
+def test_the_row_order_is_the_stable_argsort_whoever_computes_it_first(name):
+    # read as an attribute first, or computed from an evaluator's sorted rows
+    stable = np.argsort(ORDERING_SPACES[name].dist, axis=1, kind="stable")
+    for first in ("order", "evaluator"):
+        space = build_from_distance_matrix(ORDERING_SPACES[name].dist)
+        if first == "evaluator":
+            SigmaEvaluator(space)
+        assert space.order.tobytes() == stable.tobytes()
+
+
+def test_every_evaluator_of_a_space_reads_its_one_cached_order():
+    space = ORDERING_SPACES["brownian-40"]
+    assert space.order is space.order
+    assert not space.order.flags.writeable
+    evs = [SigmaEvaluator(space), SigmaEvaluator(space, 0.5 * space.diam, YOUNG_INVERSE),
+           SigmaEvaluator(space, [0.1 * space.diam, 2.0 * space.diam])]
+    assert all(ev.order is space.order for ev in evs)
+    # the first delta's table of a several-delta evaluator is its own
+    assert evs[2].gaps.tobytes() == SigmaEvaluator(space, 0.1 * space.diam).gaps.tobytes()
+    assert evs[2].deltas == [0.1 * space.diam, space.diam]

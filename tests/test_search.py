@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from hypothesis import strategies as st
 
 from chainscope import (ProbabilityMeasure, build_from_distance_matrix, build_from_points,
                         build_model, cli, duality_report, maximize_M_self, search)
-from chainscope.gaussian_lab import argmax_distribution, estimate_sup
+from chainscope.gaussian_lab import argmax_distribution, estimate_sup, supremum_report
 from chainscope.measures import YOUNG_INVERSE, SigmaEvaluator
 from chainscope.metric_core import build_from_covariance
 from chainscope.search import balanced_measure, maximize_inf_M, minimize_sup_M
 
 from conftest import integer_l1_space, random_covariance, random_space
 from oracles import (balanced_oracle_013, csv_reference, inf_sup_oracle_013, search_reference,
-                     sup_inf_oracle_013, sup_self_oracle_013)
+                     sup_inf_oracle_013, sup_self_oracle_013, supremum_report_reference)
 
 TWO_POINT = build_from_distance_matrix([[0, 1], [1, 0]])
 COLLINEAR = build_from_points([[0.0], [1.0], [3.0]])
@@ -207,6 +209,98 @@ def test_duality_report_matches_the_serial_reference_searches(n, restarts, seed,
                      "--seed", str(seed), "--restarts", str(restarts), "--out", str(out)]) == 0
     assert (out / "duality_trace.csv").read_text() == csv_reference(
         ["problem", "restart", "objective", "iterations"], rows)
+
+
+def _lane_budget(lanes_per_batch, n):
+    """``LANE_BUDGET`` patched to ``lanes_per_batch`` lanes per batch on n
+    points, or left as it is for None."""
+    if lanes_per_batch is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(search, "LANE_BUDGET", lanes_per_batch * n * n)
+
+
+# below the smallest distance, halfway between two distances, at the
+# diameter and beyond it
+TRUNCATIONS = ("below", "between", "diam", "beyond")
+
+
+@pytest.mark.parametrize("lanes_per_batch", [None, 1, 3])
+@given(st.booleans(), st.integers(min_value=3, max_value=10),
+       st.lists(st.sampled_from(TRUNCATIONS), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2), st.sampled_from([1, 7, 60]),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=20, deadline=None)
+def test_searches_at_several_deltas_bit_identical_to_one_reference_each(
+        lanes_per_batch, tied, n, picks, restarts, max_iter, seed):
+    # every (delta, start) pair is a lane; the default budget runs them as
+    # one batch that mixes deltas, a small one as one ascent per delta, split
+    # into batches of 1 or 3 lanes
+    rng = np.random.default_rng(seed)
+    if tied:
+        space = integer_l1_space(rng, n)
+        assume(space.n >= 3)
+    else:
+        space = build_from_covariance(random_covariance(rng, n))
+    dists = np.unique(space.dist[space.dist > 0])
+    assume(dists.size > 1 or "between" not in picks)
+    k = int(rng.integers(max(dists.size - 1, 1)))
+    at = {"below": 0.5 * dists[0], "between": dists[k:k + 2].mean(), "diam": space.diam,
+          "beyond": 1.5 * space.diam}
+    deltas = [at[p] for p in picks]
+    init = [ProbabilityMeasure(space, rng.dirichlet(np.ones(space.n)))]
+    with _lane_budget(lanes_per_batch, space.n):
+        found = search.maximize_M_self_per_delta(space, deltas, init, restarts, max_iter, seed)
+    assert len(found) == len(deltas)
+    for delta, res in zip(deltas, found):
+        _assert_bit_identical(res, search_reference("sup_self", space, restarts, max_iter, seed,
+                                                    init_measures=init, delta=delta))
+
+
+@pytest.mark.parametrize("n, seed, fractions, lanes_per_batch",
+                         [(5, 0, (0.2, 0.4, 0.6, 0.8, 1.0), None), (8, 1, (0.3, 0.7), 3),
+                          (6, 2, (0.5, 1.5, 2.0), 1), (16, 3, (0.2, 0.4, 0.6, 0.8, 1.0), None)])
+def test_supremum_report_matches_one_search_per_truncation(n, seed, fractions, lanes_per_batch):
+    rng = np.random.default_rng(seed)
+    cov = random_covariance(rng, n)
+    space = build_from_covariance(cov)
+    model = build_model(cov, space)
+    grid = [f * space.diam for f in fractions]
+    with _lane_budget(lanes_per_batch, n):
+        rep = supremum_report(model, 2000, seed, grid)
+    assert rep == supremum_report_reference(model, 2000, seed, grid)
+
+
+def test_bounds_searches_the_deltas_beyond_the_diameter_once(tmp_path, monkeypatch):
+    # 1.5 and 2 times the diameter are the diameter's search, which the
+    # report runs once: 2 truncations of 4 starts, against 4 searches when
+    # each delta ran its own
+    rng = np.random.default_rng(11)
+    cov = random_covariance(rng, 7)
+    space = build_from_covariance(cov)
+    model = build_model(cov, space)
+    grid = [f * space.diam for f in (0.5, 1.5, 2.0)]
+    lanes, ascent = [], search._mirror_ascent
+
+    def counted(problem, w0, d, max_iter):
+        lanes.append(len(w0))
+        return ascent(problem, w0, d, max_iter)
+
+    monkeypatch.setattr(search, "_mirror_ascent", counted)
+    instance = tmp_path / "cov.json"
+    instance.write_text(json.dumps({"name": "cov", "metric": {"type": "covariance",
+                                                              "data": cov.tolist()}}))
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--instance", str(instance), "--samples", "2000", "--seed", "5",
+                     "--delta-grid", ",".join(repr(d) for d in grid), "--out", str(out)]) == 0
+    assert lanes == [2 * 4]
+    ref = supremum_report_reference(model, 2000, 5, grid)
+    assert lanes[1:] == [4] * 4
+    payload = json.loads((out / "bounds_report.json").read_text())["payload"]
+    assert {k: payload[k] for k in ref if k != "modulus"} == {
+        k: v for k, v in ref.items() if k != "modulus"}
+    assert (out / "bounds_delta.csv").read_text() == csv_reference(
+        ["delta", "s_delta", "s_stderr", "cover_size", "upper_proxy", "lower_expression"],
+        ref["modulus"])
 
 
 class TestBalancedMeasure:
