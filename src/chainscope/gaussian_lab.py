@@ -367,9 +367,9 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
     proxy M(mu^, mu^, 2 delta) at the best measure found by simplex search,
     and the lower expression max_c (M(mu^, mu^, c) - c sqrt(log2 N^(delta))).
     Each truncation is searched once, from uniform, mu_F and two Dirichlet
-    draws, and the searches run as lanes (one per truncation and start) of
-    batched ascents over one evaluator: one batch for all of them on the
-    default grid up to n = 57.
+    draws, and the searches run as the lanes (one per truncation and start)
+    of one batched ascent over one evaluator: one batch for all of them on
+    the default grid up to n = 57.
     All comparison constants are universal and unknown; only ratios are
     reported here.
     """
@@ -396,7 +396,7 @@ def supremum_report(model: GaussianModel, n_samples: int, seed: int, delta_grid,
     # M(mu, mu, c) is the same function of mu at every c >= diam, so the
     # truncations searched are the grid's deltas and their doubles cut at
     # the diameter; every search starts from the same seeded starts, and
-    # they run as the lanes of batched ascents
+    # they run as the lanes of one batched ascent
     searched = sorted({min(c, space.diam) for c in c_grid}
                       | {min(2.0 * d, space.diam) for d in delta_grid})
     found = search.maximize_M_self_per_delta(space, searched, [amd.measure], restarts=2,

@@ -93,15 +93,14 @@ class SigmaEvaluator:
     """Exact sigma profiles for one space, mode and q at one or several
     truncations delta, and their gradients in gaussian-log mode.
 
-    Dense row layout: row t of the space's ``order`` (the stable argsort of
-    ``dist[t]``, :attr:`FiniteMetricSpace.order`) and of a delta's n x n
-    ``gaps`` table (the length of [r_j, r_{j+1}) clipped to delta, r_j the
-    j-th sorted distance) describe the balls around t, and its ``live``
-    table marks the intervals of positive length.  ``gaps`` are read off
-    the space's ``sorted_rows()`` (``np.sort`` of the rows), which do not
-    depend on how ties are ordered; the space computes ``order`` once, for
-    all its evaluators, from the first evaluator's sorted rows.
-    A gap is 0 inside a block of tied distances, so a cumulative weight
+    Dense row layout: row t of ``order`` (the stable argsort of ``dist[t]``,
+    :meth:`FiniteMetricSpace.row_order`) and of a delta's n x n ``gaps``
+    table (the length of [r_j, r_{j+1}) clipped to delta, r_j the j-th
+    sorted distance) describe the balls around t, and its ``live`` table
+    marks the intervals of positive length.  ``gaps`` are read off
+    ``np.sort`` of the rows, which does not depend on how ties are ordered;
+    the space computes ``order`` once, from the first evaluator's sorted
+    rows, for all its evaluators.  A gap is 0 inside a block of tied distances, so a cumulative weight
     counts as a ball mass only at the end of its block.  ``delta`` is one
     truncation or a sequence of them, ``deltas`` the truncations kept, one
     table per entry; ``delta``, ``gaps`` and ``live`` are the first
@@ -138,8 +137,8 @@ class SigmaEvaluator:
         self.deltas = [max(float(space.diam if d is None else min(d, space.diam)), 0.0)
                        for d in deltas]
         self.delta = self.deltas[0]
-        sd = space.sorted_rows()
-        self.order = space.order
+        sd = np.sort(space.dist, axis=1)
+        self.order = space.row_order(sd)
         # one (n, n) table per delta, stacked
         self._gaps = np.empty((len(self.deltas),) + sd.shape)
         for g, d in zip(self._gaps, self.deltas):
@@ -149,14 +148,16 @@ class SigmaEvaluator:
         np.maximum(self._gaps, 0.0, out=self._gaps)
         self._live = self._gaps > 0
         self._dead = ~self._live
-        # the first delta's tables, which every lane reads when d is None
-        self.gaps, self.live, self._dead0 = self._gaps[0], self._live[0], self._dead[0]
+        self.gaps, self.live = self._gaps[0], self._live[0]
         self._gather = None
 
     @staticmethod
     def _rows(table, d):
         """The rows of ``table`` that lanes at delta indices ``d`` read: one
-        table as a view when they share it, else one gathered per lane."""
+        table as a view when they share it (the first when ``d`` is None),
+        else one gathered per lane."""
+        if d is None:
+            return table[0]
         first = d[0]
         # the ufunc reduce is np.all without its Python wrapper
         if np.logical_and.reduce(d == first):
@@ -175,9 +176,9 @@ class SigmaEvaluator:
         # np.minimum.reduce is w.min() without its Python wrapper
         if np.minimum.reduce(w, axis=None) >= _TINY:
             vals = self.f(p)
-            np.copyto(vals, 0.0, where=self._dead0 if d is None else self._rows(self._dead, d))
+            np.copyto(vals, 0.0, where=self._rows(self._dead, d))
             return p, vals
-        massive = (self.live if d is None else self._rows(self._live, d)) & (p > 0)
+        massive = self._rows(self._live, d) & (p > 0)
         vals = np.zeros(p.shape)
         vals[massive] = self.f(p[massive])
         return p, vals
@@ -188,12 +189,10 @@ class SigmaEvaluator:
         p, vals = self.masses(w, d) if masses is None else masses
         # matmul reduces each row with the BLAS dot of a 1-D np.dot; einsum
         # would add in another order and move the searched objectives' last bits
-        gaps = self.gaps if d is None else self._rows(self._gaps, d)
-        out = np.matmul(gaps[..., None, :], vals[..., None])[..., 0, 0]
+        out = np.matmul(self._rows(self._gaps, d)[..., None, :], vals[..., None])[..., 0, 0]
         # only a zero (or NaN) weight can leave a live interval massless
         if not np.minimum.reduce(w, axis=None) > 0:
-            live = self.live if d is None else self._rows(self._live, d)
-            out[(live & ~(p > 0)).any(axis=-1)] = np.inf
+            out[(self._rows(self._live, d) & ~(p > 0)).any(axis=-1)] = np.inf
         return out
 
     def m_self(self, w: np.ndarray) -> float:
@@ -229,7 +228,7 @@ class SigmaEvaluator:
         x = 2.0 * math.log(2.0) * p
         x *= vals
         term = np.divide(-1.0, x, out=np.zeros(p.shape), where=moving)
-        term *= self.gaps if d is None else self._rows(self._gaps, d)
+        term *= self._rows(self._gaps, d)
         rev = term[..., ::-1].cumsum(axis=-1)
         return rev.reshape(p.shape[:-2] + (n * n,)).take(self._gather, axis=-1)
 

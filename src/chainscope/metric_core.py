@@ -33,9 +33,9 @@ class FiniteMetricSpace:
     Cover and packing counts are step functions of the scale that change
     only at pairwise distances, so the scale table, one row per segment
     ``[breaks[k], breaks[k+1])``, holds them all.  Each column is computed
-    on first use and kept, read-only, on the instance, as is ``order``, the
-    stable argsort of each distance row, which every sigma evaluator of the
-    space reads.
+    on first use and kept, read-only, on the instance, as is the stable
+    argsort of each distance row (``row_order``), which every sigma
+    evaluator of the space reads.
     """
 
     dist: np.ndarray
@@ -120,34 +120,28 @@ class FiniteMetricSpace:
         steps = np.bincount(first, minlength=m + 1) - np.bincount(stop, minlength=m + 1)
         return _frozen(np.cumsum(steps[:m]))
 
-    @cached_property
-    def order(self) -> np.ndarray:
+    def row_order(self, sorted_rows: np.ndarray) -> np.ndarray:
         """Row t is the stable argsort of ``dist[t]``: the points by distance
         from t, tied points in index order.
 
-        numpy's default (SIMD) argsort sorts every row, and only the rows
-        with two equal distances, which alone can come out of it in another
-        order than the stable one, are sorted again with ``kind="stable"``.
+        Computed at the first call and kept, read-only, for every later one.
+        ``sorted_rows`` is ``np.sort(dist, axis=1)``, which a caller such as
+        a sigma evaluator sorts for its own use, so that finding the tied
+        rows here takes no second sort: numpy's default (SIMD) argsort sorts
+        every row, and only the rows with two equal distances, which alone
+        can come out of it in another order than the stable one, are sorted
+        again with ``kind="stable"``.
         """
-        return self._stable_order(np.sort(self.dist, axis=1))
-
-    def sorted_rows(self) -> np.ndarray:
-        """Each row of ``dist`` in ascending order (``np.sort``), made for the
-        caller and not kept, since an evaluator reads them only while it
-        builds its tables.  The first call also computes :attr:`order` from
-        these rows, so that it needs no sort of its own.
-        """
-        sd = np.sort(self.dist, axis=1)
-        if "order" not in self.__dict__:  # where cached_property keeps it
-            self.__dict__["order"] = self._stable_order(sd)
-        return sd
-
-    def _stable_order(self, sd: np.ndarray) -> np.ndarray:
-        order = np.argsort(self.dist, axis=1)
-        tied = np.flatnonzero((sd[:, 1:] == sd[:, :-1]).any(axis=1))
-        if tied.size:
-            order[tied] = np.argsort(self.dist[tied], axis=1, kind="stable")
-        return _frozen(order)
+        # the dataclass is frozen, so the order is kept in the instance dict,
+        # as cached_property keeps the scale table's columns
+        order = self.__dict__.get("_row_order")
+        if order is None:
+            order = np.argsort(self.dist, axis=1)
+            tied = np.flatnonzero((sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1))
+            if tied.size:
+                order[tied] = np.argsort(self.dist[tied], axis=1, kind="stable")
+            order = self.__dict__["_row_order"] = _frozen(order)
+        return order
 
     def segment(self, radii) -> np.ndarray:
         """Index k of the segment [breaks[k], breaks[k+1]) holding each radius.

@@ -16,12 +16,11 @@ step size, temperature, iteration count and best iterate and share no
 arithmetic, so every lane is bit for bit a search run alone.  The self
 search can also run at several truncations delta at once
 (``maximize_M_self_per_delta``): one lane per (delta, start), each lane
-reading its delta's table of one evaluator, so a batch may mix deltas; the
-deltas whose lanes fit one batch share an ascent.
-A batch holds at most ``LANE_BUDGET`` lanes x n^2 entries per array.
-Iterates stay strictly positive (floor 1e-12, then renormalize) so the
-objectives remain finite; the gradients are the exact derivatives of the
-piecewise-linear-in-eps sigma profiles.
+reading its delta's table of one evaluator, all in one ascent, so a batch
+may mix deltas.  A batch holds at most ``LANE_BUDGET`` lanes x n^2 entries
+per array.  Iterates stay strictly positive (floor 1e-12, then
+renormalize) so the objectives remain finite; the gradients are the exact
+derivatives of the piecewise-linear-in-eps sigma profiles.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ def _mirror_ascent(problem, w0, d, max_iter):
     """
     ev, sign, slack = problem.ev, problem.sign, problem.slack
     lanes_all, n = w0.shape
-    per = _lanes_per_batch(n)
+    per = max(1, LANE_BUDGET // max(n * n, 1))
     # per lane: iterate and step direction (rows of the batch arrays they
     # came from), best iterate and value, step size, iterations, value
     w, grad = list(w0), [None] * lanes_all
@@ -290,19 +289,10 @@ def _mirror_ascent(problem, w0, d, max_iter):
     return out
 
 
-def _lanes_per_batch(n):
-    return max(1, LANE_BUDGET // max(n * n, 1))
-
-
 def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
     """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
     ``restarts`` Dirichlet draws at each delta of the problem's evaluator,
-    one per delta: every (delta, start) pair is one lane of an ascent.
-
-    The deltas share ascents in groups whose lanes fit one batch, so where
-    a batch holds no more than one delta's lanes, consecutive calls read
-    one table: at n = 512, 20 lanes interleaved one at a time took about 5%
-    longer than 5 ascents of 4 lanes.
+    one per delta: every (delta, start) pair is one lane of the ascent.
     """
     space = problem.ev.space
     n = space.n
@@ -313,12 +303,10 @@ def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
                   + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
                   + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
     k, starts = len(problem.ev.deltas), len(w0)
-    group = max(1, _lanes_per_batch(n) // starts)
-    out = []
-    for lo in range(0, k, group):
-        ds = np.arange(lo, min(lo + group, k))
-        out += _mirror_ascent(problem, np.tile(w0, (ds.size, 1)),
-                              np.repeat(ds, starts) if k > 1 else None, max_iter)
+    # a one-delta search passes no lane indices: looking them up on every
+    # call made duality's three searches about 10% slower
+    out = _mirror_ascent(problem, np.tile(w0, (k, 1)),
+                         np.repeat(np.arange(k), starts) if k > 1 else None, max_iter)
     results = []
     for i in range(0, k * starts, starts):
         best = None
@@ -350,9 +338,9 @@ def maximize_M_self_per_delta(space: FiniteMetricSpace, deltas, init_measures, r
     """The best-found measure for sup_mu M(mu, mu, delta) at each of
     ``deltas``, in order, all from the same starts.
 
-    Every (delta, start) pair is one lane of a batched ascent over one
-    evaluator (one ascent for all of them while their lanes fit one batch),
-    so each result is bit for bit that of a search at its delta alone.
+    Every (delta, start) pair is one lane of one batched ascent over one
+    evaluator, so each result is bit for bit that of a search at its delta
+    alone.
     """
     return _best_of_restarts(_SelfM(SigmaEvaluator(space, deltas)), init_measures,
                              restarts, max_iter, seed)

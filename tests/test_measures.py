@@ -473,7 +473,7 @@ def test_every_lane_reads_the_table_of_its_delta(case, data, mode):
     ev = SigmaEvaluator(space, deltas, mode)
     ones = [SigmaEvaluator(space, x, mode) for x in deltas]
     assert ev.deltas == [one.delta for one in ones]
-    assert ev.order is space.order
+    assert all(one.order is ev.order for one in ones)
     shared = data.draw(st.integers(min_value=0, max_value=len(deltas) - 1))
     spread = data.draw(st.lists(st.integers(min_value=0, max_value=len(deltas) - 1),
                                 min_size=len(w), max_size=len(w)))
@@ -560,24 +560,12 @@ def test_evaluator_rows_are_the_stable_order(name, delta_frac):
     assert np.array_equal(ev.live, gaps > 0)
 
 
-@pytest.mark.parametrize("name", sorted(ORDERING_SPACES))
-def test_the_row_order_is_the_stable_argsort_whoever_computes_it_first(name):
-    # read as an attribute first, or computed from an evaluator's sorted rows
-    stable = np.argsort(ORDERING_SPACES[name].dist, axis=1, kind="stable")
-    for first in ("order", "evaluator"):
-        space = build_from_distance_matrix(ORDERING_SPACES[name].dist)
-        if first == "evaluator":
-            SigmaEvaluator(space)
-        assert space.order.tobytes() == stable.tobytes()
-
-
 def test_every_evaluator_of_a_space_reads_its_one_cached_order():
     space = ORDERING_SPACES["brownian-40"]
-    assert space.order is space.order
-    assert not space.order.flags.writeable
     evs = [SigmaEvaluator(space), SigmaEvaluator(space, 0.5 * space.diam, YOUNG_INVERSE),
            SigmaEvaluator(space, [0.1 * space.diam, 2.0 * space.diam])]
-    assert all(ev.order is space.order for ev in evs)
+    assert all(ev.order is space.row_order(np.sort(space.dist, axis=1)) for ev in evs)
+    assert not evs[0].order.flags.writeable
     # the first delta's table of a several-delta evaluator is its own
     assert evs[2].gaps.tobytes() == SigmaEvaluator(space, 0.1 * space.diam).gaps.tobytes()
     assert evs[2].deltas == [0.1 * space.diam, space.diam]

@@ -232,9 +232,9 @@ TRUNCATIONS = ("below", "between", "diam", "beyond")
 @settings(max_examples=20, deadline=None)
 def test_searches_at_several_deltas_bit_identical_to_one_reference_each(
         lanes_per_batch, tied, n, picks, restarts, max_iter, seed):
-    # every (delta, start) pair is a lane; the default budget runs them as
-    # one batch that mixes deltas, a small one as one ascent per delta, split
-    # into batches of 1 or 3 lanes
+    # every (delta, start) pair is a lane of one ascent; the default budget
+    # runs them as one batch that mixes deltas, a small one splits them into
+    # batches of 1 lane or of 3, which may mix deltas
     rng = np.random.default_rng(seed)
     if tied:
         space = integer_l1_space(rng, n)
