@@ -96,36 +96,33 @@ class SigmaEvaluator:
     Dense row layout: row t of ``order`` (the stable argsort of ``dist[t]``,
     :meth:`FiniteMetricSpace.row_order`) and of a delta's n x n ``gaps``
     table (the length of [r_j, r_{j+1}) clipped to delta, r_j the j-th
-    sorted distance) describe the balls around t, and its ``live`` table
-    marks the intervals of positive length.  ``gaps`` are read off
-    ``np.sort`` of the rows, which does not depend on how ties are ordered;
-    the space computes ``order`` once, from the first evaluator's sorted
-    rows, for all its evaluators.  A gap is 0 inside a block of tied distances, so a cumulative weight
-    counts as a ball mass only at the end of its block.  ``delta`` is one
-    truncation or a sequence of them, ``deltas`` the truncations kept, one
-    table per entry; ``delta``, ``gaps`` and ``live`` are the first
-    entry's, the only one of a one-delta evaluator.  The first
-    ``jacobian`` call also keeps ``_gather``, the flat index that reads
-    each row's suffix sums back in point order; evaluators that never
-    differentiate do not build it.
+    sorted distance) describe the balls around t, and its ``dead`` table
+    marks the intervals of zero length.  ``gaps`` are read off ``np.sort``
+    of the rows, which does not depend on how ties are ordered; the space
+    computes ``order`` once, from the first evaluator's sorted rows, for
+    all its evaluators.  A gap is 0 inside a block of tied distances, so a
+    cumulative weight counts as a ball mass only at the end of its block.
+    ``delta`` is one truncation or a sequence of them, ``deltas`` the
+    truncations kept, one table per entry; ``delta``, ``gaps`` and
+    ``dead`` are the first entry's, and ``at(d)`` gives lanes at indices
+    ``d`` into ``deltas`` their own.  The first ``jacobian`` or ``at``
+    call keeps ``_gather``, the flat index that reads each row's suffix
+    sums back in point order.
 
     ``masses``, ``profile``, ``jacobian`` and ``m_self_grad`` take a
     (lanes x n) weight matrix, one measure per row, and give one result per
     lane; a 1-D weight vector is one lane and gets results without the lane
-    axis.  ``d``, one index into ``deltas`` per lane, picks the table each
-    lane reads, the first when it is None.  Every lane's result is bit for
-    bit that of a call on its row alone at its delta: the (lanes, n, n)
-    arrays are C-contiguous (the ball masses come from ``w.take(order,
-    axis=-1)``), so ``matmul`` dots contiguous rows with the BLAS dot of a
-    one-lane call (BLAS may add strided rows in another order), and ``w J``
-    is the same gemv as a lane's ``J.T @ w``.  Lanes that share a delta
-    read its table as a view; lanes at several deltas read a copy gathered
-    per lane.  ``profile``, ``jacobian`` and ``m_self_grad`` take the
-    ``masses`` of the same weights when the caller has them, so an
-    iterate's ball masses and integrand values are computed once.  Memory
-    is O(k * n^2) per evaluator of k deltas and O(lanes * n^2) per call.
-    Each delta is truncated at the diameter: the functionals treat delta >=
-    diam and delta = infinity as identical.
+    axis.  Every lane's result is bit for bit that of a call on its row
+    alone: the (lanes, n, n) arrays are C-contiguous (the ball masses come
+    from ``w.take(order, axis=-1)``), so ``matmul`` dots contiguous rows
+    with the BLAS dot of a one-lane call (BLAS may add strided rows in
+    another order), and ``w J`` is the same gemv as a lane's ``J.T @ w``.
+    ``profile``, ``jacobian`` and ``m_self_grad`` take the ``masses`` of
+    the same weights when the caller has them, so an iterate's ball masses
+    and integrand values are computed once.  Memory is O(k * n^2) per
+    evaluator of k deltas and O(lanes * n^2) per call.  Each delta is
+    truncated at the diameter: the functionals treat delta >= diam and
+    delta = infinity as identical.
     """
 
     def __init__(self, space: FiniteMetricSpace, delta: float | Sequence[float] | None = None,
@@ -146,25 +143,24 @@ class SigmaEvaluator:
             g[:, -1] = d
         self._gaps -= sd
         np.maximum(self._gaps, 0.0, out=self._gaps)
-        self._live = self._gaps > 0
-        self._dead = ~self._live
-        self.gaps, self.live = self._gaps[0], self._live[0]
+        self._dead = ~(self._gaps > 0)
+        self.gaps, self.dead = self._gaps[0], self._dead[0]
         self._gather = None
 
-    @staticmethod
-    def _rows(table, d):
-        """The rows of ``table`` that lanes at delta indices ``d`` read: one
-        table as a view when they share it (the first when ``d`` is None),
-        else one gathered per lane."""
-        if d is None:
-            return table[0]
-        first = d[0]
-        # the ufunc reduce is np.all without its Python wrapper
-        if np.logical_and.reduce(d == first):
-            return table[first]
-        return table.take(d, axis=0)
+    def at(self, d: np.ndarray) -> SigmaEvaluator:
+        """A copy with the tables of lanes at delta indices ``d``: views when
+        they share one delta, else gathered per lane.  It runs no
+        ``__init__`` and shares ``order`` and ``_gather``, built here."""
+        self._suffix_index()
+        ev = object.__new__(SigmaEvaluator)
+        ev.__dict__.update(self.__dict__)
+        if len(set(d.tolist())) == 1:
+            ev.gaps, ev.dead = self._gaps[d[0]], self._dead[d[0]]
+        else:
+            ev.gaps, ev.dead = self._gaps.take(d, axis=0), self._dead.take(d, axis=0)
+        return ev
 
-    def masses(self, w: np.ndarray, d=None) -> tuple[np.ndarray, np.ndarray]:
+    def masses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(p, vals), each (lanes, n, n), or (n, n) for a 1-D ``w``:
         p[l, t, j] is the weight of lane l on the first j + 1 points of row
         t's order, and vals = f(p) on the live intervals of positive mass, 0
@@ -176,23 +172,23 @@ class SigmaEvaluator:
         # np.minimum.reduce is w.min() without its Python wrapper
         if np.minimum.reduce(w, axis=None) >= _TINY:
             vals = self.f(p)
-            np.copyto(vals, 0.0, where=self._rows(self._dead, d))
+            np.copyto(vals, 0.0, where=self.dead)
             return p, vals
-        massive = self._rows(self._live, d) & (p > 0)
+        massive = ~self.dead & (p > 0)
         vals = np.zeros(p.shape)
         vals[massive] = self.f(p[massive])
         return p, vals
 
-    def profile(self, w: np.ndarray, masses=None, d=None) -> np.ndarray:
+    def profile(self, w: np.ndarray, masses=None) -> np.ndarray:
         """sigma(mu, t) for every t and lane; +inf where a live interval has
         no mass."""
-        p, vals = self.masses(w, d) if masses is None else masses
+        p, vals = self.masses(w) if masses is None else masses
         # matmul reduces each row with the BLAS dot of a 1-D np.dot; einsum
         # would add in another order and move the searched objectives' last bits
-        out = np.matmul(self._rows(self._gaps, d)[..., None, :], vals[..., None])[..., 0, 0]
+        out = np.matmul(self.gaps[..., None, :], vals[..., None])[..., 0, 0]
         # only a zero (or NaN) weight can leave a live interval massless
         if not np.minimum.reduce(w, axis=None) > 0:
-            out[(self._rows(self._live, d) & ~(p > 0)).any(axis=-1)] = np.inf
+            out[(~self.dead & ~(p > 0)).any(axis=-1)] = np.inf
         return out
 
     def m_self(self, w: np.ndarray) -> float:
@@ -200,7 +196,7 @@ class SigmaEvaluator:
 
     # -- analytic gradients (weights assumed strictly positive) ------------
 
-    def jacobian(self, w: np.ndarray, masses=None, d=None) -> np.ndarray:
+    def jacobian(self, w: np.ndarray, masses=None) -> np.ndarray:
         """J[t, u] = d sigma(mu, t) / d w_u for every lane, ignoring the
         simplex constraint.
 
@@ -211,13 +207,7 @@ class SigmaEvaluator:
         if self.mode != GAUSSIAN_LOG:
             raise ValueError("the jacobian is analytic in gaussian-log mode only")
         n = self.space.n
-        if self._gather is None:
-            # J[t, order[t, j]] is the suffix sum from j, which the reversed
-            # row's running sum holds at n - 1 - j
-            rows = np.arange(n)[:, None]
-            self._gather = np.empty((n, n), dtype=np.intp)
-            self._gather[rows, self.order] = rows * n + np.arange(n - 1, -1, -1)
-        p, vals = self.masses(w, d) if masses is None else masses
+        p, vals = self.masses(w) if masses is None else masses
         # the moving entries are the live ones with 0 < p < 1 - 1e-15, which
         # are those where f(p) > 0 and p < 1 - 1e-15; there term is
         # gaps * f'(p), f'(p) = -1 / (2 ln 2 p f(p)), and +0.0 elsewhere.
@@ -228,15 +218,25 @@ class SigmaEvaluator:
         x = 2.0 * math.log(2.0) * p
         x *= vals
         term = np.divide(-1.0, x, out=np.zeros(p.shape), where=moving)
-        term *= self._rows(self._gaps, d)
+        term *= self.gaps
         rev = term[..., ::-1].cumsum(axis=-1)
-        return rev.reshape(p.shape[:-2] + (n * n,)).take(self._gather, axis=-1)
+        return rev.reshape(p.shape[:-2] + (n * n,)).take(self._suffix_index(), axis=-1)
 
-    def m_self_grad(self, w: np.ndarray, prof: np.ndarray, masses=None, d=None) -> np.ndarray:
-        """Gradient of M(mu, mu) at each lane of w, given ``prof = profile(w,
-        d=d)``."""
+    def _suffix_index(self):
+        """``_gather``, built at the first call."""
+        if self._gather is None:
+            # J[t, order[t, j]] is the suffix sum from j, which the reversed
+            # row's running sum holds at n - 1 - j
+            n = self.space.n
+            rows = np.arange(n)[:, None]
+            self._gather = np.empty((n, n), dtype=np.intp)
+            self._gather[rows, self.order] = rows * n + np.arange(n - 1, -1, -1)
+        return self._gather
+
+    def m_self_grad(self, w: np.ndarray, prof: np.ndarray, masses=None) -> np.ndarray:
+        """Gradient of M(mu, mu) at each lane of w, given ``prof = profile(w)``."""
         # w J is J.T @ w, lane by lane the same gemv
-        return prof + np.matmul(w[..., None, :], self.jacobian(w, masses, d))[..., 0, :]
+        return prof + np.matmul(w[..., None, :], self.jacobian(w, masses))[..., 0, :]
 
 
 def nu_average(prof: np.ndarray, nu_w: np.ndarray):

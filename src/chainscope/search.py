@@ -15,10 +15,11 @@ profile, and a lane leaves the batch when it stops.  Lanes keep their own
 step size, temperature, iteration count and best iterate and share no
 arithmetic, so every lane is bit for bit a search run alone.  The self
 search can also run at several truncations delta at once
-(``maximize_M_self_per_delta``): one lane per (delta, start), each lane
-reading its delta's table of one evaluator, all in one ascent, so a batch
-may mix deltas.  A batch holds at most ``LANE_BUDGET`` lanes x n^2 entries
-per array.  Iterates stay strictly positive (floor 1e-12, then
+(``maximize_M_self_per_delta``): one lane per (delta, start) of one
+evaluator, all in one ascent, so a batch may mix deltas and reads its
+lanes' tables from ``SigmaEvaluator.at`` once; a one-delta search reads
+the evaluator's own.  A batch holds at most ``LANE_BUDGET`` lanes x n^2
+entries per array.  Iterates stay strictly positive (floor 1e-12, then
 renormalize) so the objectives remain finite; the gradients are the exact
 derivatives of the piecewise-linear-in-eps sigma profiles.
 """
@@ -94,11 +95,11 @@ class _SelfM:
         v = nu_average(prof, w).tolist()
         return v, v, (v,)
 
-    def gradient(self, prof, w, masses, d, lanes, reuse):
-        """Values and gradients of ``lanes``, at delta indices ``d``;
+    def gradient(self, prof, w, masses, ev, lanes, reuse):
+        """Values and gradients of ``lanes`` on the batch evaluator ``ev``;
         ``reuse`` is what ``value`` left at the same rows, or None."""
         v = nu_average(prof, w).tolist() if reuse is None else reuse[0]
-        return v, self.ev.m_self_grad(w, prof, masses, d)
+        return v, ev.m_self_grad(w, prof, masses)
 
 
 class _Soft:
@@ -117,8 +118,7 @@ class _Soft:
 
     def start(self, prof, lanes):
         spread = 0.1 * (prof.max(axis=1) - prof.min(axis=1)) + 1e-3
-        for lane, x in zip(lanes, spread.tolist()):
-            self.tau[lane] = max(x, 1e-3)
+        self.tau.update(zip(lanes, spread.tolist()))
 
     def cool(self, lane, it, stalled):
         if stalled and self.tau[lane] <= 1e-6:
@@ -148,14 +148,14 @@ class _Soft:
         vals = [mi - sign * t * math.log(x) for mi, t, x in zip(m, tau, total.tolist())]
         return vals, m, (vals, tau, e, total)
 
-    def gradient(self, prof, w, masses, d, lanes, reuse):
+    def gradient(self, prof, w, masses, ev, lanes, reuse):
         # the tilt of the value, normalized, weighs the rows of J; it is
         # reused unless a lane's temperature changed since
         if reuse is None or reuse[1] != [self.tau[lane] for lane in lanes]:
             reuse = self.value(prof, w, lanes)[2]
         vals, _, e, total = reuse
         e = e / total[:, None]
-        return vals, np.matmul(e[:, None, :], self.ev.jacobian(w, masses, d))[:, 0, :]
+        return vals, np.matmul(e[:, None, :], ev.jacobian(w, masses))[:, 0, :]
 
 
 def _mirror_ascent(problem, w0, d, max_iter):
@@ -189,21 +189,21 @@ def _mirror_ascent(problem, w0, d, max_iter):
     out = [None] * lanes_all
     searching = []
 
-    def at(lanes):
-        """The delta indices of ``lanes``."""
-        return None if d is None else d[lanes]
+    def batch(lanes):
+        """The evaluator that ``lanes`` read: ``ev`` itself at one delta."""
+        return ev if d is None else ev.at(d[lanes])
 
     def stop(lane, converged):
         out[lane] = (best_w[lane], best[lane], it[lane], converged)
 
-    def begin(lanes, wl, pl, masses, reuse=None):
-        """Start the next iteration of ``lanes``, none of them at
-        ``max_iter``, at rows ``wl`` with profiles ``pl`` and ``masses``;
-        ``reuse`` is what their ``problem.value`` left."""
+    def begin(lanes, wl, pl, masses, bev, reuse=None):
+        """Start the next iteration of ``lanes``, none at ``max_iter``, at
+        rows ``wl`` with profiles ``pl`` and ``masses`` on their evaluator
+        ``bev``; ``reuse`` is what their ``problem.value`` left."""
         for lane in lanes:
             it[lane] += 1
             problem.cool(lane, it[lane], stalled=False)
-        v, g = problem.gradient(pl, wl, masses, at(lanes), lanes, reuse)
+        v, g = problem.gradient(pl, wl, masses, bev, lanes, reuse)
         # remove the direction normal to the simplex
         g -= np.matmul(g[:, None, :], wl[:, :, None])[:, 0]
         norm = np.maximum.reduce(np.abs(g), axis=1)
@@ -225,14 +225,14 @@ def _mirror_ascent(problem, w0, d, max_iter):
 
     for k in range(0, lanes_all, per):
         lanes = list(range(k, min(k + per, lanes_all)))
-        wl, dl = w0[k:k + per], at(slice(k, k + per))
-        masses = ev.masses(wl, dl)
-        pl = ev.profile(wl, masses, dl)
+        wl, bev = w0[k:k + per], batch(slice(k, k + per))
+        masses = bev.masses(wl)
+        pl = bev.profile(wl, masses)
         problem.start(pl, lanes)
         _, exact, reuse = problem.value(pl, wl, lanes)
         best[k:k + per] = exact
         if max_iter > 0:
-            begin(lanes, wl, pl, masses, reuse)
+            begin(lanes, wl, pl, masses, bev, reuse)
         else:
             for lane in lanes:
                 stop(lane, False)
@@ -246,9 +246,9 @@ def _mirror_ascent(problem, w0, d, max_iter):
             np.exp(cand, out=cand)
             cand *= np.array([w[lane] for lane in lanes])
             cand = _project(cand)
-            dl = at(lanes)
-            masses = ev.masses(cand, dl)
-            cprof = ev.profile(cand, masses, dl)
+            bev = batch(lanes)
+            masses = bev.masses(cand)
+            cprof = bev.profile(cand, masses)
             cval, cexact, reuse = problem.value(cprof, cand, lanes)
             took, stalled = [], []
             for i, lane in enumerate(lanes):
@@ -281,19 +281,20 @@ def _mirror_ascent(problem, w0, d, max_iter):
                     masses = (masses[0][idx], masses[1][idx])
                     reuse = tuple(x[idx] if isinstance(x, np.ndarray) else [x[i] for i in took]
                                   for x in reuse)
-                begin(lanes, cand, cprof, masses, reuse)
+                    bev = batch(lanes)
+                begin(lanes, cand, cprof, masses, bev, reuse)
             if stalled:  # a stalled lane starts again from its iterate
-                wl, dl = np.array([w[lane] for lane in stalled]), at(stalled)
-                masses = ev.masses(wl, dl)
-                begin(stalled, wl, ev.profile(wl, masses, dl), masses)
+                wl, bev = np.array([w[lane] for lane in stalled]), batch(stalled)
+                masses = bev.masses(wl)
+                begin(stalled, wl, bev.profile(wl, masses), masses, bev)
     return out
 
 
 def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
     """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
     ``restarts`` Dirichlet draws at each delta of the problem's evaluator,
-    one per delta: every (delta, start) pair is one lane of the ascent.
-    """
+    one per delta: every (delta, start) pair is one lane of the ascent,
+    and a one-delta search passes no delta indices."""
     space = problem.ev.space
     n = space.n
     if n == 0:
@@ -303,8 +304,6 @@ def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
                   + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
                   + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
     k, starts = len(problem.ev.deltas), len(w0)
-    # a one-delta search passes no lane indices: looking them up on every
-    # call made duality's three searches about 10% slower
     out = _mirror_ascent(problem, np.tile(w0, (k, 1)),
                          np.repeat(np.arange(k), starts) if k > 1 else None, max_iter)
     results = []

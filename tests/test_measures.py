@@ -450,7 +450,7 @@ def test_every_lane_of_a_batched_call_is_its_one_lane_call(case, mode):
             else:
                 assert np.array_equal(prof[lane], ref.profile(row))
             if not row.any():  # a lane with no mass: +inf wherever an interval is live
-                assert np.isinf(prof[lane][ev.live.any(axis=1)]).all()
+                assert np.isinf(prof[lane][~ev.dead.all(axis=1)]).all()
             if mode != GAUSSIAN_LOG:
                 continue
             one = ev.jacobian(row)
@@ -477,17 +477,18 @@ def test_every_lane_reads_the_table_of_its_delta(case, data, mode):
     shared = data.draw(st.integers(min_value=0, max_value=len(deltas) - 1))
     spread = data.draw(st.lists(st.integers(min_value=0, max_value=len(deltas) - 1),
                                 min_size=len(w), max_size=len(w)))
-    for d in (None, np.full(len(w), shared), np.array(spread)):
+    for d in (np.zeros(len(w), int), np.full(len(w), shared), np.array(spread)):
+        lanes = ev.at(d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            masses = ev.masses(w, d)
-            prof = ev.profile(w, masses, d)
-            assert prof.tobytes() == ev.profile(w, d=d).tobytes()
+            masses = lanes.masses(w)
+            prof = lanes.profile(w, masses)
+            assert prof.tobytes() == lanes.profile(w).tobytes()
             if mode == GAUSSIAN_LOG:
-                jac = ev.jacobian(w, masses, d)
-                grad = ev.m_self_grad(w, prof, masses, d)
+                jac = lanes.jacobian(w, masses)
+                grad = lanes.m_self_grad(w, prof, masses)
             for lane, row in enumerate(w):
-                one = ones[0 if d is None else d[lane]]
+                one = ones[d[lane]]
                 assert masses[1][lane].tobytes() == one.masses(row)[1].tobytes()
                 assert prof[lane].tobytes() == one.profile(row).tobytes()
                 if mode == GAUSSIAN_LOG:
@@ -557,7 +558,7 @@ def test_evaluator_rows_are_the_stable_order(name, delta_frac):
     order, gaps = _rows_reference(ev)  # the stable argsort and the gaps it gives
     assert ev.order.tobytes() == order.tobytes()
     assert ev.gaps.tobytes() == gaps.tobytes()
-    assert np.array_equal(ev.live, gaps > 0)
+    assert np.array_equal(ev.dead, gaps <= 0)
 
 
 def test_every_evaluator_of_a_space_reads_its_one_cached_order():
@@ -569,3 +570,30 @@ def test_every_evaluator_of_a_space_reads_its_one_cached_order():
     # the first delta's table of a several-delta evaluator is its own
     assert evs[2].gaps.tobytes() == SigmaEvaluator(space, 0.1 * space.diam).gaps.tobytes()
     assert evs[2].deltas == [0.1 * space.diam, space.diam]
+
+
+def test_lanes_at_one_delta_read_views_of_its_tables(monkeypatch):
+    space = ORDERING_SPACES["brownian-40"]
+    ev = SigmaEvaluator(space, [0.1 * space.diam, 0.5 * space.diam, space.diam])
+    w = np.random.default_rng(3).dirichlet(np.ones(space.n), size=4)
+
+    def no_init(self, *args, **kwargs):
+        raise AssertionError("at() ran __init__")
+
+    monkeypatch.setattr(SigmaEvaluator, "__init__", no_init)
+    shared, mixed = ev.at(np.full(4, 1)), ev.at(np.array([0, 2, 1, 2]))
+    assert shared.gaps.shape == shared.dead.shape == (space.n, space.n)
+    for table, own in ((shared.gaps, ev._gaps), (shared.dead, ev._dead)):
+        assert np.shares_memory(table, own)
+        assert table.tobytes() == own[1].tobytes()
+    assert mixed.gaps.shape == mixed.dead.shape == (4, space.n, space.n)
+    assert not np.shares_memory(mixed.gaps, ev._gaps)
+    assert mixed.gaps.tobytes() == ev._gaps[[0, 2, 1, 2]].tobytes()
+    assert mixed.dead.tobytes() == ev._dead[[0, 2, 1, 2]].tobytes()
+    # a batch differentiates with the evaluator's one order and Jacobian index
+    mixed.jacobian(w)
+    for lanes in (shared, mixed, ev.at(np.zeros(4, int))):
+        assert lanes.order is ev.order
+        assert lanes._gather is ev._gather is not None
+    # the evaluator's own tables stay those of its first delta
+    assert ev.gaps.tobytes() == ev._gaps[0].tobytes() and ev.delta == ev.deltas[0]
