@@ -53,6 +53,12 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 SEED_LIMIT = 2 ** 64  # --seed is below this, so every derived Philox key is below 2**128
+THREAD_LIMIT = 64  # --threads is at most this: a pool starts up to one thread per tile
+# The BLAS thread setting this process started with (OpenBLAS reads it when
+# numpy loads): from n of about 190 path values depend on it
+BLAS_THREADS = {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+                "cpu_count": os.cpu_count()}
 
 
 def data_instance_path(name: str) -> str:
@@ -114,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         if samples:
             p.add_argument("--samples", type=_at_least(int, 2), default=20000)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=_at_least(int, 1), default=1,
+        p.add_argument("--threads", type=_at_least(int, 1, below=THREAD_LIMIT + 1), default=1,
                        help="worker threads")
         return p
 
@@ -398,6 +404,7 @@ def run_command(args) -> int:
         "seed": args.seed,
         "instance_sha256": instance_hash,
         "version": __version__,
+        "blas_threads": BLAS_THREADS,
         "wall_time_s": time.monotonic() - start,
         "outputs": sorted(outputs.files),
     }
@@ -435,12 +442,17 @@ def replay_manifest(manifest_path: str, out_dir: str, threads: int | None = None
 
     Thread count may be overridden: payloads are reduction-order fixed, so
     the report bytes must not change.  Wall time lives only in the manifest
-    and is excluded from replay comparison.
+    and is excluded from replay comparison.  A BLAS thread setting other
+    than the recorded one is warned about: from n of about 190 it moves bytes.
     """
     import json
 
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    recorded = manifest.get("blas_threads", BLAS_THREADS)
+    if recorded != BLAS_THREADS:
+        warnings.warn(f"BLAS thread setting {BLAS_THREADS} differs from the recorded "
+                      f"{recorded}; from n of about 190 the outputs may differ")
     argv = [manifest["command"]]
     flags = dict(manifest["flags"])
     if manifest["command"] == "analyze" and flags["mode"] != YOUNG_INVERSE:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_lab import standard_normal_block
+from .gaussian_lab import sample_estimate, standard_normal_block
 from .measures import ProbabilityMeasure, functional_M
 from .metric_core import FiniteMetricSpace, build_from_points, euclidean_distances
 
@@ -74,11 +74,9 @@ def esup_check(spec: EllipsoidSpec, n_samples: int, seed: int):
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     g = standard_normal_block(seed, 0, n_samples, spec.truncation)
-    vals = np.linalg.norm(g * spec.semi_axes, axis=1)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-    return {"mc_mean": mean, "mc_stderr": se, "norm_t": spec.norm_t,
-            "closed_ratio": mean / spec.norm_t}
+    est = sample_estimate(np.linalg.norm(g * spec.semi_axes, axis=1))
+    return {"mc_mean": est.mean, "mc_stderr": est.stderr, "norm_t": spec.norm_t,
+            "closed_ratio": est.mean / spec.norm_t}
 
 
 @dataclass(frozen=True)
@@ -177,12 +175,10 @@ def gap_lower_bound_check(spec: EllipsoidSpec, i: int, n_samples: int, seed: int
     cloud = _argmax_cloud(spec, n_samples, seed)
     tail_i = np.sqrt(np.sum(cloud[:, i - 1:] ** 2, axis=1))
     tail_next = np.sqrt(np.sum(cloud[:, i:] ** 2, axis=1))
-    gaps = tail_i - tail_next
-    lhs = float(gaps.mean())
-    se = float(gaps.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    lhs = sample_estimate(tail_i - tail_next)
     rhs = spec.semi_axes[i - 1] ** 4 / (spec.norm_t * spec.tail_sq_norms[i - 1])  # ||t^2(i)||
-    return {"i": i, "lhs_mc": lhs, "lhs_stderr": se, "rhs": float(rhs),
-            "ratio": lhs / rhs if rhs > 0 else math.inf}
+    return {"i": i, "lhs_mc": lhs.mean, "lhs_stderr": lhs.stderr, "rhs": float(rhs),
+            "ratio": lhs.mean / rhs if rhs > 0 else math.inf}
 
 
 def ellipsoid_report(spec: EllipsoidSpec, n_samples: int, seed: int,

@@ -1,22 +1,17 @@
 """Gaussian models, reproducible Monte Carlo, and summary reports.
 
 Sampling uses a counter-based generator (Philox) keyed by (seed, sample
-index): sample i always occupies the same slice of the word stream, so the
-standard normal draws are the same however the work is sharded.  Path
-values are not: the product ``z @ factor.T`` of a range shorter than about
-70 samples rounds differently from the same samples inside a long range
-(tiles aligned to the absolute sample index, ROADMAP item 6, would fix
-that), and from n of about 190 its bits depend on the OpenBLAS thread
-count.  At a fixed shard size and BLAS thread count, estimates are
-bit-reproducible for a fixed seed at any number of worker threads, because
-reductions run in shard order.
+index): sample i always occupies the same slice of the word stream.  Every
+estimator reduces, tile by tile, the paths ``sample_paths(model, 0,
+n_samples, seed)`` draws: under single-threaded OpenBLAS, those of the
+whole-range product ``z @ factor.T``; from n of about 190 their bits
+depend on the OpenBLAS thread count.  Tile results are added in tile
+order, so estimates are bit-reproducible at any number of worker threads.
 
-Paths are laid out coordinates by samples: ``sample_paths`` returns an
-n x samples C-contiguous array whose row t is X(t) over the samples, so
-every estimator reduces across coordinates along axis 0, reading whole
-contiguous rows.  Paths are drawn and reduced one tile of ``SAMPLE_TILE``
-samples at a time, so a shard never exists whole: an estimator holds one
-per-sample vector per shard and a tile's buffers per worker thread.
+Paths are laid out coordinates by samples: row t of ``sample_paths`` is
+X(t) over the samples, so every estimator reduces across coordinates
+along axis 0, reading whole contiguous rows.  An estimator holds a tile's
+draws, product and paths per worker thread and a few numbers per tile.
 """
 
 from __future__ import annotations
@@ -33,13 +28,15 @@ from .metric_core import FiniteMetricSpace, build_from_covariance, cover_sizes, 
 
 JITTER_START = 1e-12
 JITTER_MAX = 1e-6
-# Samples per tile.  Under single-threaded OpenBLAS, the product of a tile
-# that starts a multiple of 1536 samples into a range is bit for bit those
-# rows of the whole range's product (2048 or 4096 is not, at n >= 194 with
-# n mod 8 != 0), so tiling keeps every path value of a range's product.
-# Each tile costs a fixed number of numpy calls, and worker threads hand
-# the GIL over at each one: with 3072-sample tiles a two-thread modulus at
-# n = 16 ran about 12% slower than on whole shards, with these level.
+# Samples per tile up to n = 168.  Beyond, a tile is the largest multiple of
+# 1536 samples whose draws fit in 2^20 words, and at least 1536: at n = 512
+# a 6144-sample tile would take 50 MB of buffers per worker, 1536 take 13.
+# Under single-threaded OpenBLAS, the product of a tile that starts a
+# multiple of 1536 samples into a range is bit for bit those rows of the
+# whole range's product (2048 or 4096 is not, at n >= 194 with n mod 8 !=
+# 0).  Each tile costs a fixed number of numpy calls, and worker threads
+# hand the GIL over at each one: 3072-sample tiles ran a two-thread modulus
+# at n = 16 about 12% slower.
 SAMPLE_TILE = 6144
 # Path values per block when a tile's product is transposed: a whole tile
 # at once copies 1.5x slower at n = 64 and 5x slower at n = 256.
@@ -127,22 +124,29 @@ def standard_normal_block(seed: int, start: int, stop: int, n: int,
     return ndtri(z, out=z)
 
 
-def _tiles(start, stop):
-    """Bounds of the tiles of samples ``start..stop-1``: ``SAMPLE_TILE``
-    samples each from ``start``, the last one also taking a remainder
-    shorter than a tile, whose short product would round differently."""
-    cuts = list(range(start, stop, SAMPLE_TILE))
-    if len(cuts) > 1 and stop - cuts[-1] < SAMPLE_TILE:
+def _tile_length(n: int) -> int:
+    """Samples per tile at n coordinates (see ``SAMPLE_TILE``)."""
+    fit = (1 << 20) // _words_per_sample(n) // 1536 * 1536
+    return max(1536, min(SAMPLE_TILE, fit))
+
+
+def _tiles(n, start, stop):
+    """Bounds of the tiles of samples ``start..stop-1`` at n coordinates:
+    ``_tile_length(n)`` samples each from ``start``, the last one also taking
+    a remainder shorter than a tile, whose short product would round
+    differently."""
+    size = _tile_length(n)
+    cuts = list(range(start, stop, size))
+    if len(cuts) > 1 and stop - cuts[-1] < size:
         cuts.pop()
-    return zip(cuts, cuts[1:] + [stop])
+    return list(zip(cuts, cuts[1:] + [stop]))
 
 
-def _tile_buffers(model, start, stop):
-    """The draw and product buffers for the tiles of samples
-    ``start..stop-1``, as long as the longest tile, made once per range and
-    reused by every tile, so that no tile faults in fresh pages for its
-    temporaries."""
-    rows = max((b - a for a, b in _tiles(start, stop)), default=0)
+def _tile_buffers(model, tiles):
+    """The draw and product buffers for ``tiles``, as long as the longest
+    one, made once and reused by every tile, so that no tile faults in
+    fresh pages for its temporaries."""
+    rows = max((b - a for a, b in tiles), default=0)
     return np.empty((rows, _words_per_sample(model.n))), np.empty((rows, model.n))
 
 
@@ -171,48 +175,39 @@ def sample_paths(model: GaussianModel, start: int, stop: int, seed: int) -> np.n
     of the whole range (see ``SAMPLE_TILE``).
     """
     out = np.empty((model.n, max(stop - start, 0)))
-    buffers = _tile_buffers(model, start, stop)
-    for a, b in _tiles(start, stop):
+    tiles = _tiles(model.n, start, stop)
+    buffers = _tile_buffers(model, tiles)
+    for a, b in tiles:
         _draw_tile(model, a, b, seed, out[:, a - start:b - start], *buffers)
     return out
 
 
-def _path_tiles(model, start, stop, seed):
-    """(offset, paths) for each tile of samples ``start..stop-1``.
+def _map_tiles(model, n_samples, seed, threads, per_tile):
+    """``per_tile(x)`` of each tile of ``sample_paths(model, 0, n_samples,
+    seed)``, in tile order.  Up to ``threads`` workers take the tiles in
+    turn (worker k takes tiles k, k + workers, ...), each through its own
+    ``_tile_buffers``.  The paths ``x`` (n x tile, C-contiguous) live in the
+    draw buffer, which ``_draw_tile`` writes after the product has read it
+    and the worker's next tile overwrites: ``per_tile`` returns what it
+    keeps."""
+    tiles = _tiles(model.n, 0, n_samples)
+    workers = min(threads, len(tiles))
+    results = [None] * len(tiles)
 
-    The draws and products live in the range's ``_tile_buffers``, and the
-    paths, n x tile and C-contiguous, in the draw buffer: ``_draw_tile``
-    writes them after the product has read the draws, and the next tile
-    draws only after the caller is done with them.  A range so holds two
-    tiles' arrays, no more than one tile's draws and product took.
-    """
-    words, prod = _tile_buffers(model, start, stop)
-    for a, b in _tiles(start, stop):
-        x = words.reshape(-1)[:model.n * (b - a)].reshape(model.n, b - a)
-        _draw_tile(model, a, b, seed, x, words, prod)
-        yield a - start, x
+    def work(first):
+        words, prod = _tile_buffers(model, tiles)
+        for i in range(first, len(tiles), workers):
+            a, b = tiles[i]
+            x = words.reshape(-1)[:model.n * (b - a)].reshape(model.n, b - a)
+            _draw_tile(model, a, b, seed, x, words, prod)
+            results[i] = per_tile(x)
 
-
-def _default_shard(n: int) -> int:
-    return max(256, (1 << 21) // _words_per_sample(n))
-
-
-def _map_shards(model, n_samples, seed, threads, per_shard):
-    """Return ``per_shard(tiles, size)`` of each shard, in shard order.
-
-    ``tiles`` yields the shard's path tiles as ``_path_tiles`` does, with
-    offsets into the shard's ``size`` samples.
-    """
-    shard = _default_shard(model.n)
-    bounds = [(s, min(s + shard, n_samples)) for s in range(0, n_samples, shard)]
-
-    def work(b):
-        return per_shard(_path_tiles(model, b[0], b[1], seed), b[1] - b[0])
-
-    if threads and threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(work, bounds))
-    return [work(b) for b in bounds]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(work, range(workers)))  # raises a worker's exception
+    else:
+        work(0)
+    return results
 
 
 @dataclass(frozen=True)
@@ -221,22 +216,24 @@ class Estimate:
     stderr: float
 
 
+def sample_estimate(x) -> Estimate:
+    """Mean and standard error of one value per sample (0 for one sample)."""
+    se = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    return Estimate(float(x.mean()), se)
+
+
 def _estimate(model, n_samples, seed, threads, stat) -> Estimate:
     """Mean and standard error of a per-sample statistic.
 
-    ``stat(x, out)`` writes the statistic of each column of the path tile
-    ``x`` into ``out``, that tile's slice of one shard-length vector.  The
-    shards' sums of the statistic and of its square are added in shard order.
+    ``stat(x)`` returns the statistic of each column of the path tile ``x``;
+    the tiles' sums of the statistic and of its square are added in tile
+    order.
     """
-    def per_shard(tiles, size):
-        m = np.empty(size)
-        for s, x in tiles:
-            stat(x, m[s:s + x.shape[1]])
+    def sums(x):
+        m = stat(x)
         return m.sum(), np.square(m).sum()
 
-    parts = _map_shards(model, n_samples, seed, threads, per_shard)
-    s = sum(p[0] for p in parts)
-    sq = sum(p[1] for p in parts)
+    s, sq = map(sum, zip(*_map_tiles(model, n_samples, seed, threads, sums)))
     mean = s / n_samples
     var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
     return Estimate(float(mean), float(math.sqrt(var / n_samples)))
@@ -251,7 +248,7 @@ def estimate_sup(model: GaussianModel, n_samples: int, seed: int,
     """Monte Carlo E sup_t X(t): mean of the per-sample max coordinate."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    return _estimate(model, n_samples, seed, threads, lambda x, out: x.max(axis=0, out=out))
+    return _estimate(model, n_samples, seed, threads, lambda x: x.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -273,18 +270,12 @@ def argmax_distribution(model: GaussianModel, n_samples: int, seed: int,
         raise ValueError("n_samples must be >= 1")
     tol = 0.0 if model.jitter == 0.0 else 10.0 * math.sqrt(2.0 * model.jitter)
 
-    def per_shard(tiles, size):
-        counts, ties = np.zeros(model.n, dtype=np.int64), 0
-        for _, x in tiles:
-            tied = (x.max(axis=0) - x) <= tol
-            idx = tied.argmax(axis=0)  # first index within tolerance of the max
-            counts += np.bincount(idx, minlength=model.n)
-            ties += int(np.sum(tied.sum(axis=0) > 1))
-        return counts, ties
+    def per_tile(x):
+        tied = (x.max(axis=0) - x) <= tol
+        idx = tied.argmax(axis=0)  # first index within tolerance of the max
+        return np.bincount(idx, minlength=model.n), int(np.sum(tied.sum(axis=0) > 1))
 
-    parts = _map_shards(model, n_samples, seed, threads, per_shard)
-    counts = np.sum([p[0] for p in parts], axis=0)
-    ties = sum(p[1] for p in parts)
+    counts, ties = map(sum, zip(*_map_tiles(model, n_samples, seed, threads, per_tile)))
     return ArgmaxDistribution(
         measure=ProbabilityMeasure(model.space, counts / n_samples),
         tie_count=ties)
@@ -308,18 +299,19 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
     firsts = np.flatnonzero(np.r_[True, ii[1:] != ii[:-1]])
     anchors = list(zip(ii[firsts].tolist(), np.split(jj, firsts[1:])))
 
-    def all_pairs(x, out):
+    def all_pairs(x):
         # rounding is monotone, so the largest exactly rounded |x_a - x_b| is
         # the rounded range; abs keeps a zero range +0.0, as |x_a - x_b| is
-        np.subtract(x.max(axis=0), x.min(axis=0), out=out)
-        np.abs(out, out=out)
+        out = x.max(axis=0)
+        out -= x.min(axis=0)
+        return np.abs(out, out=out)
 
-    def pair_fold(x, out):
+    def pair_fold(x):
         # by the same monotonicity, the largest |x_a - x_b| over a's partners
         # b is the larger of x_a - min_b x_b and max_b x_b - x_a; one running
         # max over the points, never a (tile x pairs) block, and a max is the
         # same in any point or tile order
-        out[:] = 0.0
+        out = np.zeros(x.shape[1])
         lo, hi = np.empty_like(out), np.empty_like(out)
         for a, partners in anchors:
             rows = x[partners]
@@ -329,6 +321,7 @@ def estimate_modulus(model: GaussianModel, delta: float, n_samples: int, seed: i
             np.subtract(hi, x[a], out=hi)
             np.maximum(lo, hi, out=lo)
             np.maximum(out, lo, out=out)
+        return out
 
     return _estimate(model, n_samples, seed, threads, all_pairs if keep.all() else pair_fold)
 

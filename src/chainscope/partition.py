@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian_lab import sample_paths
+from .gaussian_lab import sample_estimate, sample_paths
 from .measures import ProbabilityMeasure
 from .metric_core import FiniteMetricSpace
 
@@ -55,10 +55,8 @@ def common_sample_oracle(model, n_samples: int, seed: int):
 
     def oracle(subset):
         idx = np.fromiter(subset, dtype=int)
-        m = X[idx].max(axis=0)
-        mean = float(m.mean())
-        se = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0
-        return mean, se
+        est = sample_estimate(X[idx].max(axis=0))
+        return est.mean, est.stderr
 
     return oracle
 

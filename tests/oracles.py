@@ -486,13 +486,14 @@ def supremum_report_reference(model, n_samples, seed, delta_grid, threads=1):
 
 
 def modulus_reference(model, delta, n_samples, seed):
-    """S(delta) from one (shard x admissible pairs) block of |X_s - X_t| per shard.
+    """S(delta) from blocks of |X_s - X_t| over (rows x admissible pairs), tile by tile.
 
-    Paths are formed sample by sample in rows, ``z @ factor.T``, one shard
-    after another.  Same shard size, shard-order sums and empty-delta
-    warning as ``gaussian_lab.estimate_modulus``; returns (value, stderr).
+    Paths are formed sample by sample in rows, ``z @ factor.T``, one tile of
+    ``gaussian_lab._tiles`` after another.  Same tile-order sums and
+    empty-delta warning as ``gaussian_lab.estimate_modulus``; returns
+    (value, stderr).
     """
-    from chainscope.gaussian_lab import _default_shard, standard_normal_block
+    from chainscope.gaussian_lab import _tiles, standard_normal_block
 
     ii, jj = np.triu_indices(model.n, k=1)
     keep = model.space.dist[ii, jj] <= delta
@@ -501,12 +502,12 @@ def modulus_reference(model, delta, n_samples, seed):
         warnings.warn("no admissible pair at this delta; modulus is trivially 0")
         return 0.0, 0.0
 
-    shard = _default_shard(model.n)
     s = sq = 0.0
-    for start in range(0, n_samples, shard):
-        x = standard_normal_block(seed, start, min(start + shard, n_samples),
-                                  model.n) @ model.factor.T
-        m = np.abs(x[:, ii] - x[:, jj]).max(axis=1)
+    for start, stop in _tiles(model.n, 0, n_samples):
+        x = standard_normal_block(seed, start, stop, model.n) @ model.factor.T
+        # 1024 rows at a time bound the block; each row's max is the same
+        m = np.concatenate([np.abs(x[r:r + 1024, ii] - x[r:r + 1024, jj]).max(axis=1)
+                            for r in range(0, stop - start, 1024)])
         s += m.sum()
         sq += np.square(m).sum()
     mean = s / n_samples

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,7 @@ class TestInputErrors:
         ("bounds", "--seed", "-1"),
         ("bounds", "--seed", str(2 ** 64)),
         ("modulus", "--seed", str(2 ** 128 - 1)),
+        ("bounds", "--threads", str(cli.THREAD_LIMIT + 1)),  # rejected before any thread starts
     ])
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv):
         instance = ("--instance", data_instance_path("two_point.json"))
@@ -484,6 +486,23 @@ class TestValidateOnce:
                         == (tmp_path / "twice" / name).read_bytes()), name
 
 
+class TestThreads:
+    @pytest.mark.parametrize("command", ["bounds", "duality"])
+    def test_worker_threads_keep_every_byte(self, tmp_path, command):
+        # the default 20,000 samples are three tiles at n = 8, which
+        # --threads 2 shares out between two workers
+        for threads in ("1", "2"):
+            code, _ = run(tmp_path, command, "--threads", threads, "--instance",
+                          data_instance_path("equilateral_8.json"), sub=threads)
+            assert code == 0
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert names == sorted(os.listdir(tmp_path / "2"))
+        for name in names:
+            if not name.endswith("_manifest.json"):  # manifests hold wall time
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / "2" / name).read_bytes(), name
+
+
 class TestManifestReplay:
     def test_replay_byte_identical(self, tmp_path):
         code, out = run(tmp_path, "bounds", "--instance",
@@ -521,6 +540,28 @@ class TestManifestReplay:
         assert len(m["instance_sha256"]) == 64
         assert "analyze_report.json" in m["outputs"]
         assert m["wall_time_s"] >= 0
+        assert m["blas_threads"] == cli.BLAS_THREADS
+        assert set(m["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpu_count"}
+
+    def test_replay_warns_of_another_blas_thread_setting(self, tmp_path):
+        code, out = run(tmp_path, "modulus", "--instance", data_instance_path("two_point.json"),
+                        "--samples", "2000")
+        assert code == 0
+        manifest = json.loads((out / "modulus_manifest.json").read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the recorded setting: no warning
+            assert replay_manifest(str(out / "modulus_manifest.json"),
+                                   str(tmp_path / "same")) == 0
+        other = dict(cli.BLAS_THREADS, OPENBLAS_NUM_THREADS="3")
+        if other == cli.BLAS_THREADS:
+            other["OPENBLAS_NUM_THREADS"] = "4"
+        manifest["blas_threads"] = other
+        hand_made = tmp_path / "hand_made_manifest.json"
+        hand_made.write_text(json.dumps(manifest))
+        with pytest.warns(UserWarning, match="BLAS thread setting"):
+            assert replay_manifest(str(hand_made), str(tmp_path / "other")) == 0
+        for name in manifest["outputs"]:
+            assert (out / name).read_bytes() == (tmp_path / "other" / name).read_bytes()
 
 
 class TestMisc:
@@ -605,7 +646,7 @@ def _fresh_python(code: str) -> str:
 # flag -> (valid values, out-of-range or non-finite values)
 COMMON_FLAGS = {
     "--seed": (["0", "7", str(2 ** 64 - 1)], ["-1", "nan", str(2 ** 64)]),
-    "--threads": (["1", "2"], ["0", "inf"]),
+    "--threads": (["1", "2"], ["0", "inf", str(cli.THREAD_LIMIT + 1)]),
 }
 SAMPLES = (["2", "50", "200"], ["1", "0", "nan", "inf"])
 GRIDS = (["0.5", "0.25,1", "3"], ["0", "-1", "0.5,-2", "nan", "inf", "1,nan", "oops"])

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from chainscope import functional_M, gaussian_lab
 from chainscope.cli import data_instance_path
-from chainscope.gaussian_lab import (SAMPLE_TILE, FactorizationError, _default_shard,
-                                     _map_shards, argmax_distribution, build_model,
-                                     estimate_modulus,
-                                     estimate_sup, sample_paths, standard_normal_block,
-                                     sudakov_bound, supremum_report)
+from chainscope.gaussian_lab import (FactorizationError, _map_tiles, _tile_length,
+                                     argmax_distribution, build_model, estimate_modulus,
+                                     estimate_sup, sample_estimate, sample_paths,
+                                     standard_normal_block, sudakov_bound, supremum_report)
 from chainscope.io import covariance_from_instance, load_instance
 
 from conftest import random_covariance
@@ -36,15 +35,9 @@ def concentration_check(model, u_grid, n_samples, seed, threads=1):
         return []
     u_grid = [float(u) for u in u_grid]
 
-    def per_shard(tiles, size):
-        m = np.empty(size)
-        for s, x in tiles:
-            x.max(axis=0, out=m[s:s + x.shape[1]])
-        return m.sum(), m
-
-    parts = _map_shards(model, n_samples, seed, threads, per_shard)
-    mean = sum(p[0] for p in parts) / n_samples
-    sups = np.concatenate([p[1] for p in parts])
+    tiles = _map_tiles(model, n_samples, seed, threads, lambda x: x.max(axis=0))
+    mean = sum(t.sum() for t in tiles) / n_samples
+    sups = np.concatenate(tiles)
     rows = []
     for u in u_grid:
         emp = float(np.mean(np.abs(sups - mean) >= u))
@@ -222,65 +215,60 @@ def test_modulus_bit_identical_to_reference(n, rank, kept, frac, n_samples, thre
     assert (got == (0.0, 0.0)) is (kept == "none")
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_modulus_three_shards_bit_identical_to_reference(threads):
-    # n = 64: 32768-sample shards, so 70,000 samples are three shards; the
-    # delta keeps the closest ~5% of the pairs to bound the reference's block
-    model = build_model(random_covariance(np.random.default_rng(64), 64))
-    assert -(-70000 // _default_shard(64)) == 3
-    d = _pair_distances(model)
-    delta = (d[99] + d[100]) / 2
-    got, ref, got_warn, ref_warn = _modulus_both(model, delta, 70000, 17, threads)
-    assert got == ref
-    assert got_warn == ref_warn == []
+def _tile_counts(n):
+    """Sample counts at tile boundaries: one short of a tile, one tile, one
+    past it (which the tile takes), and a tile then one with 37 more."""
+    t = _tile_length(n)
+    return (t - 1, t, t + 1, 2 * t + 37)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("scale", [1.0, 1.5])
-def test_modulus_all_pairs_bit_identical_to_reference(monkeypatch, threads, scale):
+def test_modulus_all_pairs_bit_identical_to_reference(threads, scale):
     # delta >= diam keeps all 2016 pairs of n = 64, which takes the range
-    # max - min per sample; 1024-sample shards make 3000 samples three
-    # shards (the last one ragged) and bound the reference's block
+    # max - min per sample, on a whole tile and a ragged last one
     model = build_model(random_covariance(np.random.default_rng(65), 64))
-    monkeypatch.setattr(gaussian_lab, "_default_shard", lambda n: 1024)
-    got, ref, got_warn, ref_warn = _modulus_both(model, scale * model.space.diam, 3000, 29,
-                                                 threads)
+    n_samples = _tile_counts(64)[-1]
+    got, ref, got_warn, ref_warn = _modulus_both(model, scale * model.space.diam, n_samples,
+                                                 29, threads)
     assert got == ref
     assert got_warn == ref_warn == []
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_modulus_ragged_blocks_bit_identical_to_reference(threads):
+    # n = 16 with the closest 10 pairs and n = 64 with the closest 100 (about
+    # 5%), at every tile-boundary sample count
+    for n, k, seed in [(16, 10, 23), (64, 100, 17)]:
+        model = build_model(random_covariance(np.random.default_rng(n), n))
+        d = _pair_distances(model)
+        delta = (d[k - 1] + d[k]) / 2
+        for n_samples in _tile_counts(n):
+            got, ref, got_warn, ref_warn = _modulus_both(model, delta, n_samples, seed,
+                                                         threads)
+            assert got == ref, (n, n_samples)
+            assert got_warn == ref_warn == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_modulus_ragged_blocks_bit_identical_to_reference(threads):
-    # n = 16: a full 131072-sample shard whose last tile takes the remainder
-    # past its whole tiles, then an 18928-sample shard of a few whole tiles
-    # and a ragged last one; the delta keeps the closest 10 pairs to bound
-    # the reference's block
-    model = build_model(random_covariance(np.random.default_rng(16), 16))
-    shard, tail = _default_shard(16), 150000 - _default_shard(16)
-    assert shard % SAMPLE_TILE and shard // SAMPLE_TILE > 1
-    assert tail % SAMPLE_TILE and tail // SAMPLE_TILE > 1
-    d = _pair_distances(model)
-    delta = (d[9] + d[10]) / 2
-    got, ref, got_warn, ref_warn = _modulus_both(model, delta, 150000, 23, threads)
-    assert got == ref
-    assert got_warn == ref_warn == []
-
-
-def test_modulus_memory_bounded_by_one_shard():
-    # two full shards at n = 32, and every pair admissible for the modulus:
-    # a (shard x pairs) block would need about 47 shards of path bytes and a
-    # whole shard's draws, product and paths three, while drawing and
-    # reducing one tile at a time keeps each estimator below one
+def test_memory_bounded_by_the_tiles(threads):
+    # 20 tiles at n = 32, and every pair admissible for the modulus: a
+    # (tile x pairs) block would need about 15 tiles of path bytes, and the
+    # whole run's paths 20; a worker's draw and product buffers take two,
+    # and the reductions of its tile about one more
     n = 32
     model = build_model(random_covariance(np.random.default_rng(32), n))
-    n_samples = 2 * _default_shard(n)
-    shard_bytes = _default_shard(n) * n * 8
+    estimate_sup(model, 2, 3)  # the first draw imports scipy.special
+    n_samples = 20 * _tile_length(n) + 37
+    tile_bytes = (_tile_length(n) + 37) * n * 8
     runs = {
-        "sup": lambda: estimate_sup(model, n_samples, 3).mean,
-        "argmax": lambda: argmax_distribution(model, n_samples, 3).measure.weights.max(),
-        "modulus": lambda: estimate_modulus(model, model.space.diam, n_samples, 3).mean,
+        "sup": lambda: estimate_sup(model, n_samples, 3, threads).mean,
+        "argmax": lambda: argmax_distribution(model, n_samples, 3,
+                                              threads).measure.weights.max(),
+        "modulus": lambda: estimate_modulus(model, model.space.diam, n_samples, 3,
+                                            threads).mean,
         "pairs": lambda: estimate_modulus(model, float(np.median(model.space.dist)),
-                                          n_samples, 3).mean,
+                                          n_samples, 3, threads).mean,
     }
     for name, run in runs.items():
         tracemalloc.start()
@@ -290,19 +278,20 @@ def test_modulus_memory_bounded_by_one_shard():
         finally:
             tracemalloc.stop()
         assert value > 0, name
-        assert peak < shard_bytes, (name, peak / shard_bytes)
+        assert peak < 4 * threads * tile_bytes, (name, peak / tile_bytes)
 
 
 # Draws and checks sample_paths in a fresh interpreter with one OpenBLAS
 # thread, on ranges of several tiles whose last tile has 1, 37 and
-# SAMPLE_TILE - 1 samples past its whole tiles, and one of whole tiles only.
+# tile - 1 samples past its whole tiles, and one of whole tiles only.
 TILE_RULE_CHECK = """
 import numpy as np
-from chainscope.gaussian_lab import SAMPLE_TILE as T, build_model, sample_paths, standard_normal_block
+from chainscope.gaussian_lab import _tile_length, build_model, sample_paths, standard_normal_block
 bad = []
-for n in (16, 64, 201, 257, 300):
+for n in (16, 64, 201, 257, 300, 512):
     A = np.random.default_rng(n).standard_normal((n, n))
     model = build_model(A @ A.T / n)
+    T = _tile_length(n)
     for start, stop in [(0, 2 * T), (5, 5 + 2 * T + 1), (0, 2 * T + 37), (3, 3 + 3 * T - 1)]:
         x = sample_paths(model, start, stop, 11)
         want = (standard_normal_block(11, start, stop, n) @ model.factor.T).T
@@ -312,6 +301,32 @@ for n in (16, 64, 201, 257, 300):
 print(bad)
 """
 
+# The estimators' tiles, concatenated, against sample_paths over the same
+# samples, at one and two worker threads and one OpenBLAS thread.
+ESTIMATOR_PATHS_CHECK = """
+import numpy as np
+from chainscope.gaussian_lab import _map_tiles, _tile_length, build_model, sample_paths
+bad = []
+for n in (16, 64, 201, 257, 300, 512):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    model = build_model(A @ A.T / n)
+    for n_samples in (_tile_length(n) - 1, 2 * _tile_length(n) + 37, 20000):
+        want = sample_paths(model, 0, n_samples, 7)
+        for threads in (1, 2):
+            got = np.hstack(_map_tiles(model, n_samples, 7, threads, lambda x: x.copy()))
+            if not np.array_equal(got, want):
+                bad.append((n, n_samples, threads))
+print(bad)
+"""
+
+
+def _one_blas_thread(code):
+    src = os.path.dirname(os.path.dirname(gaussian_lab.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=600)
+    return out.stdout.strip()
+
 
 def test_tiles_keep_the_whole_range_product():
     # the tile rule: each tile's product is bit for bit those rows of the
@@ -319,11 +334,15 @@ def test_tiles_keep_the_whole_range_product():
     # OpenBLAS rounds tiles that are not a multiple of 1536 samples long
     # differently; the BLAS thread count is pinned because at 2 threads the
     # whole-range product itself rounds differently at such n
-    src = os.path.dirname(os.path.dirname(gaussian_lab.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", TILE_RULE_CHECK], env=env,
-                         capture_output=True, text=True, check=True, timeout=600)
-    assert out.stdout.strip() == "[]"
+    assert [_tile_length(n) for n in (16, 168, 169, 201, 257, 512, 700)] == \
+        [6144, 6144, 4608, 4608, 3072, 1536, 1536]
+    assert _one_blas_thread(TILE_RULE_CHECK) == "[]"
+
+
+def test_estimators_draw_the_paths_sample_paths_draws():
+    # tiles counted from sample 0: at n = 201, 257 and 300 ranges cut at any
+    # other multiple of the tile would round differently
+    assert _one_blas_thread(ESTIMATOR_PATHS_CHECK) == "[]"
 
 
 def _rank_deficient_model():
@@ -347,43 +366,36 @@ ESTIMATORS = {
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-def test_thread_invariance_across_a_shard_boundary(name):
-    # 1000 more samples than one shard: two shards, which threads > 1 run in parallel
+def test_thread_invariance_at_tile_boundaries(name):
+    # one, two and three tiles' worth of work, which threads > 1 share out
     model = _rank_deficient_model()
     assert model.jitter > 0
-    n_samples = _default_shard(model.n) + 1000
-    results = [ESTIMATORS[name](model, n_samples, th) for th in (1, 2, 8)]
-    assert results[0] == results[1] == results[2]
-
-
-@pytest.mark.parametrize("name", sorted(ESTIMATORS))
-def test_thread_invariance_at_small_shards(name, monkeypatch):
-    # 256-sample shards: sample counts one short of, at and one past a shard
-    # boundary, and several shards, at every thread count
-    model = _rank_deficient_model()
-    monkeypatch.setattr(gaussian_lab, "_default_shard", lambda n: 256)
-    for n_samples in (255, 256, 257, 1000):
+    for n_samples in _tile_counts(model.n):
         results = [ESTIMATORS[name](model, n_samples, th) for th in (1, 2, 8)]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2], n_samples
 
 
-def test_shard_invariance(monkeypatch):
-    # the draws do not depend on the sharding, and at n = 8 neither do the
-    # path values of these 256-sample shards; a range shorter than about 70
-    # samples would round its product differently (ROADMAP item 6).  So
-    # counts match exactly and sums, added in another order, to a few ulps
-    # (the stderr's variance loses digits to cancellation)
+def test_estimators_reduce_the_sample_paths():
+    # the estimators reduce the paths sample_paths draws: counts match
+    # exactly and sums, added tile by tile instead of in one pass, to a few
+    # ulps (the stderr's variance loses digits to cancellation)
     model = _rank_deficient_model()
-    whole = {name: f(model, 1000, 1) for name, f in ESTIMATORS.items()}
-    monkeypatch.setattr(gaussian_lab, "_default_shard", lambda n: 256)
-    sharded = {name: f(model, 1000, 2) for name, f in ESTIMATORS.items()}
-    assert sharded["argmax"] == whole["argmax"]
-    assert sharded["sup"].mean == pytest.approx(whole["sup"].mean, rel=1e-12)
-    assert sharded["sup"].stderr == pytest.approx(whole["sup"].stderr, rel=1e-9)
-    assert sharded["modulus"].mean == pytest.approx(whole["modulus"].mean, rel=1e-12)
-    assert sharded["modulus"].stderr == pytest.approx(whole["modulus"].stderr, rel=1e-9)
-    for a, b in zip(whole["concentration"], sharded["concentration"]):
-        assert b == pytest.approx(a, rel=1e-12)
+    n_samples = _tile_counts(model.n)[-1]
+    x = sample_paths(model, 0, n_samples, 5)
+    sup = sample_estimate(x.max(axis=0))
+    got = estimate_sup(model, n_samples, 5, 2)
+    assert got.mean == pytest.approx(sup.mean, rel=1e-12)
+    assert got.stderr == pytest.approx(sup.stderr, rel=1e-9)
+    tied = (x.max(axis=0) - x) <= 10.0 * math.sqrt(2.0 * model.jitter)
+    weights, ties = _argmax_law(model, n_samples, 2)
+    assert weights == (np.bincount(tied.argmax(axis=0), minlength=8) / n_samples).tolist()
+    assert ties == int(np.sum(tied.sum(axis=0) > 1)) > 0
+    ii, jj = np.triu_indices(model.n, k=1)
+    keep = model.space.dist[ii, jj] <= model.space.diam / 2
+    pairs = sample_estimate(np.abs(x[ii[keep]] - x[jj[keep]]).max(axis=0))
+    got = estimate_modulus(model, model.space.diam / 2, n_samples, 5, 2)
+    assert got.mean == pytest.approx(pairs.mean, rel=1e-12)
+    assert got.stderr == pytest.approx(pairs.stderr, rel=1e-9)
 
 
 class TestArgmax:
