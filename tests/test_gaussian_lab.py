@@ -223,6 +223,21 @@ def _tile_counts(n):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_modulus_three_shards_bit_identical_to_reference(threads):
+    # n = 64: three tiles of work (the shards of the name), the last one 37
+    # samples longer than a tile; the delta keeps the closest ~5% of the
+    # pairs to bound the reference's block
+    model = build_model(random_covariance(np.random.default_rng(64), 64))
+    n_samples = 3 * _tile_length(64) + 37
+    assert len(gaussian_lab._tiles(64, 0, n_samples)) == 3
+    d = _pair_distances(model)
+    delta = (d[99] + d[100]) / 2
+    got, ref, got_warn, ref_warn = _modulus_both(model, delta, n_samples, 17, threads)
+    assert got == ref
+    assert got_warn == ref_warn == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("scale", [1.0, 1.5])
 def test_modulus_all_pairs_bit_identical_to_reference(threads, scale):
     # delta >= diam keeps all 2016 pairs of n = 64, which takes the range
@@ -366,11 +381,24 @@ ESTIMATORS = {
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
-def test_thread_invariance_at_tile_boundaries(name):
-    # one, two and three tiles' worth of work, which threads > 1 share out
+def test_thread_invariance_across_a_shard_boundary(name):
+    # one, two and three tiles' worth of work (the tiles are the shards of
+    # work), which threads > 1 share out
     model = _rank_deficient_model()
     assert model.jitter > 0
     for n_samples in _tile_counts(model.n):
+        results = [ESTIMATORS[name](model, n_samples, th) for th in (1, 2, 8)]
+        assert results[0] == results[1] == results[2], n_samples
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_thread_invariance_at_small_shards(name, monkeypatch):
+    # 256-sample tiles: sample counts one short of, at and one past a tile
+    # boundary, and three tiles, the last one ragged, at every thread count
+    model = _rank_deficient_model()
+    monkeypatch.setattr(gaussian_lab, "_tile_length", lambda n: 256)
+    assert len(gaussian_lab._tiles(model.n, 0, 1000)) == 3
+    for n_samples in (255, 256, 257, 1000):
         results = [ESTIMATORS[name](model, n_samples, th) for th in (1, 2, 8)]
         assert results[0] == results[1] == results[2], n_samples
 
