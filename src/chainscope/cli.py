@@ -53,7 +53,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 SEED_LIMIT = 2 ** 64  # --seed is below this, so every derived Philox key is below 2**128
-THREAD_LIMIT = 64  # --threads is at most this: a pool starts up to one thread per tile
+THREAD_LIMIT = 64  # --threads is at most this: the calling thread and a pool of up to 63
 # The BLAS thread setting this process started with (OpenBLAS reads it when
 # numpy loads): from n of about 190 path values depend on it
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),

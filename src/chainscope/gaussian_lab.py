@@ -186,10 +186,10 @@ def _map_tiles(model, n_samples, seed, threads, per_tile):
     """``per_tile(x)`` of each tile of ``sample_paths(model, 0, n_samples,
     seed)``, in tile order.  Up to ``threads`` workers take the tiles in
     turn (worker k takes tiles k, k + workers, ...), each through its own
-    ``_tile_buffers``.  The paths ``x`` (n x tile, C-contiguous) live in the
-    draw buffer, which ``_draw_tile`` writes after the product has read it
-    and the worker's next tile overwrites: ``per_tile`` returns what it
-    keeps."""
+    ``_tile_buffers``; worker 0 is the calling thread, the others a pool.
+    The paths ``x`` (n x tile, C-contiguous) live in the draw buffer, which
+    ``_draw_tile`` writes after the product has read it and the worker's
+    next tile overwrites: ``per_tile`` returns what it keeps."""
     tiles = _tiles(model.n, 0, n_samples)
     workers = min(threads, len(tiles))
     results = [None] * len(tiles)
@@ -203,8 +203,10 @@ def _map_tiles(model, n_samples, seed, threads, per_tile):
             results[i] = per_tile(x)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(work, range(workers)))  # raises a worker's exception
+        with ThreadPoolExecutor(max_workers=workers - 1) as ex:
+            rest = ex.map(work, range(1, workers))
+            work(0)
+        list(rest)  # raises a worker's exception, once the pool has joined
     else:
         work(0)
     return results

@@ -12,14 +12,17 @@ every start of a search as one lane of a batch: each round evaluates one
 candidate for every lane still searching in one batched profile, a lane
 that accepts takes its next gradient from the ball masses of that
 profile, and a lane leaves the batch when it stops.  Lanes keep their own
-step size, temperature, iteration count and best iterate and share no
-arithmetic, so every lane is bit for bit a search run alone.  The self
-search can also run at several truncations delta at once
-(``maximize_M_self_per_delta``): one lane per (delta, start) of one
-evaluator, all in one ascent, so a batch may mix deltas and reads its
-lanes' tables from ``SigmaEvaluator.at`` once; a one-delta search reads
-the evaluator's own.  A batch holds at most ``LANE_BUDGET`` lanes x n^2
-entries per array.  Iterates stay strictly positive (floor 1e-12, then
+sign (+1 ascends, -1 descends), step size, temperature, iteration count
+and best iterate and share no arithmetic, so every lane is bit for bit a
+search run alone.  The driver returns one result per group of lanes.  The
+self search can run at several truncations delta at once
+(``maximize_M_self_per_delta``): a group per delta, one lane per (delta,
+start) of one evaluator, so a batch may mix deltas and reads its lanes'
+tables from ``SigmaEvaluator.at`` once; a one-delta search reads the
+evaluator's own.  The two soft searches run together (``soft_searches``):
+a group per search, sup_inf's lanes at +1 and inf_sup's at -1, so a batch
+may mix signs.  A batch holds at most ``LANE_BUDGET`` lanes x n^2 entries
+per array.  Iterates stay strictly positive (floor 1e-12, then
 renormalize) so the objectives remain finite; the gradients are the exact
 derivatives of the piecewise-linear-in-eps sigma profiles.
 """
@@ -75,13 +78,13 @@ def _project(w: np.ndarray) -> np.ndarray:
 
 
 class _SelfM:
-    """sup_mu M(mu, mu), followed exactly; a step must gain SEARCH_TOL * (1 + |M|)."""
+    """sup_mu M(mu, mu), followed exactly, at sign +1 on each of ``lanes``
+    lanes; a step must gain SEARCH_TOL * (1 + |M|)."""
 
-    sign = 1.0
     slack = SEARCH_TOL
 
-    def __init__(self, ev):
-        self.ev = ev
+    def __init__(self, ev, lanes):
+        self.ev, self.sign = ev, [1.0] * lanes
 
     def start(self, prof, lanes):
         pass
@@ -103,9 +106,11 @@ class _SelfM:
 
 
 class _Soft:
-    """max_t sigma (sign -1, descended) or min_t sigma (sign +1, ascended).
+    """min_t sigma (sign +1, ascended) or max_t sigma (sign -1, descended),
+    one sign per lane: ``sign[l]`` is lane l's, the sign of its group
+    (sup_inf or inf_sup), and a batch may mix them.
 
-    Steps follow the softmax or softmin of the profile at a temperature tau,
+    Steps follow the softmin or softmax of the profile at a temperature tau,
     one per lane, that halves every 50 iterations and on a stall; any gain
     is a step.
     """
@@ -128,24 +133,21 @@ class _Soft:
         return True
 
     def value(self, prof, w, lanes):
-        # the tilt exp(-sign * (prof - m) / tau), m the row's min (softmin)
-        # or max (softmax), as m - prof or prof - m, the same bits; the
-        # per-lane scalars stay Python floats, as in a search run alone.
-        # The reductions call the ufuncs directly: the Python wrappers of
-        # .min(), .max() and .sum() are a visible share of a call at n = 16
-        sign = self.sign
+        # the tilt exp(sign * (m - prof) / tau), m the row's min (sign +1)
+        # or max (sign -1): with q = sign * prof, min q - q is m - prof or
+        # prof - m bit for bit (IEEE subtraction is antisymmetric).  The
+        # per-lane scalars stay Python floats, as in a search run alone,
+        # and the reductions call the ufuncs without their Python wrappers
+        sign = [self.sign[lane] for lane in lanes]
         tau = [self.tau[lane] for lane in lanes]
-        if sign > 0:
-            m = np.minimum.reduce(prof, axis=1)
-            e = m[:, None] - prof
-        else:
-            m = np.maximum.reduce(prof, axis=1)
-            e = prof - m[:, None]
+        q = prof * np.array(sign)[:, None]
+        m = np.minimum.reduce(q, axis=1)
+        e = m[:, None] - q
         e /= np.array(tau)[:, None]
         np.exp(e, out=e)
         total = np.add.reduce(e, axis=1)
-        m = m.tolist()
-        vals = [mi - sign * t * math.log(x) for mi, t, x in zip(m, tau, total.tolist())]
+        m = [s * x for s, x in zip(sign, m.tolist())]
+        vals = [mi - s * t * math.log(x) for mi, s, t, x in zip(m, sign, tau, total.tolist())]
         return vals, m, (vals, tau, e, total)
 
     def gradient(self, prof, w, masses, ev, lanes, reuse):
@@ -163,13 +165,14 @@ def _mirror_ascent(problem, w0, d, max_iter):
     from every row of ``w0`` as one lane, lane l at the evaluator's delta
     index ``d[l]`` (at its only delta if ``d`` is None).
 
-    A lane steps along the gradient of ``problem.value`` (``sign`` +1
-    ascends, -1 descends) when the step moves the value by more than
-    ``slack * (1 + |value|)``, and keeps its best iterate by the exact value
-    up to a relative ``SEARCH_TOL``.  Each lane has its own step size,
-    iteration count, best iterate and stop, and leaves the batch when it
-    stops.  Every round evaluates one candidate for each lane still
-    searching, in one batched profile (in runs of at most
+    Lane l steps along the gradient of ``problem.value`` (its
+    ``problem.sign[l]`` +1 ascends, -1 descends) when the step moves the
+    value by more than ``slack * (1 + |value|)``, and keeps its best
+    iterate by the exact value up to a relative ``SEARCH_TOL``.  Each lane
+    has its own sign, step size, iteration count, best iterate and stop,
+    and leaves the batch when it stops.  Every round evaluates one
+    candidate for each lane still searching, in one batched profile (in
+    runs of at most
     ``LANE_BUDGET // n^2`` lanes); a lane that accepts its candidate takes
     the value and gradient of its next iteration from that profile's ball
     masses, and a stalled lane starts again from its iterate's masses.
@@ -242,7 +245,7 @@ def _mirror_ascent(problem, w0, d, max_iter):
         for k in range(0, len(pending), per):
             lanes = pending[k:k + per]
             cand = np.array([grad[lane] for lane in lanes])
-            cand *= np.array([sign * eta[lane] for lane in lanes])[:, None]
+            cand *= np.array([sign[lane] * eta[lane] for lane in lanes])[:, None]
             np.exp(cand, out=cand)
             cand *= np.array([w[lane] for lane in lanes])
             cand = _project(cand)
@@ -252,10 +255,10 @@ def _mirror_ascent(problem, w0, d, max_iter):
             cval, cexact, reuse = problem.value(cprof, cand, lanes)
             took, stalled = [], []
             for i, lane in enumerate(lanes):
-                v = val[lane]
-                if sign * (cval[i] - v) > slack * (1.0 + abs(v)):
+                v, s = val[lane], sign[lane]
+                if s * (cval[i] - v) > slack * (1.0 + abs(v)):
                     w[lane] = cand[i]
-                    if sign * (cexact[i] - best[lane]) > SEARCH_TOL * (1.0 + abs(best[lane])):
+                    if s * (cexact[i] - best[lane]) > SEARCH_TOL * (1.0 + abs(best[lane])):
                         best_w[lane], best[lane] = cand[i], cexact[i]
                     eta[lane] = min(eta[lane] * 1.5, 4.0)
                     if it[lane] < max_iter:
@@ -290,46 +293,51 @@ def _mirror_ascent(problem, w0, d, max_iter):
     return out
 
 
-def _best_of_restarts(problem, init_measures, restarts, max_iter, seed):
-    """Best ``_mirror_ascent`` result from uniform, ``init_measures`` and
-    ``restarts`` Dirichlet draws at each delta of the problem's evaluator,
-    one per delta: every (delta, start) pair is one lane of the ascent,
-    and a one-delta search passes no delta indices."""
-    space = problem.ev.space
-    n = space.n
+def _starts(n, init_measures, restarts, seed):
+    """One row per start: uniform, ``init_measures``, then ``restarts``
+    Dirichlet draws from ``default_rng(seed)``."""
     if n == 0:
         raise ValueError("empty space")
     rng = np.random.default_rng(seed)
-    w0 = np.array([np.full(n, 1.0 / n)]
-                  + [_project(np.array(m.weights, dtype=float)) for m in init_measures or []]
-                  + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
-    k, starts = len(problem.ev.deltas), len(w0)
-    out = _mirror_ascent(problem, np.tile(w0, (k, 1)),
-                         np.repeat(np.arange(k), starts) if k > 1 else None, max_iter)
-    results = []
-    for i in range(0, k * starts, starts):
+    return np.array([np.full(n, 1.0 / n)]
+                    + [_project(np.array(m.weights, dtype=float)) for m in init_measures]
+                    + [_project(rng.dirichlet(np.ones(n))) for _ in range(restarts)])
+
+
+def _best_of_restarts(problem, groups, max_iter, d=None):
+    """The best ``_mirror_ascent`` result of each group of starts, in order.
+
+    ``groups`` holds one matrix of starts per group, whose rows are the
+    lanes of one ascent in group order, lane l at ``problem.sign[l]`` and
+    at the evaluator's delta index ``d[l]`` (its only delta if ``d`` is
+    None).  A group is a delta of the self search or one soft search."""
+    out = _mirror_ascent(problem, np.concatenate(groups), d, max_iter)
+    results, i = [], 0
+    for g in groups:
+        sign, lanes = problem.sign[i], out[i:i + len(g)]
+        i += len(g)
         best = None
-        for w, obj, _, conv in out[i:i + starts]:
-            if best is None or problem.sign * obj > problem.sign * best[1]:
+        for w, obj, _, conv in lanes:
+            if best is None or sign * obj > sign * best[1]:
                 best = (w, obj, conv)
         results.append(OptimizationResult(
-            measure=ProbabilityMeasure(space, best[0]), objective=float(best[1]),
-            converged=best[2], starts=[(float(obj), it, conv)
-                                       for _, obj, it, conv in out[i:i + starts]]))
+            measure=ProbabilityMeasure(problem.ev.space, best[0]), objective=float(best[1]),
+            converged=best[2], starts=[(float(obj), it, conv) for _, obj, it, conv in lanes]))
     return results
 
 
 def maximize_M_self(space: FiniteMetricSpace, init_measures=None, restarts: int = 8,
-                    max_iter: int = 300, seed: int = 0) -> OptimizationResult:
+                    max_iter: int = 300, seed: int = 0,
+                    ev: SigmaEvaluator | None = None) -> OptimizationResult:
     """Best-found measure for sup_mu M(mu, mu).
 
     Initialized from uniform, any supplied measures (typically mu_F), and
     Dirichlet restarts; the returned objective is the exact functional at
-    the returned measure.  The search at the full diameter, the one-delta
-    case of ``maximize_M_self_per_delta``.
+    the returned measure.  The search at the full diameter on ``ev`` (the
+    space's if None), the one-delta case of ``maximize_M_self_per_delta``.
     """
-    return maximize_M_self_per_delta(space, [space.diam], init_measures, restarts, max_iter,
-                                     seed)[0]
+    return _self_searches(SigmaEvaluator(space) if ev is None else ev, init_measures, restarts,
+                          max_iter, seed)[0]
 
 
 def maximize_M_self_per_delta(space: FiniteMetricSpace, deltas, init_measures, restarts: int,
@@ -338,39 +346,61 @@ def maximize_M_self_per_delta(space: FiniteMetricSpace, deltas, init_measures, r
     ``deltas``, in order, all from the same starts.
 
     Every (delta, start) pair is one lane of one batched ascent over one
-    evaluator, so each result is bit for bit that of a search at its delta
-    alone.
+    evaluator, a group of lanes per delta, so each result is bit for bit
+    that of a search at its delta alone.
     """
-    return _best_of_restarts(_SelfM(SigmaEvaluator(space, deltas)), init_measures,
-                             restarts, max_iter, seed)
+    return _self_searches(SigmaEvaluator(space, deltas), init_measures, restarts, max_iter, seed)
 
 
-def minimize_sup_M(space: FiniteMetricSpace, restarts: int = 8,
-                   max_iter: int = 400, seed: int = 0) -> OptimizationResult:
-    """Best-found measure for inf_mu sup_t M(mu, delta_t).
+def _self_searches(ev, init_measures, restarts, max_iter, seed):
+    """``maximize_M_self_per_delta`` at the deltas of the evaluator ``ev``."""
+    w0 = _starts(ev.space.n, init_measures or [], restarts, seed)
+    k = len(ev.deltas)
+    return _best_of_restarts(_SelfM(ev, k * len(w0)), [w0] * k, max_iter,
+                             np.repeat(np.arange(k), len(w0)) if k > 1 else None)
+
+
+def soft_searches(space: FiniteMetricSpace, problems, restarts: int, max_iter: int, seed: int,
+                  ev: SigmaEvaluator | None = None) -> list[OptimizationResult]:
+    """The best-found measure of each of ``problems``, in order: "sup_inf"
+    (sup_mu inf_t M(mu, delta_t)) or "inf_sup" (inf_mu sup_t), on ``ev``.
+
+    Each search is a group of lanes of one ascent, at sign +1 or -1, so
+    each result is bit for bit that of its search alone.  Both start from
+    uniform and ``restarts`` draws of ``default_rng(seed)``; sup_inf also
+    from the balanced measure, whose equalized integrals keep the inner
+    infimum non-degenerate, and warns and goes on without one (coincident
+    points)."""
+    ev = SigmaEvaluator(space) if ev is None else ev
+    groups, sign = [], []
+    for name in problems:
+        inits = []
+        if name == "sup_inf":
+            try:
+                inits.append(balanced_measure(space).measure)
+            except ValueError as exc:
+                warnings.warn(f"sup_inf search without the balanced initializer: {exc}")
+        groups.append(_starts(space.n, inits, restarts, seed))
+        sign += [1.0 if name == "sup_inf" else -1.0] * len(groups[-1])
+    return _best_of_restarts(_Soft(ev, sign), groups, max_iter)
+
+
+def minimize_sup_M(space: FiniteMetricSpace, restarts: int, max_iter: int,
+                   seed: int) -> OptimizationResult:
+    """Best-found measure for inf_mu sup_t M(mu, delta_t), the one-search
+    case of ``soft_searches``.
 
     The reported objective is an upper bound for the true infimum
     (feasible-point semantics).
     """
-    return _best_of_restarts(_Soft(SigmaEvaluator(space), -1.0), None,
-                             restarts, max_iter, seed)[0]
+    return soft_searches(space, ["inf_sup"], restarts, max_iter, seed)[0]
 
 
-def maximize_inf_M(space: FiniteMetricSpace, restarts: int = 8,
-                   max_iter: int = 400, seed: int = 0) -> OptimizationResult:
-    """Best-found measure for sup_mu inf_t M(mu, delta_t).
-
-    The balanced measure is always tried as an initializer: equalized
-    integrals keep the inner infimum non-degenerate over the support.
-    Without one (coincident points) the search warns and goes on without it.
-    """
-    problem = _Soft(SigmaEvaluator(space), 1.0)
-    inits = []
-    try:
-        inits.append(balanced_measure(space).measure)
-    except ValueError as exc:
-        warnings.warn(f"sup_inf search without the balanced initializer: {exc}")
-    return _best_of_restarts(problem, inits, restarts, max_iter, seed)[0]
+def maximize_inf_M(space: FiniteMetricSpace, restarts: int, max_iter: int,
+                   seed: int) -> OptimizationResult:
+    """Best-found measure for sup_mu inf_t M(mu, delta_t), the one-search
+    case of ``soft_searches``."""
+    return soft_searches(space, ["sup_inf"], restarts, max_iter, seed)[0]
 
 
 def balanced_measure(space: FiniteMetricSpace,
@@ -495,12 +525,11 @@ def duality_report(space: FiniteMetricSpace, model=None, n_samples: int = 20000,
         est = estimate_sup(model, n_samples, seed, threads)
         esup, se = est.mean, est.stderr
         inits.append(argmax_distribution(model, n_samples, seed + 1, threads).measure)
-    sup_inf = maximize_inf_M(space, restarts=restarts, max_iter=300, seed=seed)
-    inf_sup = minimize_sup_M(space, restarts=restarts, max_iter=300, seed=seed)
-    sup_self = maximize_M_self(space, init_measures=inits + [sup_inf.measure],
-                               restarts=restarts, max_iter=300, seed=seed)
+    ev = SigmaEvaluator(space)
+    sup_inf, inf_sup = soft_searches(space, ["sup_inf", "inf_sup"], restarts, 300, seed, ev)
+    sup_self = maximize_M_self(space, inits + [sup_inf.measure], restarts, 300, seed, ev)
     w = sup_inf.measure.weights
-    prof = SigmaEvaluator(space).profile(w)
+    prof = ev.profile(w)
     if not (prof.min() <= nu_average(prof, w) + 1e-9):
         flags.append("averaging sandwich violated")
     if sup_inf.objective > sup_self.objective + 1e-6:

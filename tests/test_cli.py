@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chainscope import cli
+from chainscope import cli, gaussian_lab
 from chainscope import io as chainscope_io
 from chainscope.cli import data_instance_path, main, replay_manifest, validate_envelope
 
@@ -501,6 +502,22 @@ class TestThreads:
             if not name.endswith("_manifest.json"):  # manifests hold wall time
                 assert (tmp_path / "1" / name).read_bytes() == \
                     (tmp_path / "2" / name).read_bytes(), name
+
+    def test_two_threads_start_one_pool_thread(self, tmp_path, monkeypatch):
+        # worker 0 is the calling thread, so --threads 2 adds one pool
+        # thread to each of duality's two estimates of three tiles
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(gaussian_lab, "ThreadPoolExecutor", Recorded)
+        code, _ = run(tmp_path, "duality", "--threads", "2", "--restarts", "0", "--instance",
+                      data_instance_path("equilateral_8.json"))
+        assert code == 0
+        assert pools == [1, 1]
 
 
 class TestManifestReplay:

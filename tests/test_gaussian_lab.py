@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -151,6 +152,22 @@ class TestEstimates:
         assert a.mean == b.mean
         assert a.stderr == b.stderr
 
+    def test_worker_zero_is_the_calling_thread(self):
+        # three tiles on two workers: tiles 0 and 2 on the calling thread,
+        # tile 1 in the pool, whose exception is raised once it has joined
+        m = build_model(random_covariance(np.random.default_rng(0), 8))
+        n_samples = 3 * _tile_length(8)
+        idents = _map_tiles(m, n_samples, 3, 2, lambda x: threading.get_ident())
+        assert idents[0] == idents[2] == threading.get_ident() != idents[1]
+
+        def fail_in_the_pool(x):
+            if threading.get_ident() != idents[0]:
+                raise RuntimeError("pool worker")
+            return x.shape
+
+        with pytest.raises(RuntimeError, match="pool worker"):
+            _map_tiles(m, n_samples, 3, 2, fail_in_the_pool)
+
     def test_modulus_two_point(self):
         m = build_model(COV_PAIR_D1)
         est = estimate_modulus(m, 1.0, 100000, 5)
@@ -163,6 +180,8 @@ class TestEstimates:
             est = estimate_modulus(m, 0.5, 1000, 5)
         assert est.mean == 0.0
 
+    # the smallest truncation lies below every distance
+    @pytest.mark.filterwarnings("ignore:no admissible pair at this delta:UserWarning")
     def test_modulus_monotone_in_delta(self):
         m = build_model(random_covariance(np.random.default_rng(4), 10))
         deltas = np.linspace(0.2, 1.0, 5) * m.space.diam
@@ -478,7 +497,10 @@ class TestBounds:
 
     def test_supremum_report_two_point(self):
         m = build_model(COV_PAIR_D1)
-        rep = supremum_report(m, 100000, 7, [0.5, 1.0])
+        # delta = 0.5 is below the one distance: no pair, a modulus of 0
+        with pytest.warns(UserWarning, match="no admissible pair at this delta"):
+            rep = supremum_report(m, 100000, 7, [0.5, 1.0])
+        assert rep["modulus"][0]["s_delta"] == 0.0
         assert abs(rep["esup"] - 1.0 / math.sqrt(2 * math.pi)) <= 3 * rep["esup_stderr"]
         assert rep["m_self_muF"] == pytest.approx(1.0, abs=0.02)
         for row in rep["modulus"]:
