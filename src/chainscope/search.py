@@ -8,23 +8,26 @@ semantics: lower bounds for the sup problems, an upper bound for the inf
 problem.
 
 All three run one mirror-ascent loop from one restart driver, which runs
-every start of a search as one lane of a batch: each round evaluates one
-candidate for every lane still searching in one batched profile, a lane
-that accepts takes its next gradient from the ball masses of that
-profile, and a lane leaves the batch when it stops.  Lanes keep their own
-sign (+1 ascends, -1 descends), step size, temperature, iteration count
-and best iterate and share no arithmetic, so every lane is bit for bit a
-search run alone.  The driver returns one result per group of lanes.  The
-self search can run at several truncations delta at once
+every start of a search as one lane of a batch: each round evaluates the
+candidates of every lane still searching in one batched profile, a lane
+that accepts takes its next gradient from the ball masses of that profile,
+and a lane leaves the batch when it stops.  While the batch is small a
+lane's candidates are its step and the halvings of it that its
+backtracking would try next, so a round does the work of several.  Lanes
+keep their own sign (+1 ascends, -1 descends), step size, temperature,
+iteration count and best iterate and share no arithmetic, so every lane is
+bit for bit a search run alone.  The driver returns one result per group
+of lanes.  The self search can run at several truncations delta at once
 (``maximize_M_self_per_delta``): a group per delta, one lane per (delta,
 start) of one evaluator, so a batch may mix deltas and reads its lanes'
 tables from ``SigmaEvaluator.at`` once; a one-delta search reads the
 evaluator's own.  The two soft searches run together (``soft_searches``):
 a group per search, sup_inf's lanes at +1 and inf_sup's at -1, so a batch
 may mix signs.  A batch holds at most ``LANE_BUDGET`` lanes x n^2 entries
-per array.  Iterates stay strictly positive (floor 1e-12, then
-renormalize) so the objectives remain finite; the gradients are the exact
-derivatives of the piecewise-linear-in-eps sigma profiles.
+per array, and speculative rows only up to ``SPECULATION_BUDGET``.
+Iterates stay strictly positive (floor 1e-12, then renormalize) so the
+objectives remain finite; the gradients are the exact derivatives of the
+piecewise-linear-in-eps sigma profiles.
 """
 
 from __future__ import annotations
@@ -47,11 +50,20 @@ BALANCE_DAMPING = 0.5
 BALANCE_TOL = 1e-8
 # the three searches: relative gain a step or a new best iterate must make
 SEARCH_TOL = 1e-9
-# lanes x n^2 entries per batched sigma call of a search, so that each of
-# a batch's (lanes, n, n) arrays stays within 512 KB however many starts
-# run: the 20 lanes of bounds' default grid (5 truncations x 4 starts) fit
-# one batch up to n = 57, and from n = 256 each lane is its own
+# lanes x n^2 entries per batched sigma call of a search or of the
+# balanced-measure polish, so that each of a batch's (lanes, n, n) arrays
+# stays within 512 KB however many starts or Jacobian columns run: the 20
+# lanes of bounds' default grid (5 truncations x 4 starts) fit one batch up
+# to n = 57, and from n = 256 each lane is its own
 LANE_BUDGET = 1 << 16
+# rows x n^2 entries up to which a round of a search fills its batch with
+# speculative step halvings.  One candidate evaluation (masses, profile,
+# soft value; 2 cores, one BLAS thread) took 54 us at 3 rows and 68 us at
+# 6 at n = 16, 81 and 123 us at n = 32, 200 and 370 us at n = 64: a row
+# beyond the lanes is nearly free only in a small batch.  So a round at
+# n = 16 holds up to 16 rows, at n = 32 up to 4, and from n = 64 on none
+# speculates
+SPECULATION_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -167,28 +179,37 @@ def _mirror_ascent(problem, w0, d, max_iter):
 
     Lane l steps along the gradient of ``problem.value`` (its
     ``problem.sign[l]`` +1 ascends, -1 descends) when the step moves the
-    value by more than ``slack * (1 + |value|)``, and keeps its best
-    iterate by the exact value up to a relative ``SEARCH_TOL``.  Each lane
-    has its own sign, step size, iteration count, best iterate and stop,
-    and leaves the batch when it stops.  Every round evaluates one
-    candidate for each lane still searching, in one batched profile (in
-    runs of at most
-    ``LANE_BUDGET // n^2`` lanes); a lane that accepts its candidate takes
-    the value and gradient of its next iteration from that profile's ball
-    masses, and a stalled lane starts again from its iterate's masses.
-    Lanes share no arithmetic, so each lane's result is bit for bit that of
-    a search run alone.
+    value by more than ``slack * (1 + |value|)``, halves its step size eta
+    when it does not, and keeps its best iterate by the exact value up to a
+    relative ``SEARCH_TOL``.  Each lane has its own sign, step size,
+    iteration count, best iterate and stop, and leaves the batch when it
+    stops.  Every round evaluates the candidates of each lane still
+    searching in one batched profile (in runs of at most ``LANE_BUDGET //
+    n^2`` lanes).  A lane's candidates are its step at eta and, lane by lane
+    while the run holds fewer than ``SPECULATION_BUDGET // n^2`` rows, at
+    eta/2, eta/4, ... above 1e-12, up to its depth: 2 rows at each new
+    iteration, doubled after every round that accepts none of them.  The
+    lane scans its rows in order, halving eta at each that falls short, so
+    the first it accepts is the step a one-candidate loop would take and the
+    rows past it go unused.  A lane that accepts takes the value and
+    gradient of its next iteration from that profile's ball masses, and a
+    stalled lane starts again from its iterate's masses.  Lanes share no
+    arithmetic, so each lane's result is bit for bit that of a search run
+    alone.
     Returns one (best_w, best_exact, iterations, converged) per lane;
     converged means a stop before ``max_iter``.
     """
     ev, sign, slack = problem.ev, problem.sign, problem.slack
     lanes_all, n = w0.shape
     per = max(1, LANE_BUDGET // max(n * n, 1))
+    rows_max = SPECULATION_BUDGET // max(n * n, 1)
     # per lane: iterate and step direction (rows of the batch arrays they
-    # came from), best iterate and value, step size, iterations, value
+    # came from), best iterate and value, step size, iterations, value, and
+    # the rows it asks of its next round
     w, grad = list(w0), [None] * lanes_all
     best_w, best = list(w0), [0.0] * lanes_all
     eta, it, val = [0.5] * lanes_all, [0] * lanes_all, [0.0] * lanes_all
+    depth = [2] * lanes_all
     out = [None] * lanes_all
     searching = []
 
@@ -205,6 +226,7 @@ def _mirror_ascent(problem, w0, d, max_iter):
         ``bev``; ``reuse`` is what their ``problem.value`` left."""
         for lane in lanes:
             it[lane] += 1
+            depth[lane] = 2
             problem.cool(lane, it[lane], stalled=False)
         v, g = problem.gradient(pl, wl, masses, bev, lanes, reuse)
         # remove the direction normal to the simplex
@@ -244,43 +266,62 @@ def _mirror_ascent(problem, w0, d, max_iter):
         pending, searching = searching, []
         for k in range(0, len(pending), per):
             lanes = pending[k:k + per]
-            cand = np.array([grad[lane] for lane in lanes])
-            cand *= np.array([sign[lane] * eta[lane] for lane in lanes])[:, None]
+            # a row per lane at its step, then, while the run has rows to
+            # spare, its next halvings up to its depth; grouped by lane
+            rows, steps, count, spare = [], [], [], rows_max - len(lanes)
+            for lane in lanes:
+                x, c = eta[lane], 1
+                rows.append(lane)
+                steps.append(x)
+                while c < depth[lane] and spare > 0 and x * 0.5 > 1e-12:
+                    x *= 0.5
+                    c, spare = c + 1, spare - 1
+                    rows.append(lane)
+                    steps.append(x)
+                count.append(c)
+            cand = np.array([grad[lane] for lane in rows])
+            cand *= np.array([sign[lane] * x for lane, x in zip(rows, steps)])[:, None]
             np.exp(cand, out=cand)
-            cand *= np.array([w[lane] for lane in lanes])
+            cand *= np.array([w[lane] for lane in rows])
             cand = _project(cand)
-            bev = batch(lanes)
+            bev = batch(rows)
             masses = bev.masses(cand)
             cprof = bev.profile(cand, masses)
-            cval, cexact, reuse = problem.value(cprof, cand, lanes)
-            took, stalled = [], []
-            for i, lane in enumerate(lanes):
+            cval, cexact, reuse = problem.value(cprof, cand, rows)
+            took, stalled, r = [], [], 0  # took: the accepted rows
+            for lane, c in zip(lanes, count):
                 v, s = val[lane], sign[lane]
-                if s * (cval[i] - v) > slack * (1.0 + abs(v)):
-                    w[lane] = cand[i]
-                    if s * (cexact[i] - best[lane]) > SEARCH_TOL * (1.0 + abs(best[lane])):
-                        best_w[lane], best[lane] = cand[i], cexact[i]
-                    eta[lane] = min(eta[lane] * 1.5, 4.0)
-                    if it[lane] < max_iter:
-                        took.append(i)
+                for i in range(r, r + c):
+                    if s * (cval[i] - v) > slack * (1.0 + abs(v)):
+                        w[lane] = cand[i]
+                        if s * (cexact[i] - best[lane]) > SEARCH_TOL * (1.0 + abs(best[lane])):
+                            best_w[lane], best[lane] = cand[i], cexact[i]
+                        eta[lane] = min(eta[lane] * 1.5, 4.0)
+                        if it[lane] < max_iter:
+                            took.append(i)
+                        else:
+                            stop(lane, False)
+                        break
+                    eta[lane] *= 0.5  # the step of row i + 1, if the lane has one
+                    if eta[lane] > 1e-12:
+                        continue
+                    if problem.cool(lane, it[lane], stalled=True):  # no step gained
+                        eta[lane] = 0.5
+                        if it[lane] < max_iter:
+                            stalled.append(lane)
+                        else:
+                            stop(lane, False)
                     else:
-                        stop(lane, False)
-                    continue
-                eta[lane] *= 0.5
-                if eta[lane] > 1e-12:
+                        stop(lane, True)
+                    break
+                else:  # every row fell short: the next round looks twice as deep
+                    depth[lane] *= 2
                     searching.append(lane)
-                elif problem.cool(lane, it[lane], stalled=True):  # no step gained
-                    eta[lane] = 0.5
-                    if it[lane] < max_iter:
-                        stalled.append(lane)
-                    else:
-                        stop(lane, False)
-                else:
-                    stop(lane, True)
+                r += c
             if took:
-                if len(took) < len(lanes):  # only the lanes that go on
+                if len(took) < len(rows):  # only the lanes that go on
                     idx = np.array(took)
-                    lanes, cand, cprof = [lanes[i] for i in took], cand[idx], cprof[idx]
+                    lanes, cand, cprof = [rows[i] for i in took], cand[idx], cprof[idx]
                     masses = (masses[0][idx], masses[1][idx])
                     reuse = tuple(x[idx] if isinstance(x, np.ndarray) else [x[i] for i in took]
                                   for x in reuse)
@@ -426,13 +467,16 @@ def balanced_measure(space: FiniteMetricSpace,
     ev = SigmaEvaluator(space, None, YOUNG_INVERSE)
     w = init.weights.copy() if init is not None else np.full(space.n, 1.0 / space.n)
     w = _project(w)
+    # the reductions call the ufuncs without their Python wrappers:
+    # phi.mean() is the same sum divided by n
+    n = space.n
     phi = ev.profile(w)
-    spread = float(phi.max() - phi.min())
+    spread = float(np.maximum.reduce(phi) - np.minimum.reduce(phi))
     it = 0
     converged = False
     while it < BALANCE_MAX_ITER:
         it += 1
-        mean = float(phi.mean())
+        mean = float(np.add.reduce(phi) / n)
         if spread <= BALANCE_TOL * mean:
             converged = True
             break
@@ -441,7 +485,7 @@ def balanced_measure(space: FiniteMetricSpace,
         while theta > 1e-7:
             cand = _project(w * (phi / mean) ** theta)
             cphi = ev.profile(cand)
-            cspread = float(cphi.max() - cphi.min())
+            cspread = float(np.maximum.reduce(cphi) - np.minimum.reduce(cphi))
             if cspread < spread:
                 w, phi, spread = cand, cphi, cspread
                 accepted = True
@@ -460,25 +504,42 @@ def balanced_measure(space: FiniteMetricSpace,
 
 
 def _balance_polish(ev, w):
+    """Levenberg-Marquardt on the centered integrals over softmax weights,
+    restarted while the spread falls: (w, phi, spread) at the best point.
+
+    scipy's finite differences evaluate the Jacobian's columns through
+    ``workers``; ``batched`` runs them as lanes of batched profiles, at
+    most ``LANE_BUDGET`` entries per call, each row bit for bit
+    ``residual`` of its column alone.
+    """
     from scipy.optimize import least_squares
 
+    n = ev.space.n
+    per = max(1, LANE_BUDGET // (n * n))
+
     def unpack(x):
-        e = np.exp(x - x.max())
-        return _project(e / e.sum())
+        e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+        return _project(e / np.add.reduce(e, axis=-1, keepdims=True))
 
     def residual(x):
+        """The centered integrals at x, or at each row of x."""
         phi = ev.profile(unpack(x))
         bad = ~np.isfinite(phi)
         if bad.any():
             phi = np.where(bad, 1e6, phi)
-        return phi - phi.mean()
+        return phi - phi.mean(axis=-1, keepdims=True)
+
+    def batched(_, xs):
+        """``map(residual, xs)``, ``per`` rows at a time."""
+        xs = list(xs)
+        return [row for k in range(0, len(xs), per) for row in residual(np.array(xs[k:k + per]))]
 
     phi = ev.profile(w)
     spread = float(phi.max() - phi.min())
     for _ in range(4):  # restarting LM resets its trust region
         sol = least_squares(residual, np.log(np.maximum(w, WEIGHT_FLOOR)),
                             method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                            max_nfev=5000)
+                            max_nfev=5000, workers=batched)
         cand = unpack(sol.x)
         cphi = ev.profile(cand)
         cspread = float(cphi.max() - cphi.min())

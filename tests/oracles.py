@@ -445,6 +445,40 @@ def search_reference(problem, space, restarts, max_iter, seed, init_measures=(),
     return w, float(exact[problem]), total, best[2], rows
 
 
+def balance_polish_reference(ev, w):
+    """``search._balance_polish`` with scipy's finite differences taking one
+    ``residual`` call per Jacobian column: Levenberg-Marquardt on the
+    centered young-inverse integrals over softmax weights, restarted while
+    the spread falls.  Returns (w, phi, spread)."""
+    from scipy.optimize import least_squares
+
+    from chainscope.search import _project
+
+    def unpack(x):
+        e = np.exp(x - x.max())
+        return _project(e / e.sum())
+
+    def residual(x):
+        phi = ev.profile(unpack(x))
+        bad = ~np.isfinite(phi)
+        if bad.any():
+            phi = np.where(bad, 1e6, phi)
+        return phi - phi.mean()
+
+    phi = ev.profile(w)
+    spread = float(phi.max() - phi.min())
+    for _ in range(4):
+        sol = least_squares(residual, np.log(np.maximum(w, 1e-12)), method="lm", xtol=1e-15,
+                            ftol=1e-15, gtol=1e-15, max_nfev=5000)
+        cand = unpack(sol.x)
+        cphi = ev.profile(cand)
+        cspread = float(cphi.max() - cphi.min())
+        if not (np.all(np.isfinite(cphi)) and cspread < spread):
+            break
+        w, phi, spread = cand, cphi, cspread
+    return w, phi, spread
+
+
 def supremum_report_reference(model, n_samples, seed, delta_grid, threads=1):
     """``gaussian_lab.supremum_report`` with one search per truncation c
     that a row reads, each run on its own: the grid's deltas, the

@@ -17,9 +17,9 @@ from chainscope.metric_core import build_from_covariance
 from chainscope.search import balanced_measure, maximize_inf_M, minimize_sup_M
 
 from conftest import integer_l1_space, random_covariance, random_space
-from oracles import (balanced_oracle_013, csv_reference, inf_sup_oracle_013, search_reference,
-                     soft_value_reference, sup_inf_oracle_013, sup_self_oracle_013,
-                     supremum_report_reference)
+from oracles import (balance_polish_reference, balanced_oracle_013, csv_reference,
+                     inf_sup_oracle_013, search_reference, soft_value_reference,
+                     sup_inf_oracle_013, sup_self_oracle_013, supremum_report_reference)
 
 TWO_POINT = build_from_distance_matrix([[0, 1], [1, 0]])
 COLLINEAR = build_from_points([[0.0], [1.0], [3.0]])
@@ -277,6 +277,86 @@ def _lane_budget(lanes_per_batch, n):
     return mock.patch.object(search, "LANE_BUDGET", lanes_per_batch * n * n)
 
 
+def _speculation(rows_per_round, n):
+    """``SPECULATION_BUDGET`` patched to ``rows_per_round`` rows of n points
+    per round, or left as it is for None; at 1 no round speculates."""
+    if rows_per_round is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(search, "SPECULATION_BUDGET", rows_per_round * n * n)
+
+
+@contextlib.contextmanager
+def _masses_rows(rows):
+    """Appends the rows (lanes) of every ``SigmaEvaluator.masses`` call to
+    ``rows``: one entry per batched sigma call."""
+    masses = SigmaEvaluator.masses
+
+    def recorded(self, w):
+        rows.append(len(w) if w.ndim == 2 else 1)
+        return masses(self, w)
+
+    with mock.patch.object(SigmaEvaluator, "masses", recorded):
+        yield
+
+
+@pytest.mark.parametrize("rows_per_round", [None, 1, 2, 5, 64])
+@pytest.mark.parametrize("problem, tied, n, restarts, max_iter",
+                         [("sup_self", False, 5, 0, 300), ("sup_self", True, 6, 2, 300),
+                          ("inf_sup", False, 4, 1, 1000), ("sup_inf", True, 3, 1, 1000),
+                          ("sup_inf", False, 8, 0, 300)])
+def test_stalling_lanes_under_speculation_match_reference_loops(rows_per_round, problem, tied, n,
+                                                                restarts, max_iter):
+    # a lane that rejects every row of a round looks twice as deep in the
+    # next one: the self search's last iteration halves its step some 40
+    # times before it stalls, and at n = 4 and 3 the soft lanes stall at
+    # the floor temperature or run out of iterations.  The budget of 1 row
+    # per round speculates nowhere, 2 and 5 rows cut the halvings short,
+    # and 64 rows let a lane's depth double up to 32 rows
+    rng = np.random.default_rng(n)
+    space = integer_l1_space(rng, n) if tied else build_from_covariance(random_covariance(rng, n))
+    init = [ProbabilityMeasure(space, rng.dirichlet(np.ones(space.n)))]
+    rows = []
+    with _speculation(rows_per_round, space.n), _masses_rows(rows):
+        res, ref = _run_both(problem, space, init, restarts=restarts, max_iter=max_iter, seed=n)
+    _assert_bit_identical(res, ref)
+    if rows_per_round == 64:
+        assert max(rows) >= 8  # some lane's depth doubled twice
+
+
+def test_speculative_halvings_keep_every_result_in_fewer_sigma_rounds():
+    # n = 16 as in the benchmark's duality and bounds ops: a budget of one
+    # row per round runs the loop without speculation, whose results and
+    # start records the speculating loop keeps in fewer batched sigma calls
+    rng = np.random.default_rng(7)
+    cov = random_covariance(rng, 16)
+    space = build_from_covariance(cov)
+    model = build_model(cov, space)
+    deltas = [f * space.diam for f in (0.3, 0.6, 1.0)]
+    runs = {}
+    for rows_per_round in (None, 1):
+        dual_rows, self_rows = [], []
+        with _speculation(rows_per_round, 16):
+            with _masses_rows(dual_rows):
+                rep = duality_report(space, model, n_samples=2000, seed=3, restarts=0)
+            with _masses_rows(self_rows):
+                per_delta = search.maximize_M_self_per_delta(space, deltas, [], 1, 150, 3)
+        runs[rows_per_round] = rep, per_delta, len(dual_rows), len(self_rows)
+    (rep, per_delta, dual_calls, self_calls), (base, base_delta, base_dual, base_self) = (
+        runs[None], runs[1])
+    for name in ("sup_self", "inf_sup", "sup_inf", "esup", "esup_stderr", "ratios", "flags",
+                 "starts"):
+        assert getattr(rep, name) == getattr(base, name)
+    assert rep.measures.keys() == base.measures.keys()
+    for name, w in rep.measures.items():
+        assert np.array_equal(w, base.measures[name])
+    for res, ref in zip(per_delta, base_delta, strict=True):
+        assert np.array_equal(res.measure.weights, ref.measure.weights)
+        assert (res.objective, res.converged, res.starts) == (
+            ref.objective, ref.converged, ref.starts)
+    assert dual_calls < base_dual
+    assert self_calls < base_self
+
+
 # below the smallest distance, halfway between two distances, at the
 # diameter and beyond it
 TRUNCATIONS = ("below", "between", "diam", "beyond")
@@ -397,6 +477,45 @@ class TestBalancedMeasure:
         sp = build_from_distance_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
         with pytest.raises(ValueError, match="distinct"):
             balanced_measure(sp)
+
+
+@pytest.mark.parametrize("columns_per_batch", [None, 1, 3])
+@given(st.booleans(), st.integers(min_value=3, max_value=24),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=12, deadline=None)
+def test_balanced_measure_bit_identical_to_the_column_by_column_polish(columns_per_batch, tied,
+                                                                      n, seed):
+    # the polish evaluates the finite-difference columns of its Jacobian as
+    # lanes of batched profiles, LANE_BUDGET entries at most per call: the
+    # default runs every column in one call, a budget of 1 or 3 columns
+    # splits them over several
+    rng = np.random.default_rng(seed)
+    if tied:
+        space = integer_l1_space(rng, n)
+        assume(space.n >= 3)
+    else:
+        space = build_from_covariance(random_covariance(rng, n))
+    polish, profile, polished, entries = search._balance_polish, SigmaEvaluator.profile, [], []
+
+    def counted_polish(ev, w):
+        polished.append(w)
+        return polish(ev, w)
+
+    def counted_profile(self, w, masses=None):
+        entries.append(w.size * self.space.n)
+        return profile(self, w, masses)
+
+    with _lane_budget(columns_per_batch, space.n), \
+            mock.patch.object(search, "_balance_polish", counted_polish), \
+            mock.patch.object(SigmaEvaluator, "profile", counted_profile):
+        bal = balanced_measure(space)
+        budget = search.LANE_BUDGET
+    assert polished  # the fixed-point iteration stops short of the polish's spread
+    assert max(entries) <= budget
+    with mock.patch.object(search, "_balance_polish", balance_polish_reference):
+        ref = balanced_measure(space)
+    assert np.array_equal(bal.measure.weights, ref.measure.weights)
+    assert (bal.objective, bal.converged, bal.starts) == (ref.objective, ref.converged, ref.starts)
 
 
 class TestDualityReport:
