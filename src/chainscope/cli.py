@@ -34,21 +34,6 @@ from .search import duality_report
 
 SCHEMA_VERSION = "1"
 
-ENVELOPE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["schema_version", "command", "instance", "payload", "warnings"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"type": "string"},
-        "command": {"type": "string", "enum": ["analyze", "bounds", "partition",
-                                               "duality", "ellipsoid", "modulus"]},
-        "instance": {"type": "string"},
-        "payload": {"type": "object"},
-        "warnings": {"type": "array", "items": {"type": "string"}},
-    },
-}
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -64,19 +49,6 @@ BLAS_THREADS = {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
 def data_instance_path(name: str) -> str:
     """Path to a bundled instance file such as ``two_point.json``."""
     return os.path.join(os.path.dirname(__file__), "data", name)
-
-
-@functools.cache
-def _envelope_validator():
-    # built on first use, so importing the CLI does not import jsonschema;
-    # tests check ENVELOPE_SCHEMA against the metaschema once
-    import jsonschema
-
-    return jsonschema.Draft7Validator(ENVELOPE_SCHEMA)
-
-
-def validate_envelope(envelope: dict) -> None:
-    _envelope_validator().validate(envelope)
 
 
 def _parse_grid(text: str):
@@ -344,6 +316,33 @@ COMMANDS = {
 
 # ---------------------------------------------------------------------------
 # envelope / manifest plumbing
+
+ENVELOPE_TYPES = {"schema_version": str, "command": str, "instance": str,
+                  "payload": dict, "warnings": list}
+
+
+class EnvelopeError(Exception):
+    """A report envelope out of shape: a program fault, not bad input or a
+    numeric failure, so ``main`` maps it to no exit code and it stays loud."""
+
+
+def validate_envelope(envelope) -> None:
+    """Raise EnvelopeError unless ``envelope`` is a dict of exactly the keys
+    of ENVELOPE_TYPES, each holding its type, ``command`` names one of
+    COMMANDS and every warning is a string."""
+    if not isinstance(envelope, dict):
+        raise EnvelopeError(f"envelope is a {type(envelope).__name__}, not a dict")
+    if envelope.keys() != ENVELOPE_TYPES.keys():
+        raise EnvelopeError(f"envelope keys {sorted(map(repr, envelope))} are not "
+                            f"{sorted(ENVELOPE_TYPES)}")
+    for key, kind in ENVELOPE_TYPES.items():
+        if not isinstance(envelope[key], kind):
+            raise EnvelopeError(f"envelope {key!r} is a {type(envelope[key]).__name__}, "
+                                f"not a {kind.__name__}")
+    if envelope["command"] not in COMMANDS:
+        raise EnvelopeError(f"envelope command {envelope['command']!r} is not a command")
+    if not all(isinstance(w, str) for w in envelope["warnings"]):
+        raise EnvelopeError("envelope warnings are not all strings")
 
 
 class _Outputs:

@@ -141,11 +141,6 @@ def covariance_from_instance(inst: dict, space: FiniteMetricSpace | None = None)
 
 _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_TYPES = {float, np.float64, np.float32, np.float16}
-_JSON_NAMES = {name: f'"{name}"' for name in ("inf", "-inf", "nan")}
-
-
-def _non_finite_name(f: float) -> str:
-    return "nan" if math.isnan(f) else ("inf" if f > 0 else "-inf")
 
 
 def _scalar(v):
@@ -159,7 +154,8 @@ def _scalar(v):
         return _encode_str(v)
     if isinstance(v, (float, np.floating)):
         f = float(v)
-        return float.__repr__(f) if math.isfinite(f) else _JSON_NAMES[_non_finite_name(f)]
+        # float.__repr__ names the non-finite ones inf, -inf and nan, as in _tokens
+        return float.__repr__(f) if math.isfinite(f) else f'"{float.__repr__(f)}"'
     if isinstance(v, (int, np.integer)):
         return int.__repr__(int(v))
     return None

@@ -35,7 +35,10 @@ time, are the byte references for the column-wise writers of ``io``.
 the reference for the incremental net snapping of ``ellipsoid``.
 ``exact_covering_number``, an exhaustive set cover for n <=
 ``EXACT_COVER_MAX_N``, is the truth the certified covering sandwich of
-``metric_core.covering_table`` must contain.
+``metric_core.covering_table`` must contain.  ``ENVELOPE_SCHEMA``, a
+Draft-7 JSON Schema run by jsonschema in ``envelope_is_valid_reference``,
+is the reference for the plain report-envelope check
+``cli.validate_envelope``.
 """
 
 import csv
@@ -703,6 +706,29 @@ def csv_reference(header, rows):
     for row in rows:
         writer.writerow({k: to_jsonable_reference(row[k]) for k in header})
     return buf.getvalue()
+
+
+ENVELOPE_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "required": ["schema_version", "command", "instance", "payload", "warnings"],
+    "additionalProperties": False,
+    "properties": {
+        "schema_version": {"type": "string"},
+        "command": {"type": "string", "enum": ["analyze", "bounds", "partition",
+                                               "duality", "ellipsoid", "modulus"]},
+        "instance": {"type": "string"},
+        "payload": {"type": "object"},
+        "warnings": {"type": "array", "items": {"type": "string"}},
+    },
+}
+
+
+def envelope_is_valid_reference(envelope) -> bool:
+    """Whether Draft-7 validation accepts ``envelope`` under ENVELOPE_SCHEMA."""
+    import jsonschema
+
+    return jsonschema.Draft7Validator(ENVELOPE_SCHEMA).is_valid(envelope)
 
 
 def snap_to_net_reference(cloud, h, chunk=2048):

@@ -581,35 +581,110 @@ class TestManifestReplay:
             assert (out / name).read_bytes() == (tmp_path / "other" / name).read_bytes()
 
 
+def assert_envelope_verdicts_agree(envelope) -> None:
+    """validate_envelope accepts ``envelope`` exactly when Draft-7 validation
+    of the reference schema does, and rejects it with EnvelopeError."""
+    if oracles.envelope_is_valid_reference(envelope):
+        validate_envelope(envelope)
+    else:
+        with pytest.raises(cli.EnvelopeError):
+            validate_envelope(envelope)
+
+
+def _cross_checked(envelope) -> None:
+    assert_envelope_verdicts_agree(envelope)
+    validate_envelope(envelope)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _written_envelopes_cross_checked():
+    # every envelope the tests here have the CLI write gets both verdicts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "validate_envelope", _cross_checked)
+        yield
+
+
+JSON_VALUES = {"null": None, "boolean": True, "integer": 1, "number": 0.5,
+               "string": "1", "array": [], "object": {}}
+ENVELOPE_KEYS = list(oracles.ENVELOPE_SCHEMA["properties"])
+
+
+def _envelope_cases():
+    """(command whose written envelope is the base, mutation) cases."""
+    for command in cli.COMMANDS:
+        yield pytest.param(command, lambda env: env, id=f"written-{command}")
+    for key in ENVELOPE_KEYS:
+        yield pytest.param("analyze", lambda env, key=key: {k: v for k, v in env.items()
+                                                           if k != key}, id=f"no-{key}")
+        for kind, value in JSON_VALUES.items():
+            yield pytest.param("analyze", lambda env, key=key, value=value: {**env, key: value},
+                               id=f"{key}-{kind}")
+    yield pytest.param("analyze", lambda env: {**env, "extra": 1}, id="extra-key")
+    yield pytest.param("analyze", lambda env: {**env, "command": "analyse"},
+                       id="unknown-command")
+    yield pytest.param("analyze", lambda env: {**env, "warnings": ["a warning", None]},
+                       id="non-string-warning")
+    for kind, value in JSON_VALUES.items():
+        if kind != "object":
+            yield pytest.param("analyze", lambda env, value=value: value, id=f"envelope-{kind}")
+
+
+class TestEnvelope:
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The report envelope each command writes on two_point, read back."""
+        out = tmp_path_factory.mktemp("envelopes")
+        instance = ["--instance", data_instance_path("two_point.json")]
+        argv = {"analyze": instance, "bounds": instance + ["--samples", "500"],
+                "partition": instance + ["--samples", "500"],
+                "duality": instance + ["--samples", "500", "--restarts", "0"],
+                "ellipsoid": ["--axes", "1,0.5", "--samples", "500"],
+                "modulus": instance + ["--samples", "500"]}
+        for command in cli.COMMANDS:
+            assert main([command, *argv[command], "--out", str(out / command)]) == 0
+        return {command: read_report(out / command, command) for command in cli.COMMANDS}
+
+    @pytest.mark.parametrize("command, mutate", _envelope_cases())
+    def test_check_agrees_with_draft7_validation(self, written, command, mutate):
+        assert_envelope_verdicts_agree(mutate(written[command]))
+
+    def test_reference_schema_is_a_valid_draft7_schema(self):
+        import jsonschema
+
+        jsonschema.Draft7Validator.check_schema(oracles.ENVELOPE_SCHEMA)
+
+    def test_a_malformed_envelope_escapes_main(self, tmp_path, monkeypatch):
+        # a program fault: neither bad input (exit 2) nor a numeric failure (3)
+        assert not issubclass(cli.EnvelopeError, ValueError)
+        monkeypatch.setitem(cli.COMMANDS, "ellipsoid", lambda args, inst, outputs: [])
+        with pytest.raises(cli.EnvelopeError):
+            run(tmp_path, "ellipsoid", "--axes", "1,0.5")
+
+
 class TestMisc:
     def test_bundled_instances_exist(self):
         for name in ("two_point.json", "equilateral_8.json",
                      "collinear_013.json", "iid_16.json"):
             assert os.path.exists(data_instance_path(name))
 
-    def test_envelope_schema_rejects_extra_keys(self):
-        import jsonschema
-
-        with pytest.raises(jsonschema.ValidationError):
-            validate_envelope({"schema_version": "1", "command": "analyze",
-                               "instance": "x", "payload": {}, "warnings": [],
-                               "extra": 1})
-
-    def test_envelope_schema_is_a_valid_draft7_schema(self):
-        # validate_envelope runs a validator built once, which does not
-        # check the schema itself against the metaschema
-        import jsonschema
-
-        jsonschema.Draft7Validator.check_schema(cli.ENVELOPE_SCHEMA)
-
-    def test_importing_the_cli_leaves_out_jsonschema(self):
-        # neither the package nor the CLI imports scipy or jsonschema: they
-        # load where a command first needs them
+    def test_importing_the_cli_leaves_out_jsonschema(self, tmp_path):
+        # neither the package nor the CLI imports scipy or jsonschema; scipy
+        # loads where a command first needs it
         for module in ("chainscope", "chainscope.cli"):
             code = (f"import sys, {module}; "
                     "print(sorted({m.split('.')[0] for m in sys.modules} "
                     "& {'scipy', 'jsonschema'}))")
             assert _fresh_python(code) == "[]", module
+        # and no command needs jsonschema
+        code = (
+            "import sys\n"
+            "from chainscope.cli import data_instance_path, main\n"
+            "instance = data_instance_path('two_point.json')\n"
+            f"print(main(['analyze', '--instance', instance, '--out', {str(tmp_path / 'a')!r}]),\n"
+            "      main(['duality', '--restarts', '0', '--instance', instance,\n"
+            f"            '--out', {str(tmp_path / 'd')!r}]),\n"
+            "      'jsonschema' in sys.modules)\n")
+        assert _fresh_python(code) == "0 0 False"
 
     def test_first_draw_loads_the_inverse_normal_cdf(self, tmp_path):
         code = (

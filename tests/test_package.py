@@ -1,12 +1,17 @@
 """``chainscope.__all__`` is exactly what the commands and the demos import,
-every parameter with a default is one that a command or a demo sets, and no
-function appends to a list it was passed.  The sources are read as syntax
-trees, so the demos do not run."""
+every parameter with a default is one that a command or a demo sets, no
+function appends to a list it was passed, and the runtime dependencies are
+exactly the third-party modules the package imports.  The sources are read
+as syntax trees, so the demos do not run."""
 
 import ast
 import glob
 import inspect
 import os
+import re
+import sys
+
+import pytest
 
 import chainscope
 
@@ -106,3 +111,18 @@ def test_no_function_fills_an_out_parameter():
                        and isinstance(call.func.value, ast.Name)
                        and call.func.value.id in params]
     assert filled == []
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    # every top-level module the package imports anywhere, lazily too, that is
+    # neither the standard library nor the package is a listed dependency, and
+    # every listed dependency is one of them
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        listed = tomllib.load(fh)["project"]["dependencies"]
+    sources = glob.glob(os.path.join(ROOT, "src", "chainscope", "**", "*.py"), recursive=True)
+    imported = {a.name for n in _nodes(sources, ast.Import) for a in n.names}
+    imported |= {n.module for n in _nodes(sources, ast.ImportFrom) if n.level == 0}
+    third_party = {name.split(".")[0] for name in imported}
+    third_party -= set(sys.stdlib_module_names) | {"chainscope"}
+    assert sorted(third_party) == sorted(re.match(r"[\w.-]+", d).group() for d in listed)
