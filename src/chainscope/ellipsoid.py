@@ -10,6 +10,7 @@ whose universal constant is reported empirically.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,24 +88,47 @@ class EmpiricalMeasure:
     measure: ProbabilityMeasure
 
 
+# bytes per pair of net points that the net's distance matrix and the sigma
+# evaluator of M(mu, mu) hold at their peak: the tracemalloc peak of
+# build_from_points and functional_M over n^2 read 41.0 at n = 795, 1,999
+# and 4,993
+NET_BYTES_PER_PAIR = 41
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def empirical_measure(spec: EllipsoidSpec, n_samples: int, seed: int,
                       net_resolution: float | None = None) -> EmpiricalMeasure:
     """Argmax samples snapped onto a greedy Euclidean net of the cloud.
 
     A sample farther than h from every existing center becomes a new
     center; otherwise it snaps to the nearest one.  The resulting finite
-    support plus frequencies is a measure usable by the functionals.
+    support plus frequencies is a measure usable by the functionals.  A
+    net whose n x n arrays would not fit in physical memory raises
+    ``MemoryError`` before they are made.
     """
     h = net_resolution if net_resolution is not None else 0.05 * float(spec.semi_axes[0])
     if h <= 0:
         raise ValueError("net resolution must be positive")
     centers, counts = _snap_to_net(_argmax_cloud(spec, n_samples, seed), h)
+    need, memory = NET_BYTES_PER_PAIR * len(centers) ** 2, _physical_memory()
+    if need > memory:
+        raise MemoryError(f"the net has {len(centers)} centers, and its distance matrix and "
+                          f"sigma tables need about {need} bytes, more than the {memory} "
+                          "bytes of physical memory")
     space = build_from_points(centers)
     return EmpiricalMeasure(points=centers, counts=counts, space=space,
                             measure=ProbabilityMeasure(space, counts / counts.sum()))
 
 
 SNAP_CHUNK = 2048  # rows compared with the centers of earlier chunks in one matrix
+# rows decided per pair of distance matrices: on the bench's 4-axis net (3,000
+# samples, about 800 centers; median of its 8 seeds on a 2-core host) blocks
+# of 32-128 rows snapped in 15-16.5 ms, of 16 rows in 19 ms and of 256 rows
+# in 16.4-17.4 ms
+SNAP_BLOCK = 64
 
 
 def _snap_to_net(cloud: np.ndarray, h: float):
@@ -114,54 +138,77 @@ def _snap_to_net(cloud: np.ndarray, h: float):
     rows.  A row within h of a center from an earlier chunk snaps to the
     nearest one, read off one distance matrix, even where its own chunk
     makes a nearer center, so the counts depend on ``SNAP_CHUNK``.  The
-    other rows go in order: each snaps to its nearest center if that is
-    within h, and becomes a new center otherwise.  Those rows carry their
-    nearest new center and its distance, updated once per new center from
-    its distances to the later rows (strict ``<``, so ties keep the earlier
-    center).  Every distance adds the squared differences in coordinate
-    order, as ``euclidean_distances`` and scipy's ``cdist`` do.
+    other rows go in order: each snaps to the nearest center its chunk has
+    made before it if that is within h (the first one on ties), and becomes
+    a new center otherwise.
+
+    Those rows are decided ``SNAP_BLOCK`` at a time, with two distance
+    matrices per block: one to the chunk's centers made before the block,
+    and one of the block against itself.  A scan in row order over the
+    second matrix's ``<= h`` entries picks the block's new centers, and one
+    masked argmin gives every other row its nearest new center made before
+    it, which replaces the nearest earlier center only when strictly
+    closer.  The numpy calls grow with the number of blocks, not of
+    centers, and the distance work is that of comparing each row with the
+    centers made before it, plus one block by block matrix per block.
+    Every distance adds the squared differences in coordinate order
+    (``euclidean_distances``, as scipy's ``cdist``).
     """
-    n, dim = cloud.shape
+    n = len(cloud)
     centers = np.empty_like(cloud)
     counts = np.zeros(n)
     centers[0] = cloud[0]
     counts[0] = 1
     m = 1
     for lo in range(1, n, SNAP_CHUNK):
-        block = cloud[lo:lo + SNAP_CHUNK]
-        d = euclidean_distances(block, centers[:m])
-        near = d.min(axis=1) <= h
-        np.add.at(counts, d.argmin(axis=1)[near], 1)
-        rows = np.ascontiguousarray(block[~near].T)  # one coordinate per row
-        k = rows.shape[1]
-        sq = np.empty((dim, k))
-        best = np.full(k, np.inf)  # nearest new center's distance so far
-        owner = np.zeros(k, dtype=int)
-        for r in range(k):
-            if best[r] > h:  # rows[:, r] is farther than h from every center
-                centers[m] = rows[:, r]
-                counts[m] = 1
-                d_new = _distances_to(rows[:, r + 1:], rows[:, r], sq)
-                closer = d_new < best[r + 1:]
-                np.copyto(best[r + 1:], d_new, where=closer)
-                np.copyto(owner[r + 1:], m, where=closer)
-                m += 1
-        np.add.at(counts, owner[best <= h], 1)
+        chunk = cloud[lo:lo + SNAP_CHUNK]
+        dist, snap = _nearest(euclidean_distances(chunk, centers[:m]))
+        near = dist <= h
+        np.add.at(counts, snap[near], 1)
+        first = m  # the other rows compare with the centers from here on
+        rows = chunk[~near]
+        for b in range(0, len(rows), SNAP_BLOCK):
+            block = rows[b:b + SNAP_BLOCK]
+            best, owner = _nearest(euclidean_distances(block, centers[first:m]))
+            owner += first
+            inner = euclidean_distances(block, block)
+            new = _new_centers(best <= h, inner <= h)
+            centers[m:m + len(new)] = block[new]
+            counts[m:m + len(new)] = 1
+            # a row compares only with the new centers made before it
+            later = np.arange(len(block))[:, None] <= new
+            d_new, j = _nearest(np.where(later, np.inf, inner[:, new]))
+            closer = d_new < best
+            np.copyto(best, d_new, where=closer)
+            np.copyto(owner, j + m, where=closer)
+            np.add.at(counts, owner[best <= h], 1)
+            m += len(new)
     return centers[:m].copy(), counts[:m].copy()
 
 
-def _distances_to(points: np.ndarray, x: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Euclidean distances from x to the columns of ``points`` (one
-    coordinate per row), bit for bit ``euclidean_distances``.  The squared
-    differences go into ``sq`` (at least as many columns as ``points``) and
-    are added in coordinate order into its first row; the result is a view
-    of that row."""
-    sq = sq[:, :points.shape[1]]
-    np.subtract(points, x[:, None], out=sq)
-    np.multiply(sq, sq, out=sq)
-    for row in sq[1:]:
-        sq[0] += row
-    return np.sqrt(sq[0], out=sq[0])
+def _nearest(d: np.ndarray):
+    """Each row's smallest entry of ``d`` and its first column; inf and 0
+    in a matrix without columns."""
+    if d.shape[1] == 0:
+        return np.full(len(d), np.inf), np.zeros(len(d), dtype=np.intp)
+    j = d.argmin(axis=1)
+    return d[np.arange(len(d)), j], j
+
+
+def _new_centers(covered: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Positions of the rows that become centers, in row order: a row not
+    ``covered`` when the scan reaches it is a new center and covers the rows
+    its row of ``within`` marks.  The marks are read as Python integers,
+    one bit per row, so the scan makes no numpy call."""
+    width = (len(covered) + 7) // 8
+    marks = np.packbits(within, axis=1, bitorder="little").tobytes()
+    cover = int.from_bytes(np.packbits(covered, bitorder="little").tobytes(), "little")
+    new = []
+    for i in range(len(covered)):
+        if not cover >> i & 1:
+            new.append(i)
+            cover |= int.from_bytes(marks[i * width:(i + 1) * width], "little")
+    return np.array(new, dtype=np.intp)
 
 
 def gap_lower_bound_check(spec: EllipsoidSpec, i: int, n_samples: int, seed: int):

@@ -71,13 +71,26 @@ def _integrand(mode: str, q: float):
     """The integrand f(p): sqrt(log2(1/p)) in gaussian-log mode, and in
     young-inverse mode phi_q^{-1}(1/p) = log2(1 + 1/p)^(1/q) for the Young
     function phi_q(x) = 2^(x^q) - 1, q >= 1.  As phi_q(1) = 1, a point mass
-    at t has sigma = diam at t in young-inverse mode."""
+    at t has sigma = diam at t in young-inverse mode.  Each ufunc after the
+    first writes into the array the first one made, so a call allocates one
+    array of the shape of p."""
     if mode == GAUSSIAN_LOG:
-        return lambda p: np.sqrt(np.maximum(-np.log2(p), 0.0))
+        def f(p):
+            v = np.log2(p)
+            np.negative(v, out=v)
+            np.maximum(v, 0.0, out=v)
+            return np.sqrt(v, out=v)
+        return f
     if mode == YOUNG_INVERSE:
         if q < 1:
             raise ValueError("q must be >= 1")
-        return lambda p: np.power(np.log1p(1.0 / p) / math.log(2.0), 1.0 / q)
+
+        def f(p):
+            v = np.divide(1.0, p)
+            np.log1p(v, out=v)
+            np.divide(v, math.log(2.0), out=v)
+            return np.power(v, 1.0 / q, out=v)
+        return f
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from chainscope import cli, gaussian_lab
+from chainscope import cli, ellipsoid, gaussian_lab
 from chainscope import io as chainscope_io
 from chainscope.cli import data_instance_path, main, replay_manifest, validate_envelope
 
@@ -205,6 +205,20 @@ class TestNumericErrors:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error: out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_net_beyond_physical_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        # with one byte less than a net of two centers needs, any net is
+        # refused before its distance matrix is built
+        monkeypatch.setattr(ellipsoid, "_physical_memory",
+                            lambda: 4 * ellipsoid.NET_BYTES_PER_PAIR - 1)
+        monkeypatch.setattr(ellipsoid, "build_from_points", None)
+        code, _ = run(tmp_path, "ellipsoid", "--axes", "1,0.5", "--samples", "200")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: out of memory: the net has ")
+        n = int(err.split("the net has ")[1].split()[0])
+        assert f" {ellipsoid.NET_BYTES_PER_PAIR * n * n} bytes" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -148,6 +148,17 @@ class TestEmpiricalMeasure:
         assert emp.measure.weights.sum() == pytest.approx(1.0)
         assert emp.counts.sum() == 2000
 
+    def test_net_beyond_physical_memory_is_refused_before_its_matrix(self):
+        spec = make_spec([1.0, 0.5])
+        n = len(_snap_to_net(_argmax_cloud(spec, 300, 3), 0.05)[0])
+        need = ellipsoid.NET_BYTES_PER_PAIR * n * n
+        with mock.patch.object(ellipsoid, "_physical_memory", lambda: need):
+            assert empirical_measure(spec, 300, 3).space.n == n
+        with mock.patch.object(ellipsoid, "_physical_memory", lambda: need - 1), \
+                mock.patch.object(ellipsoid, "build_from_points", side_effect=AssertionError):
+            with pytest.raises(MemoryError, match=f"the net has {n} centers.* {need} bytes"):
+                empirical_measure(spec, 300, 3)
+
     def test_nonpositive_resolution_rejected(self):
         spec = make_spec([1.0])
         with pytest.raises(ValueError):
@@ -188,30 +199,58 @@ class TestSnapToNet:
         assert counts.tolist() == [1.0, 2.0, 1.0]
         assert snap_to_net_reference(cloud, 1.0)[1].tolist() == counts.tolist()
 
+    @pytest.mark.parametrize("block", [2, ellipsoid.SNAP_BLOCK])
+    def test_ties_across_blocks_go_to_the_earlier_block(self, block):
+        # in blocks of 2 the last row is at distance exactly h = 1 from 10,
+        # a center of the first block, and from 12, a center of its own
+        # block made before it; in one block both are new centers
+        cloud = np.array([[0.0], [10.0], [30.0], [12.0], [11.0]])
+        with mock.patch.object(ellipsoid, "SNAP_BLOCK", block):
+            centers, counts = _snap_to_net(cloud, 1.0)
+        assert centers.tolist() == [[0.0], [10.0], [30.0], [12.0]]
+        assert counts.tolist() == [1.0, 2.0, 1.0, 1.0]
+        assert snap_to_net_reference(cloud, 1.0)[1].tolist() == counts.tolist()
+
+    @pytest.mark.parametrize("block", [2, ellipsoid.SNAP_BLOCK])
+    def test_row_at_exactly_h_from_an_earlier_block_snaps(self, block):
+        # the last row, alone in the second block of 2, is at distance
+        # exactly h = 1 from the center 10 of the first block
+        cloud = np.array([[0.0], [10.0], [30.0], [11.0]])
+        with mock.patch.object(ellipsoid, "SNAP_BLOCK", block):
+            centers, counts = _snap_to_net(cloud, 1.0)
+        assert centers.tolist() == [[0.0], [10.0], [30.0]]
+        assert counts.tolist() == [1.0, 2.0, 1.0]
+        assert snap_to_net_reference(cloud, 1.0)[1].tolist() == counts.tolist()
+
     def test_distances_add_squares_in_coordinate_order(self):
+        # the net's bytes rest on euclidean_distances adding the squared
+        # differences one coordinate at a time, in order, in either direction
         rng = np.random.default_rng(3)
-        sq = np.empty((513, 50))
         for dim in [*range(1, 140), *range(200, 514)]:
             points = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10.0, dim)
             x = rng.standard_normal(dim)
-            got = ellipsoid._distances_to(points.T, x, sq[:dim])
-            assert got.tobytes() == euclidean_distances(points, x[None])[:, 0].tobytes(), dim
+            acc = np.zeros(40)
+            for j in range(dim):
+                acc += (points[:, j] - x[j]) ** 2
+            want = np.sqrt(acc).tobytes()
+            assert euclidean_distances(points, x[None])[:, 0].tobytes() == want, dim
+            assert euclidean_distances(x[None], points)[0].tobytes() == want, dim
 
     def test_distances_sum_squares_as_the_norm_does(self):
         # np.linalg.norm sums fewer than 8 squares in order, so ellipsoid
         # reports below 8 axes keep the bytes of a norm-based net
         rng = np.random.default_rng(4)
-        sq = np.empty((7, 50))
         for dim in range(1, 8):
             for _ in range(50):
                 points = rng.standard_normal((40, dim)) * rng.uniform(0.1, 10.0, dim)
                 x = rng.standard_normal(dim)
-                got = ellipsoid._distances_to(points.T, x, sq[:dim])
+                got = euclidean_distances(points, x[None])[:, 0]
                 assert got.tobytes() == np.linalg.norm(points - x, axis=1).tobytes(), dim
 
     @pytest.mark.parametrize("dim", [8, 9, 16, 130, 139, 300])
     @pytest.mark.parametrize("chunk", [50, 2048])
-    def test_wide_clouds_match_row_by_row_reference(self, dim, chunk):
+    @pytest.mark.parametrize("block", [1, 3, ellipsoid.SNAP_BLOCK])
+    def test_wide_clouds_match_row_by_row_reference(self, dim, chunk, block):
         # the property below stops at 16 axes
         rng = np.random.default_rng(dim)
         # h is the in-order distance of a difference x whose pairwise norm
@@ -229,7 +268,7 @@ class TestSnapToNet:
         spread = rng.uniform(0.2, 1.0, (400, 1)) * scale
         clusters = sites[rng.integers(30, size=400)] + spread * rng.standard_normal((400, dim))
         cloud = np.vstack([np.full((1, dim), 100.0), np.zeros((1, dim)), x[None], clusters])
-        with mock.patch.object(ellipsoid, "SNAP_CHUNK", chunk):
+        with mock.patch.multiple(ellipsoid, SNAP_CHUNK=chunk, SNAP_BLOCK=block):
             got = _snap_to_net(cloud, h)
         want = snap_to_net_reference(cloud, h, chunk)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -239,13 +278,14 @@ class TestSnapToNet:
            samples=st.integers(min_value=1, max_value=600),
            h_frac=st.floats(min_value=0.01, max_value=1.5),
            chunk=st.sampled_from([1, 7, 64, 2048]),
+           block=st.sampled_from([1, 3, ellipsoid.SNAP_BLOCK]),
            seed=st.integers(min_value=0, max_value=2 ** 32))
     @settings(max_examples=60, deadline=None)
-    def test_matches_row_by_row_reference(self, axes, samples, h_frac, chunk, seed):
+    def test_matches_row_by_row_reference(self, axes, samples, h_frac, chunk, block, seed):
         spec = make_spec(sorted(axes, reverse=True))
         cloud = _argmax_cloud(spec, samples, seed)
         h = h_frac * spec.semi_axes[0]
-        with mock.patch.object(ellipsoid, "SNAP_CHUNK", chunk):
+        with mock.patch.multiple(ellipsoid, SNAP_CHUNK=chunk, SNAP_BLOCK=block):
             got = _snap_to_net(cloud, h)
         want = snap_to_net_reference(cloud, h, chunk)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
