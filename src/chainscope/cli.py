@@ -216,7 +216,7 @@ def cmd_bounds(args, inst, outputs):
 
 def cmd_partition(args, inst, outputs):
     space, model = _space_and_model(inst)
-    oracle = common_sample_oracle(model, args.samples, args.seed)
+    oracle = common_sample_oracle(model, args.samples, args.seed, args.threads)
     tree = build_partition(space, oracle, r=args.r)
     mu = uniform_measure(space)
     audits = Table.from_rows(

@@ -4,14 +4,16 @@ Sampling uses a counter-based generator (Philox) keyed by (seed, sample
 index): sample i always occupies the same slice of the word stream.  Every
 estimator reduces, tile by tile, the paths ``sample_paths(model, 0,
 n_samples, seed)`` draws: under single-threaded OpenBLAS, those of the
-whole-range product ``z @ factor.T``; from n of about 190 their bits
+whole-range product ``factor @ z.T``; from n of about 190 their bits
 depend on the OpenBLAS thread count.  Tile results are added in tile
 order, so estimates are bit-reproducible at any number of worker threads.
 
 Paths are laid out coordinates by samples: row t of ``sample_paths`` is
 X(t) over the samples, so every estimator reduces across coordinates
-along axis 0, reading whole contiguous rows.  An estimator holds a tile's
-draws, product and paths per worker thread and a few numbers per tile.
+along axis 0, reading whole contiguous rows.  Each tile's paths are one
+coordinate-major product, formed straight where they are read.  An
+estimator holds a tile's draws and paths per worker thread and a few
+numbers per tile.
 """
 
 from __future__ import annotations
@@ -31,16 +33,15 @@ JITTER_MAX = 1e-6
 # Samples per tile up to n = 168.  Beyond, a tile is the largest multiple of
 # 1536 samples whose draws fit in 2^20 words, and at least 1536: at n = 512
 # a 6144-sample tile would take 50 MB of buffers per worker, 1536 take 13.
-# Under single-threaded OpenBLAS, the product of a tile that starts a
-# multiple of 1536 samples into a range is bit for bit those rows of the
-# whole range's product (2048 or 4096 is not, at n >= 194 with n mod 8 !=
-# 0).  Each tile costs a fixed number of numpy calls, and worker threads
-# hand the GIL over at each one: 3072-sample tiles ran a two-thread modulus
-# at n = 16 about 12% slower.
+# Under single-threaded OpenBLAS, the tiles of a range form bit for bit the
+# columns of the whole range's product ``factor @ z.T`` at any tile length
+# from 1000 to 6144 samples measured (n = 16 to 700); 8- to 24-sample tiles
+# do not.  The lengths stay as they are because estimators add their sums
+# tile by tile: another length regroups those sums and moves the last bits
+# of every Monte Carlo estimate.  Each tile costs a fixed number of numpy
+# calls, and worker threads hand the GIL over at each one: 3072-sample
+# tiles ran a two-thread modulus at n = 16 about 12% slower.
 SAMPLE_TILE = 6144
-# Path values per block when a tile's product is transposed: a whole tile
-# at once copies 1.5x slower at n = 64 and 5x slower at n = 256.
-TRANSPOSE_BLOCK = 1 << 15
 
 
 class FactorizationError(RuntimeError):
@@ -143,64 +144,65 @@ def _tiles(n, start, stop):
 
 
 def _tile_buffers(model, tiles):
-    """The draw and product buffers for ``tiles``, as long as the longest
-    one, made once and reused by every tile, so that no tile faults in
-    fresh pages for its temporaries."""
+    """A draw buffer as long as the longest of ``tiles``, made once and
+    reused by every tile, so that no tile faults in fresh pages for its
+    draws."""
     rows = max((b - a for a, b in tiles), default=0)
-    return np.empty((rows, _words_per_sample(model.n))), np.empty((rows, model.n))
+    return np.empty((rows, _words_per_sample(model.n)))
 
 
-def _draw_tile(model, start, stop, seed, out, words, prod):
+def _draw_tile(model, start, stop, seed, out, words):
     """Paths of samples ``start..stop-1`` into the n x (stop - start) ``out``,
-    through the ``_tile_buffers`` ``words`` and ``prod``.
+    drawn through the ``_tile_buffers`` ``words``.
 
-    The product is formed sample-major, as ``z @ factor.T``, and copied out
-    in cache-sized blocks of samples.  ``factor @ z.T`` is not the same
-    arithmetic: OpenBLAS rounds the last (count mod 8) samples of a long
-    range differently in that orientation.  The draws' row stride (w words)
-    and the buffers leave every product bit as a new contiguous array would.
+    One product, coordinate-major: ``factor @ z.T`` straight into ``out``,
+    which may be a column block of a wider array.  The draws' row stride (w
+    words) and a strided ``out`` leave every product bit as contiguous
+    arrays would.
     """
     z = standard_normal_block(seed, start, stop, model.n, words)
-    rows = np.matmul(z, model.factor.T, out=prod[:stop - start])
-    step = max(1, TRANSPOSE_BLOCK // max(model.n, 1))
-    for s in range(0, rows.shape[0], step):
-        out[:, s:s + step] = rows[s:s + step].T
+    np.matmul(model.factor, z.T, out=out)
 
 
-def sample_paths(model: GaussianModel, start: int, stop: int, seed: int) -> np.ndarray:
+def sample_paths(model: GaussianModel, start: int, stop: int, seed: int,
+                 threads: int = 1) -> np.ndarray:
     """Process samples ``start..stop-1`` as columns: row t holds X(t).
 
-    Filled one tile at a time; under single-threaded OpenBLAS every path
-    value is bit for bit that of the sample-major product ``z @ factor.T``
-    of the whole range (see ``SAMPLE_TILE``).
+    Up to ``threads`` workers draw the tiles, each writing its tiles'
+    columns; under single-threaded OpenBLAS every path value is bit for bit
+    that of the whole range's product ``factor @ z.T`` (see ``SAMPLE_TILE``),
+    at any ``threads``.
     """
     out = np.empty((model.n, max(stop - start, 0)))
-    tiles = _tiles(model.n, start, stop)
-    buffers = _tile_buffers(model, tiles)
-    for a, b in tiles:
-        _draw_tile(model, a, b, seed, out[:, a - start:b - start], *buffers)
+    _map_tiles(model, start, stop, seed, threads, None, out)
     return out
 
 
-def _map_tiles(model, n_samples, seed, threads, per_tile):
-    """``per_tile(x)`` of each tile of ``sample_paths(model, 0, n_samples,
-    seed)``, in tile order.  Up to ``threads`` workers take the tiles in
-    turn (worker k takes tiles k, k + workers, ...), each through its own
-    ``_tile_buffers``; worker 0 is the calling thread, the others a pool.
-    The paths ``x`` (n x tile, C-contiguous) live in the draw buffer, which
-    ``_draw_tile`` writes after the product has read it and the worker's
-    next tile overwrites: ``per_tile`` returns what it keeps."""
-    tiles = _tiles(model.n, 0, n_samples)
-    workers = min(threads, len(tiles))
+def _map_tiles(model, start, stop, seed, threads, per_tile, out=None):
+    """``per_tile(x)`` of each tile ``x`` of ``sample_paths(model, start,
+    stop, seed)``, in tile order.  Up to ``threads`` workers take the tiles
+    in turn (worker k takes tiles k, k + workers, ...), each drawing through
+    its own ``_tile_buffers``; worker 0 is the calling thread, the others a
+    pool.  The paths of a tile go into its columns of ``out`` (n x (stop -
+    start)) if given, else into the worker's own path buffer (``x`` n x tile,
+    C-contiguous), which its next tile overwrites: ``per_tile`` returns what
+    it keeps.  A ``per_tile`` of None keeps nothing."""
+    tiles = _tiles(model.n, start, stop)
+    workers = max(1, min(threads, len(tiles)))
     results = [None] * len(tiles)
 
     def work(first):
-        words, prod = _tile_buffers(model, tiles)
+        words = _tile_buffers(model, tiles)
+        paths = np.empty(model.n * words.shape[0]) if out is None else None
         for i in range(first, len(tiles), workers):
             a, b = tiles[i]
-            x = words.reshape(-1)[:model.n * (b - a)].reshape(model.n, b - a)
-            _draw_tile(model, a, b, seed, x, words, prod)
-            results[i] = per_tile(x)
+            if out is None:
+                x = paths[:model.n * (b - a)].reshape(model.n, b - a)
+            else:
+                x = out[:, a - start:b - start]
+            _draw_tile(model, a, b, seed, x, words)
+            if per_tile is not None:
+                results[i] = per_tile(x)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers - 1) as ex:
@@ -219,9 +221,18 @@ class Estimate:
 
 
 def sample_estimate(x) -> Estimate:
-    """Mean and standard error of one value per sample (0 for one sample)."""
-    se = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-    return Estimate(float(x.mean()), se)
+    """Mean and standard error of one value per sample (0 for one sample).
+
+    One mean pass, then the centred sum of squares ``np.std`` makes: bit for
+    bit ``x.mean()`` and ``x.std(ddof=1) / sqrt(len(x))``.
+    """
+    n = len(x)
+    mean = np.add.reduce(x) / n
+    if n < 2:
+        return Estimate(float(mean), 0.0)
+    d = x - mean
+    np.multiply(d, d, out=d)
+    return Estimate(float(mean), float(math.sqrt(np.add.reduce(d) / (n - 1)) / math.sqrt(n)))
 
 
 def _estimate(model, n_samples, seed, threads, stat) -> Estimate:
@@ -235,7 +246,7 @@ def _estimate(model, n_samples, seed, threads, stat) -> Estimate:
         m = stat(x)
         return m.sum(), np.square(m).sum()
 
-    s, sq = map(sum, zip(*_map_tiles(model, n_samples, seed, threads, sums)))
+    s, sq = map(sum, zip(*_map_tiles(model, 0, n_samples, seed, threads, sums)))
     mean = s / n_samples
     var = max(sq - n_samples * mean * mean, 0.0) / max(n_samples - 1, 1)
     return Estimate(float(mean), float(math.sqrt(var / n_samples)))
@@ -277,7 +288,7 @@ def argmax_distribution(model: GaussianModel, n_samples: int, seed: int,
         idx = tied.argmax(axis=0)  # first index within tolerance of the max
         return np.bincount(idx, minlength=model.n), int(np.sum(tied.sum(axis=0) > 1))
 
-    counts, ties = map(sum, zip(*_map_tiles(model, n_samples, seed, threads, per_tile)))
+    counts, ties = map(sum, zip(*_map_tiles(model, 0, n_samples, seed, threads, per_tile)))
     return ArgmaxDistribution(
         measure=ProbabilityMeasure(model.space, counts / n_samples),
         tie_count=ties)

@@ -45,17 +45,25 @@ class PartitionTree:
         return len(self.levels) - 1
 
 
-def common_sample_oracle(model, n_samples: int, seed: int):
+def common_sample_oracle(model, n_samples: int, seed: int, threads: int = 1):
     """F oracle backed by one shared sample matrix (common random numbers).
 
     Using the same draws for every subset makes F monotone under inclusion
-    sample-by-sample, which keeps carving-order comparisons noise-free.
+    sample-by-sample, which keeps carving-order comparisons noise-free.  Up
+    to ``threads`` workers draw the matrix.  F of one point reads its row; of
+    more, a running maximum over the rows in subset order, the same maxima
+    in the same order as ``X[subset].max(axis=0)``.
     """
-    X = sample_paths(model, 0, n_samples, seed)
+    X = sample_paths(model, 0, n_samples, seed, threads)
 
     def oracle(subset):
-        idx = np.fromiter(subset, dtype=int)
-        est = sample_estimate(X[idx].max(axis=0))
+        first, *rest = np.fromiter(subset, dtype=int).tolist()
+        m = X[first]
+        if rest:
+            m = np.maximum(m, X[rest[0]])
+            for i in rest[1:]:
+                np.maximum(m, X[i], out=m)
+        est = sample_estimate(m)
         return est.mean, est.stderr
 
     return oracle

@@ -18,8 +18,12 @@ truncation, for the one batch of them in ``gaussian_lab.supremum_report``.
 the reference for the streamed pair reduction of
 ``gaussian_lab.estimate_modulus``; both it and
 ``common_sample_oracle_reference``, the reference for the F oracle of
-``partition``, form paths sample by sample in rows, independently of the
+``partition``, read paths sample by sample in rows, independently of the
 coordinates-by-samples layout of ``gaussian_lab.sample_paths``.
+``gathered_oracle_reference``, the F oracle as first written (each
+subset's rows gathered into a new array, then a mean pass and a standard
+deviation pass), is the bit-for-bit reference for the running maximum over
+row views and the one-pass mean of ``partition.common_sample_oracle``.
 ``build_partition_reference``, which
 rescores every remaining candidate's probe ball after each carve, is the
 reference for the carried-score carving of ``partition.build_partition``.
@@ -525,8 +529,9 @@ def supremum_report_reference(model, n_samples, seed, delta_grid, threads=1):
 def modulus_reference(model, delta, n_samples, seed):
     """S(delta) from blocks of |X_s - X_t| over (rows x admissible pairs), tile by tile.
 
-    Paths are formed sample by sample in rows, ``z @ factor.T``, one tile of
-    ``gaussian_lab._tiles`` after another.  Same tile-order sums and
+    Paths are the product ``factor @ z.T`` of one tile of
+    ``gaussian_lab._tiles`` after another, read sample by sample in rows
+    (its transpose).  Same tile-order sums and
     empty-delta warning as ``gaussian_lab.estimate_modulus``; returns
     (value, stderr).
     """
@@ -541,7 +546,7 @@ def modulus_reference(model, delta, n_samples, seed):
 
     s = sq = 0.0
     for start, stop in _tiles(model.n, 0, n_samples):
-        x = standard_normal_block(seed, start, stop, model.n) @ model.factor.T
+        x = (model.factor @ standard_normal_block(seed, start, stop, model.n).T).T
         # 1024 rows at a time bound the block; each row's max is the same
         m = np.concatenate([np.abs(x[r:r + 1024, ii] - x[r:r + 1024, jj]).max(axis=1)
                             for r in range(0, stop - start, 1024)])
@@ -553,15 +558,28 @@ def modulus_reference(model, delta, n_samples, seed):
 
 
 def common_sample_oracle_reference(model, n_samples, seed):
-    """F oracle on one sample-major matrix ``z @ factor.T``: the mean and
-    standard error of each sample's max over the subset's columns, as
-    ``partition.common_sample_oracle`` computes them."""
+    """F oracle on one product ``factor @ z.T`` read sample-major (its
+    transpose): the mean and standard error of each sample's max over the
+    subset's columns, as ``partition.common_sample_oracle`` computes them."""
     from chainscope.gaussian_lab import standard_normal_block
 
-    x = standard_normal_block(seed, 0, n_samples, model.n) @ model.factor.T
+    x = (model.factor @ standard_normal_block(seed, 0, n_samples, model.n).T).T
 
     def oracle(subset):
         m = x[:, list(subset)].max(axis=1)
+        se = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0
+        return float(m.mean()), se
+
+    return oracle
+
+
+def gathered_oracle_reference(X):
+    """F oracle over the path matrix ``X`` (row t is X(t)): each subset's rows
+    gathered and reduced by ``max(axis=0)``, then ``mean`` and
+    ``std(ddof=1)`` in two passes."""
+    def oracle(subset):
+        idx = np.fromiter(subset, dtype=int)
+        m = X[idx].max(axis=0)
         se = float(m.std(ddof=1) / math.sqrt(len(m))) if len(m) > 1 else 0.0
         return float(m.mean()), se
 

@@ -502,7 +502,7 @@ class TestValidateOnce:
 
 
 class TestThreads:
-    @pytest.mark.parametrize("command", ["bounds", "duality"])
+    @pytest.mark.parametrize("command", ["bounds", "duality", "partition"])
     def test_worker_threads_keep_every_byte(self, tmp_path, command):
         # the default 20,000 samples are three tiles at n = 8, which
         # --threads 2 shares out between two workers
@@ -532,6 +532,25 @@ class TestThreads:
                       data_instance_path("equilateral_8.json"))
         assert code == 0
         assert pools == [1, 1]
+
+
+    def test_partition_draws_on_two_threads(self, tmp_path, monkeypatch):
+        # partition's one shared sample matrix, three tiles at n = 8 (whose
+        # bytes test_worker_threads_keep_every_byte checks at --threads 1
+        # and 2), is drawn by the calling thread and one pool thread
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(gaussian_lab, "ThreadPoolExecutor", Recorded)
+        code, _ = run(tmp_path, "partition", "--threads", "2", "--instance",
+                      data_instance_path("equilateral_8.json"))
+        assert code == 0
+        assert len(gaussian_lab._tiles(8, 0, 20000)) == 3
+        assert pools == [1]
 
 
 class TestManifestReplay:

@@ -36,7 +36,7 @@ def concentration_check(model, u_grid, n_samples, seed, threads=1):
         return []
     u_grid = [float(u) for u in u_grid]
 
-    tiles = _map_tiles(model, n_samples, seed, threads, lambda x: x.max(axis=0))
+    tiles = _map_tiles(model, 0, n_samples, seed, threads, lambda x: x.max(axis=0))
     mean = sum(t.sum() for t in tiles) / n_samples
     sups = np.concatenate(tiles)
     rows = []
@@ -97,10 +97,11 @@ class TestCounterSampling:
         assert np.abs(emp - COV_PAIR_D1).max() < 0.02
 
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
-    def test_sample_paths_transpose_the_row_product(self, n):
-        # coordinates by samples, bit for bit the transpose of the
-        # sample-major product z @ factor.T, on one-row, empty, odd-length
-        # and long ragged ranges and a jittered rank-deficient factor
+    def test_sample_paths_are_the_whole_range_product(self, n):
+        # coordinates by samples, bit for bit the coordinate-major product
+        # factor @ z.T of the whole range, on one-row, empty, odd-length and
+        # long ragged ranges and a jittered rank-deficient factor, drawn by
+        # one worker and by three
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, max(n // 2, 1)))
         A[-1] = 0.0  # a zero-variance coordinate: the factor needs jitter
@@ -109,14 +110,15 @@ class TestCounterSampling:
         for m in (jittered, build_model(random_covariance(rng, n))):
             for start, stop in [(0, 1), (5, 6), (4, 4), (3, 26), (5, 70), (7, 1001),
                                 (100, 355), (1, 4098), (0, 20000)]:
-                x = sample_paths(m, start, stop, 9)
-                want = (standard_normal_block(9, start, stop, n) @ m.factor.T).T
-                assert x.shape == (n, stop - start) and x.flags.c_contiguous
-                assert np.array_equal(x, want)
-                assert np.array_equal(np.signbit(x), np.signbit(want))
+                want = m.factor @ standard_normal_block(9, start, stop, n).T
+                for threads in (1, 3):
+                    x = sample_paths(m, start, stop, 9, threads)
+                    assert x.shape == (n, stop - start) and x.flags.c_contiguous
+                    assert np.array_equal(x, want)
+                    assert np.array_equal(np.signbit(x), np.signbit(want))
 
     def test_diagonal_factor_samples_exactly(self):
-        # z @ factor.T adds only exact zeros to z * diag(factor), so the
+        # factor @ z.T adds only exact zeros to diag(factor) * z, so the
         # matrix product keeps every value and sign bit of a scaling
         rng = np.random.default_rng(12)
         iid = covariance_from_instance(load_instance(data_instance_path("iid_16.json")))
@@ -157,7 +159,7 @@ class TestEstimates:
         # tile 1 in the pool, whose exception is raised once it has joined
         m = build_model(random_covariance(np.random.default_rng(0), 8))
         n_samples = 3 * _tile_length(8)
-        idents = _map_tiles(m, n_samples, 3, 2, lambda x: threading.get_ident())
+        idents = _map_tiles(m, 0, n_samples, 3, 2, lambda x: threading.get_ident())
         assert idents[0] == idents[2] == threading.get_ident() != idents[1]
 
         def fail_in_the_pool(x):
@@ -166,7 +168,7 @@ class TestEstimates:
             return x.shape
 
         with pytest.raises(RuntimeError, match="pool worker"):
-            _map_tiles(m, n_samples, 3, 2, fail_in_the_pool)
+            _map_tiles(m, 0, n_samples, 3, 2, fail_in_the_pool)
 
     def test_modulus_two_point(self):
         m = build_model(COV_PAIR_D1)
@@ -288,7 +290,7 @@ def test_modulus_ragged_blocks_bit_identical_to_reference(threads):
 def test_memory_bounded_by_the_tiles(threads):
     # 20 tiles at n = 32, and every pair admissible for the modulus: a
     # (tile x pairs) block would need about 15 tiles of path bytes, and the
-    # whole run's paths 20; a worker's draw and product buffers take two,
+    # whole run's paths 20; a worker's draw and path buffers take two,
     # and the reductions of its tile about one more
     n = 32
     model = build_model(random_covariance(np.random.default_rng(32), n))
@@ -328,7 +330,7 @@ for n in (16, 64, 201, 257, 300, 512):
     T = _tile_length(n)
     for start, stop in [(0, 2 * T), (5, 5 + 2 * T + 1), (0, 2 * T + 37), (3, 3 + 3 * T - 1)]:
         x = sample_paths(model, start, stop, 11)
-        want = (standard_normal_block(11, start, stop, n) @ model.factor.T).T
+        want = model.factor @ standard_normal_block(11, start, stop, n).T
         if not (x.flags.c_contiguous and np.array_equal(x, want)
                 and np.array_equal(np.signbit(x), np.signbit(want))):
             bad.append((n, start, stop))
@@ -347,7 +349,7 @@ for n in (16, 64, 201, 257, 300, 512):
     for n_samples in (_tile_length(n) - 1, 2 * _tile_length(n) + 37, 20000):
         want = sample_paths(model, 0, n_samples, 7)
         for threads in (1, 2):
-            got = np.hstack(_map_tiles(model, n_samples, 7, threads, lambda x: x.copy()))
+            got = np.hstack(_map_tiles(model, 0, n_samples, 7, threads, lambda x: x.copy()))
             if not np.array_equal(got, want):
                 bad.append((n, n_samples, threads))
 print(bad)
@@ -363,11 +365,10 @@ def _one_blas_thread(code):
 
 
 def test_tiles_keep_the_whole_range_product():
-    # the tile rule: each tile's product is bit for bit those rows of the
-    # whole range's product, at sizes (n >= 194, n mod 8 != 0) where
-    # OpenBLAS rounds tiles that are not a multiple of 1536 samples long
-    # differently; the BLAS thread count is pinned because at 2 threads the
-    # whole-range product itself rounds differently at such n
+    # the tile rule: each tile's product is bit for bit those columns of the
+    # whole range's product factor @ z.T, at sizes (n >= 194, n mod 8 != 0)
+    # where the BLAS thread count matters: it is pinned because at 2 threads
+    # the whole-range product itself rounds differently at such n
     assert [_tile_length(n) for n in (16, 168, 169, 201, 257, 512, 700)] == \
         [6144, 6144, 4608, 4608, 3072, 1536, 1536]
     assert _one_blas_thread(TILE_RULE_CHECK) == "[]"
@@ -443,6 +444,40 @@ def test_estimators_reduce_the_sample_paths():
     got = estimate_modulus(model, model.space.diam / 2, n_samples, 5, 2)
     assert got.mean == pytest.approx(pairs.mean, rel=1e-12)
     assert got.stderr == pytest.approx(pairs.stderr, rel=1e-9)
+
+
+def _estimate_values(kind, length, rng):
+    if kind == "normal":
+        return rng.standard_normal(length)
+    if kind == "constant":
+        return np.full(length, rng.standard_normal())
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0], length)
+    return rng.standard_normal(length) * 10.0 ** rng.integers(-100, 100, length)
+
+
+@given(st.one_of(st.sampled_from([1, 2, 3, 25000]), st.integers(1, 64)),
+       st.sampled_from(["normal", "constant", "signed zeros", "magnitudes"]),
+       st.sampled_from(["array", "row view", "column view"]), st.integers(0, 2 ** 31))
+@settings(max_examples=80, deadline=None)
+def test_sample_estimate_is_mean_and_std(length, kind, layout, seed):
+    # one mean pass and the centred sum np.std makes: bit for bit x.mean()
+    # and x.std(ddof=1) / sqrt(len(x)), signs of zero included
+    rng = np.random.default_rng(seed)
+    values = _estimate_values(kind, length, rng)
+    if layout == "row view":
+        x = np.empty((3, length))
+        x[1] = values
+        x = x[1]
+    elif layout == "column view":
+        x = np.empty((length, 3))
+        x[:, 1] = values
+        x = x[:, 1]
+    else:
+        x = values
+    got = sample_estimate(x)
+    se = x.std(ddof=1) / math.sqrt(len(x)) if len(x) > 1 else 0.0
+    assert np.array([got.mean, got.stderr]).tobytes() == np.array([x.mean(), se]).tobytes()
 
 
 class TestArgmax:

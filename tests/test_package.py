@@ -1,7 +1,8 @@
 """``chainscope.__all__`` is exactly what the commands and the demos import,
-every parameter with a default is one that a command or a demo sets, no
-function appends to a list it was passed, and the runtime dependencies are
-exactly the third-party modules the package imports.  The sources are read
+every parameter with a default is one that a command or a demo sets, every
+module-level constant is read by the package, no function appends to a
+list it was passed, and the runtime dependencies are exactly the
+third-party modules the package imports.  The sources are read
 as syntax trees, so the demos do not run."""
 
 import ast
@@ -93,6 +94,26 @@ def test_every_defaulted_parameter_is_set_by_a_command_or_a_demo():
                       if (fn.name, a.arg) not in KEPT_KNOBS
                       and not any(_sets(call, name, index, a.arg) for call in calls)]
     assert unset == []
+
+
+def test_every_module_constant_is_read():
+    # every UPPER_CASE (or _UPPER_CASE) name assigned at module level is read
+    # in the package, so a tuning constant left behind by a deleted code
+    # path fails
+    sources = glob.glob(os.path.join(ROOT, "src", "chainscope", "**", "*.py"), recursive=True)
+    defined = set()
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            body = ast.parse(fh.read()).body
+        targets = [t for n in body if isinstance(n, ast.Assign) for t in n.targets]
+        targets += [n.target for n in body if isinstance(n, ast.AnnAssign)]
+        names = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+        defined |= {(os.path.basename(path), n.id) for n in names
+                    if isinstance(n, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id)}
+    read = {n.id for n in _nodes(sources, ast.Name) if isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in _nodes(sources, ast.Attribute) if isinstance(n.ctx, ast.Load)}
+    assert len(defined) >= 30
+    assert sorted(f"{path}:{name}" for path, name in defined if name not in read) == []
 
 
 def test_no_function_fills_an_out_parameter():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 from chainscope import (ProbabilityMeasure, audit_cell, build_from_points, build_model,
                         build_partition, chained_functional, common_sample_oracle,
                         functional_M, lower_bound_report, sigma_profile, uniform_measure)
+from chainscope import partition
+from chainscope.gaussian_lab import _tile_length, sample_estimate, sample_paths
 from chainscope.partition import _cell_mass, _grouping_level, _log_ratio_term
 
 from conftest import integer_l1_space, random_covariance, random_weights
-from oracles import build_partition_reference, common_sample_oracle_reference
+from oracles import (build_partition_reference, common_sample_oracle_reference,
+                     gathered_oracle_reference)
 
 COV_PAIR_D1 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
@@ -195,6 +199,66 @@ class TestOracle:
         for _ in range(20):
             subset = tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
             assert oracle(subset) == reference(subset)
+
+
+def _bits(pair):
+    """The bytes of a (mean, stderr) pair, so that -0.0 differs from 0.0."""
+    return np.array(pair, dtype=float).tobytes()
+
+
+def _draw_subsets(data, n):
+    """Five subsets of 1..n distinct points in shuffled order, each as a
+    tuple or as an index array."""
+    subsets = []
+    for _ in range(5):
+        points = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+        subsets.append(np.array(points) if data.draw(st.booleans()) else tuple(points))
+    return subsets
+
+
+# one to three tiles at n <= 12, the last one ragged
+SAMPLE_COUNTS = st.one_of(st.integers(1, 40), st.integers(_tile_length(12) - 1,
+                                                          3 * _tile_length(12) + 37))
+
+
+@given(st.integers(1, 12), st.integers(1, 12), SAMPLE_COUNTS, st.sampled_from([1, 2, 3]),
+       st.integers(0, 2 ** 31), st.data())
+@settings(max_examples=40, deadline=None)
+def test_oracle_bit_identical_to_the_gathered_reference(n, rank, n_samples, threads, seed, data):
+    # rank < n gives a rank-deficient covariance, and the last coordinate
+    # repeats the first: coordinates tied up to the jitter's blur
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, min(rank, n)))
+    A[-1] = A[0]
+    model = build_model(A @ A.T)
+    oracle = common_sample_oracle(model, n_samples, seed, threads)
+    reference = gathered_oracle_reference(sample_paths(model, 0, n_samples, seed))
+    for subset in _draw_subsets(data, n):
+        assert _bits(oracle(subset)) == _bits(reference(subset))
+
+
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2 ** 31), st.data())
+@settings(max_examples=60, deadline=None)
+def test_oracle_takes_the_maxima_in_subset_order(n, n_samples, seed, data):
+    # exactly tied rows of +-0.0 and small integers: a maximum of tied zeros
+    # keeps the sign of one of them, which the mean hides, so the per-sample
+    # maxima F reduces are checked too, against X[subset].max(axis=0)
+    X = np.random.default_rng(seed).choice([-0.0, 0.0, -0.0, 1.0, -1.0], size=(n, n_samples))
+    model = build_model(np.eye(n))
+    with mock.patch.object(partition, "sample_paths", lambda *args: X):
+        oracle = common_sample_oracle(model, n_samples, seed)
+    reference = gathered_oracle_reference(X)
+    reduced = []
+
+    def recorded(x):
+        reduced.append(x.copy())
+        return sample_estimate(x)
+
+    with mock.patch.object(partition, "sample_estimate", recorded):
+        for subset in _draw_subsets(data, n):
+            assert _bits(oracle(subset)) == _bits(reference(subset))
+            want = X[np.fromiter(subset, dtype=int)].max(axis=0)
+            assert reduced.pop().tobytes() == want.tobytes()
 
 
 class TestChainedFunctional:
